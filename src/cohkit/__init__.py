@@ -8,7 +8,6 @@ from .linalg import (
     Spectrum,
     frobenius_distance,
     hermitian_eig,
-    hermitian_func,
     trace_distance,
 )
 from .states import (
@@ -70,7 +69,6 @@ __all__ = [
     "haar_unitary",
     "hadamard",
     "hermitian_eig",
-    "hermitian_func",
     "ibiqc_coherence",
     "l1_coherence",
     "make_density",

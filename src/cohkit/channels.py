@@ -97,7 +97,7 @@ def apply_channel(kraus: KrausSet, rho: states.DensityMatrix, tol: float = KRAUS
     if kraus.dim != rho.dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
     defect = kraus.completeness_defect()
-    if defect > tol:
+    if not (defect <= tol):
         raise InvalidKrausError(f"sum K^dagger K differs from identity by {defect:.3e}")
     out = sum(op @ rho.matrix @ op.conj().T for op in kraus.operators)
     return states.DensityMatrix(0.5 * (out + out.conj().T))
@@ -227,7 +227,7 @@ def audit_conditions(
     For C2 conditions the channel pool is op_class samples, plus the
     projective measurement onto each state's eigenbasis when
     probe_eigenbasis is set; each sample takes the worst candidate.
-    verdict is "violated" iff the maximum violation exceeds tol.
+    verdict is "holds_within_tol" iff the maximum violation is at most tol.
     """
     if measure not in MEASURE_FUNCTIONS:
         raise InvalidArgumentsError(f"unknown measure {measure!r}; expected one of {tuple(MEASURE_FUNCTIONS)}")
@@ -235,6 +235,12 @@ def audit_conditions(
         raise InvalidArgumentsError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise InvalidArgumentsError(f"samples must be a positive integer, got {samples!r}")
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise InvalidArgumentsError(f"d must be a positive integer, got {d!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgumentsError(f"seed must be a non-negative integer, got {seed!r}")
+    if not (0.0 <= tol < math.inf):
+        raise InvalidArgumentsError(f"tol must be finite and non-negative, got {tol!r}")
     needs_channel = condition in ("C2_average", "C2_selective")
     if needs_channel:
         if op_class is None and not probe_eigenbasis:
@@ -326,7 +332,7 @@ def audit_conditions(
         probe_eigenbasis=bool(probe_eigenbasis),
         max_violation=float(max_violation),
         witness=witness,
-        verdict=VERDICT_VIOLATED if max_violation > tol else VERDICT_HOLDS,
+        verdict=VERDICT_HOLDS if max_violation <= tol else VERDICT_VIOLATED,
     )
 
 

@@ -127,15 +127,19 @@ def _parse_state_document(doc, context: str) -> tuple[states.DensityMatrix, str 
     return states.make_density(m), label
 
 
-def _read_statefile(path) -> tuple[states.DensityMatrix, str | None]:
+def _load_json(path, what: str):
+    """Read one JSON document; open and decode failures raise ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read state file {path}: {exc}") from exc
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return _parse_state_document(doc, context=str(path))
+
+
+def _read_statefile(path) -> tuple[states.DensityMatrix, str | None]:
+    return _parse_state_document(_load_json(path, "state file"), context=str(path))
 
 
 def load_state(path) -> states.DensityMatrix:
@@ -274,14 +278,7 @@ def parse_interference_config(doc, context: str = "interference config") -> Inte
 
 
 def load_interference_config(path) -> InterferenceConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_interference_config(doc, context=str(path))
+    return parse_interference_config(_load_json(path, "config"), context=str(path))
 
 
 def demo_interference(cfg: InterferenceConfig) -> tuple[np.ndarray, float]:

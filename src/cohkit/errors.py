@@ -33,10 +33,6 @@ class NoConvergenceError(CohkitError):
     """An iterative routine exhausted its budget before reaching its target."""
 
 
-class DomainError(CohkitError):
-    """A scalar function was applied outside its domain."""
-
-
 class DegenerateTruncationError(CohkitError):
     """A truncated expansion retains essentially none of the state's weight."""
 

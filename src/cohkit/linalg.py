@@ -1,35 +1,25 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecomposition uses cyclic Jacobi sweeps: each step applies a 2x2
-unitary rotation that annihilates one off-diagonal pair, visiting the
-upper triangle in row-major order. The sweep order is fixed, so results
-are deterministic for identical input, and accuracy is close to machine
-precision for the small dense matrices this package targets.
+Eigendecomposition is LAPACK's Hermitian solver through numpy.linalg.eigh,
+which is deterministic for identical input on one machine and accurate to
+machine precision for the small dense matrices this package targets.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    NoConvergenceError,
-    NotHermitianError,
-)
+from .errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
 
 HERMITIAN_TOL = 1e-10
-JACOBI_OFFDIAG_TARGET = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 class Spectrum(NamedTuple):
     """Eigendecomposition of a Hermitian matrix.
 
-    eigenvalues: real, ascending, ties keep their pre-sort order.
+    eigenvalues: real, ascending.
     eigenvectors: unitary matrix whose column i pairs with eigenvalues[i].
     """
 
@@ -56,109 +46,28 @@ def hermiticity_defect(m) -> float:
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = as_complex_matrix(m)
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if not (defect <= tol):
         raise NotHermitianError(
             f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}"
         )
     return a
 
 
-def offdiagonal_norm(m) -> float:
-    """Frobenius norm of the off-diagonal part."""
-    a = np.asarray(m)
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
-
-
-def _rotate(a: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
-    """Annihilate a[p, q] with a 2x2 unitary; updates a and vecs in place."""
-    apq = a[p, q]
-    mag = abs(apq)
-    if mag == 0.0:
-        return
-    app = float(a[p, p].real)
-    aqq = float(a[q, q].real)
-    phase = apq / mag
-    # Real-rotation angle from the phase-factored 2x2 block; the smaller
-    # root of t^2 + 2*tau*t - 1 = 0 keeps the rotation under 45 degrees.
-    tau = (aqq - app) / (2.0 * mag)
-    t = 1.0 / (tau + math.hypot(1.0, tau)) if tau >= 0 else 1.0 / (tau - math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    pb = phase.conjugate()
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * pb * col_q
-    a[:, q] = s * col_p + c * pb * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * phase * row_q
-    a[q, :] = s * row_p + c * phase * row_q
-    # The rotation zeroes the pair and keeps the diagonal real by
-    # construction; writing the exact values avoids leaving round-off.
-    a[p, p] = app - t * mag
-    a[q, q] = aqq + t * mag
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vec_p = vecs[:, p].copy()
-    vecs[:, p] = c * vec_p - s * pb * vecs[:, q]
-    vecs[:, q] = s * vec_p + c * pb * vecs[:, q]
-
-
-def hermitian_eig(m, tol: float = HERMITIAN_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) -> Spectrum:
+def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> Spectrum:
     """Eigenvalues and eigenvectors of a Hermitian matrix.
 
-    Cyclic Jacobi iteration over the upper triangle. Converged when the
-    off-diagonal Frobenius norm drops below JACOBI_OFFDIAG_TARGET.
-
     Raises NotHermitianError if the input fails the Hermiticity check at
-    tol, and NoConvergenceError if the target is not reached within
-    max_sweeps full sweeps.
+    tol (non-finite entries always fail it), and NoConvergenceError if
+    LAPACK reports that the decomposition did not converge.
     """
     a = require_hermitian(m, tol)
-    # Iterate on the exact Hermitian average so diagonals stay real.
+    # eigh reads one triangle only; the average makes both count.
     a = 0.5 * (a + a.conj().T)
-    d = a.shape[0]
-    vecs = np.eye(d, dtype=complex)
-    if d > 1:
-        converged = offdiagonal_norm(a) <= JACOBI_OFFDIAG_TARGET
-        for _ in range(max_sweeps):
-            if converged:
-                break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    _rotate(a, vecs, p, q)
-            converged = offdiagonal_norm(a) <= JACOBI_OFFDIAG_TARGET
-        if not converged:
-            raise NoConvergenceError(
-                f"off-diagonal norm {offdiagonal_norm(a):.3e} still above "
-                f"{JACOBI_OFFDIAG_TARGET:.1e} after {max_sweeps} sweeps"
-            )
-    eigenvalues = a.diagonal().real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return Spectrum(eigenvalues[order], vecs[:, order])
-
-
-def hermitian_func(m, f: Callable[[float], float], tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix via its spectrum.
-
-    Returns V diag(f(lambda_i)) V^dagger. Conventions for removable
-    singularities (such as 0*log(0) = 0) belong inside f; any eigenvalue
-    where f raises or returns a non-finite value is a DomainError.
-    """
-    eigenvalues, vecs = hermitian_eig(m, tol)
-    values = np.empty(eigenvalues.shape[0], dtype=float)
-    for i, lam in enumerate(eigenvalues):
-        try:
-            values[i] = float(f(lam))
-        except (ArithmeticError, ValueError) as exc:
-            raise DomainError(f"function undefined at eigenvalue {lam!r}: {exc}") from exc
-    if not np.all(np.isfinite(values)):
-        bad = eigenvalues[~np.isfinite(values)][0]
-        raise DomainError(f"function returned a non-finite value at eigenvalue {bad!r}")
-    out = (vecs * values) @ vecs.conj().T
-    return 0.5 * (out + out.conj().T)
+    try:
+        eigenvalues, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"Hermitian eigendecomposition failed: {exc}") from exc
+    return Spectrum(eigenvalues, vecs)
 
 
 def trace_distance(a, b, tol: float = HERMITIAN_TOL) -> float:

@@ -19,7 +19,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import linalg
 from .errors import DimensionMismatchError, InvalidArgumentsError, OptimizerFailure
@@ -113,8 +112,7 @@ def _diagonal_distance_fn(rho: DensityMatrix, metric: str):
     elif metric == "trace":
 
         def fn(probs: np.ndarray) -> float:
-            eigenvalues, _ = linalg.hermitian_eig(m - np.diag(probs).astype(complex))
-            return 0.5 * float(np.abs(eigenvalues).sum())
+            return linalg.trace_distance(m, np.diag(probs))
 
     elif metric == "frobenius":
 
@@ -140,6 +138,8 @@ def min_distance_coherence(
     gauge), restarted from rho's diagonal and from uniform. Raises
     OptimizerFailure if no restart converges within the evaluation budget.
     """
+    from scipy import optimize  # deferred: scipy costs most of the package import
+
     if search_set not in SEARCH_SETS:
         raise InvalidArgumentsError(f"unknown search set {search_set!r}; expected one of {SEARCH_SETS}")
     distance = _diagonal_distance_fn(rho, metric)

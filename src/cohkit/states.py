@@ -70,10 +70,10 @@ class DiagonalState:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.shape[0] < 1:
             raise DimensionMismatchError(f"expected a probability vector, got shape {p.shape}")
-        if p.min() < -PROB_TOL:
+        if not (p.min() >= -PROB_TOL):
             raise NotPositiveError(f"probability {p.min():.6e} below zero tolerance {PROB_TOL:.1e}")
         total = float(p.sum())
-        if abs(total - 1.0) > PROB_TOL:
+        if not (abs(total - 1.0) <= PROB_TOL):
             raise NotUnitTraceError(f"probabilities sum to {total!r}, expected 1 within {PROB_TOL:.1e}")
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
 
@@ -96,7 +96,7 @@ class PureState:
         if a.ndim != 1 or a.shape[0] < 1:
             raise DimensionMismatchError(f"expected an amplitude vector, got shape {a.shape}")
         norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not (abs(norm - 1.0) <= NORM_TOL):
             raise NotUnitTraceError(f"amplitude norm {norm!r} differs from 1 beyond {NORM_TOL:.1e}")
         object.__setattr__(self, "amplitudes", a)
 
@@ -123,10 +123,10 @@ def make_density(entries, tol: float = DENSITY_TOL) -> DensityMatrix:
     """
     m = linalg.as_complex_matrix(entries)
     defect = linalg.hermiticity_defect(m)
-    if defect > tol:
+    if not (defect <= tol):
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}")
     trace = complex(m.trace())
-    if abs(trace - 1.0) > tol:
+    if not (abs(trace - 1.0) <= tol):
         raise NotUnitTraceError(f"trace {trace!r} differs from 1 beyond {tol:.1e}")
     m = 0.5 * (m + m.conj().T)
     eigenvalues, vecs = linalg.hermitian_eig(m, tol)
@@ -148,7 +148,7 @@ def apply_unitary(rho: DensityMatrix, u, tol: float = UNITARY_TOL) -> DensityMat
     if um.shape[0] != rho.dim:
         raise DimensionMismatchError(f"unitary is {um.shape[0]}-dimensional, state is {rho.dim}")
     gram_defect = float(np.linalg.norm(um.conj().T @ um - np.eye(um.shape[0])))
-    if gram_defect > tol:
+    if not (gram_defect <= tol):
         raise NotUnitaryError(f"u^dagger u differs from identity by {gram_defect:.3e}")
     out = um @ rho.matrix @ um.conj().T
     return DensityMatrix(0.5 * (out + out.conj().T))
@@ -231,18 +231,22 @@ def random_density(d: int, seed) -> DensityMatrix:
     return DensityMatrix(m / float(m.trace().real))
 
 
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed unitary from the QR decomposition of a Gaussian matrix.
+def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Haar-distributed isometry from the QR decomposition of a Gaussian matrix.
 
     The phases of R's diagonal are absorbed into Q so the distribution is
-    exactly invariant. seed: integer or numpy Generator.
+    exactly invariant.
     """
-    d = _require_dim(d)
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(_ginibre(rng, d, d))
+    q, r = np.linalg.qr(_ginibre(rng, rows, cols))
     diag = np.diag(r)
     phases = np.where(np.abs(diag) < 1e-300, 1.0, diag / np.abs(diag))
     return q * phases
+
+
+def haar_unitary(d: int, seed) -> np.ndarray:
+    """Haar-distributed d x d unitary. seed: integer or numpy Generator."""
+    d = _require_dim(d)
+    return _haar_isometry(np.random.default_rng(seed), d, d)
 
 
 def random_channel(kind: str, d: int, k: int = 2, seed=0):
@@ -285,10 +289,7 @@ def random_channel(kind: str, d: int, k: int = 2, seed=0):
             op[rows[n], np.arange(d)] = amp[n]
             ops.append(op)
     elif kind == "general_tp":
-        q, r = np.linalg.qr(_ginibre(rng, k * d, d))
-        diag = np.diag(r)
-        phases = np.where(np.abs(diag) < 1e-300, 1.0, diag / np.abs(diag))
-        isometry = q * phases
+        isometry = _haar_isometry(rng, k * d, d)
         ops = [isometry[n * d : (n + 1) * d, :] for n in range(k)]
     else:
         raise InvalidArgumentsError(

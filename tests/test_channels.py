@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohkit.channels import (
     AuditReport,
@@ -16,10 +18,18 @@ from cohkit.errors import (
     DimensionMismatchError,
     InvalidArgumentsError,
     InvalidKrausError,
+    NotHermitianError,
+    NotPositiveError,
+    NotUnitaryError,
+    NotUnitTraceError,
     PureStateError,
 )
+from cohkit.linalg import hermitian_eig, require_hermitian
 from cohkit.measures import ibiqc_coherence, von_neumann_entropy
 from cohkit.states import (
+    DiagonalState,
+    PureState,
+    apply_unitary,
     hadamard,
     haar_unitary,
     make_density,
@@ -260,6 +270,40 @@ def test_audit_invalid_arguments():
         audit_conditions("ibiqc", "C0", d=2, samples=0, seed=0)
     with pytest.raises(InvalidArgumentsError):
         audit_conditions("ibiqc", "C2_average", d=2, samples=10, seed=0)
+    with pytest.raises(InvalidArgumentsError):
+        audit_conditions("ibiqc", "C0", d=2, samples=10, seed=-3)
+    with pytest.raises(InvalidArgumentsError):
+        audit_conditions("ibiqc", "C0", d=0, samples=10, seed=0)
+    for tol in (math.nan, math.inf, -1e-9):
+        with pytest.raises(InvalidArgumentsError):
+            audit_conditions("l1", "C0", d=3, samples=10, seed=0, tol=tol)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), d=st.integers(2, 4), data=st.data())
+def test_property_gates_reject_non_finite(bad, d, data):
+    i = data.draw(st.integers(0, d - 1), label="i")
+    j = data.draw(st.integers(0, d - 1), label="j")
+    m = np.eye(d, dtype=complex) / d
+    m[i, j] = bad
+    for gate in (require_hermitian, hermitian_eig, make_density):
+        with pytest.raises(NotHermitianError):
+            gate(m)
+    probs = np.full(d, 1.0 / d)
+    probs[i] = bad
+    with pytest.raises((NotPositiveError, NotUnitTraceError)):
+        DiagonalState(probs)
+    with pytest.raises(NotUnitTraceError):
+        PureState(np.sqrt(probs.astype(complex)))
+    u = np.eye(d, dtype=complex)
+    u[i, j] = bad
+    with pytest.raises(NotUnitaryError):
+        apply_unitary(maximally_mixed(d), u)
+    with pytest.raises(InvalidKrausError):
+        apply_channel(KrausSet((u,)), maximally_mixed(d))
+    with pytest.raises(InvalidArgumentsError):
+        audit_conditions("l1", "C0", d=d, samples=1, seed=0, tol=bad)
 
 
 def test_counterexample_qubit():

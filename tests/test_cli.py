@@ -219,6 +219,9 @@ def test_main_usage_error_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
     assert main(["audit", "--measure", "ibiqc"]) == 2
+    assert main(["audit", "--measure", "l1", "--condition", "C0", "--seed", "-3"]) == 2
+    assert main(["audit", "--measure", "l1", "--condition", "C0", "--tol", "nan"]) == 2
+    assert main(["audit", "--measure", "l1", "--condition", "C0", "--d", "0"]) == 2
     capsys.readouterr()
 
 
