@@ -11,7 +11,9 @@ standard resource-theory conditions:
   C3           convexity under mixing
 
 Audits are reproducible: sample i of an audit draws all of its
-randomness from (seed, i). Reports serialize to stable JSON.
+randomness from (seed, i). Samples are evaluated in blocks, each block's
+states and operators stacked into arrays and measured with the stacked
+kernels of the measures module. Reports serialize to stable JSON.
 """
 
 from __future__ import annotations
@@ -47,12 +49,24 @@ MEASURE_FUNCTIONS = {
     "re": measures.rel_ent_coherence,
     "ibiqc": measures.ibiqc_coherence,
 }
+# The same measures as stacked kernels, (..., d, d) -> (...); audits use these.
+_MEASURE_KERNELS = {"l1": measures.c_l1, "re": measures.c_re, "ibiqc": measures.c_ibiqc}
 CONDITIONS = ("C0", "C1", "C2_average", "C2_selective", "C3")
 OPERATION_CLASSES = ("unital_mixture", "diagonal_incoherent", "general_tp")
 VERDICT_HOLDS = "holds_within_tol"
 VERDICT_VIOLATED = "violated"
 
 _CLASSIFY_CHECK_SEED = 1060
+
+# Random class channels draw 1 to 4 Kraus operators and C3 mixes 2 to 4
+# states; an audit block pads both to this many, with zero weight.
+_MAX_PARTS = 4
+
+# Size in bytes of the largest stacked array of one audit block: a block
+# holds up to max(_MAX_PARTS, d) complex d x d operators per sample (the
+# eigenbasis probe has d). A block's working arrays are a small multiple
+# of this, so an audit's memory does not grow with its sample count.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,13 +90,11 @@ class KrausSet:
 
     def completeness_defect(self) -> float:
         """Frobenius distance of sum(K^dagger K) from the identity."""
-        acc = sum(op.conj().T @ op for op in self.operators)
-        return float(np.linalg.norm(acc - np.eye(self.dim)))
+        return linalg.gram_defect(np.stack(self.operators))
 
     def unitality_defect(self) -> float:
         """Frobenius distance of sum(K K^dagger) from the identity."""
-        acc = sum(op @ op.conj().T for op in self.operators)
-        return float(np.linalg.norm(acc - np.eye(self.dim)))
+        return linalg.gram_defect(linalg.adjoint(np.stack(self.operators)))
 
 
 @dataclass(frozen=True)
@@ -92,15 +104,41 @@ class KrausFlags:
     diagonal_incoherent: bool
 
 
+def _kraus_outputs(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """K_n rho K_n^dagger for every operator: ops (..., k, d, d), rho (..., d, d)."""
+    return ops @ rho[..., None, :, :] @ linalg.adjoint(ops)
+
+
+def _require_trace_preserving(ops: np.ndarray, tol: float) -> None:
+    """Raise InvalidKrausError unless every set in a (..., k, d, d) stack is complete within tol."""
+    defect = linalg.gram_defect(ops)
+    if not (defect <= tol):
+        raise InvalidKrausError(f"sum K^dagger K differs from identity by {defect:.3e}")
+
+
+def _average_output(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Deterministic channel output of each state in a stack."""
+    return linalg.hermitian_part(_kraus_outputs(ops, rho).sum(axis=-3))
+
+
+def _selective_readout(ops: np.ndarray, rho: np.ndarray, p_floor: float):
+    """Outcome probabilities p, the mask p >= p_floor, and the normalized
+    outcome states (zero where an outcome is dropped), all stacked."""
+    outs = _kraus_outputs(ops, rho)
+    p = np.trace(outs, axis1=-2, axis2=-1).real
+    kept = p >= p_floor
+    normalized = np.divide(linalg.hermitian_part(outs), p[..., None, None],
+                           out=np.zeros_like(outs), where=kept[..., None, None])
+    return p, kept, normalized
+
+
 def apply_channel(kraus: KrausSet, rho: states.DensityMatrix, tol: float = KRAUS_TP_TOL) -> states.DensityMatrix:
     """Deterministic channel action: sum of K rho K^dagger."""
     if kraus.dim != rho.dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
-    defect = kraus.completeness_defect()
-    if not (defect <= tol):
-        raise InvalidKrausError(f"sum K^dagger K differs from identity by {defect:.3e}")
-    out = sum(op @ rho.matrix @ op.conj().T for op in kraus.operators)
-    return states.DensityMatrix(0.5 * (out + out.conj().T))
+    ops = np.stack(kraus.operators)
+    _require_trace_preserving(ops, tol)
+    return states.DensityMatrix(_average_output(ops, rho.matrix))
 
 
 def selective_outcomes(
@@ -113,14 +151,8 @@ def selective_outcomes(
     """
     if kraus.dim != rho.dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
-    outcomes = []
-    for op in kraus.operators:
-        m = op @ rho.matrix @ op.conj().T
-        p = float(m.trace().real)
-        if p >= p_floor:
-            m = 0.5 * (m + m.conj().T) / p
-            outcomes.append((p, states.DensityMatrix(m)))
-    return outcomes
+    p, kept, normalized = _selective_readout(np.stack(kraus.operators), rho.matrix, p_floor)
+    return [(float(p[n]), states.DensityMatrix(normalized[n])) for n in np.flatnonzero(kept)]
 
 
 def _is_structurally_diagonal(kraus: KrausSet) -> bool:
@@ -142,9 +174,10 @@ def classify_kraus(kraus: KrausSet, tol: float = KRAUS_TP_TOL) -> KrausFlags:
     if structural:
         rng = np.random.default_rng(_CLASSIFY_CHECK_SEED)
         d = kraus.dim
+        ops = np.stack(kraus.operators)
         for _ in range(10):
             diag = np.diag(rng.dirichlet(np.ones(d))).astype(complex)
-            out = sum(op @ diag @ op.conj().T for op in kraus.operators)
+            out = _kraus_outputs(ops, diag).sum(axis=0)
             off = out - np.diag(np.diag(out))
             if np.abs(off).max() >= 1e-10:
                 structural = False
@@ -183,21 +216,124 @@ def _matrix_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _projectors(vecs: np.ndarray) -> np.ndarray:
+    """|v_j><v_j| for each column v_j: (..., d, d) vectors -> (..., d, d, d) operators."""
+    return np.einsum("...ij,...kj->...jik", vecs, vecs.conj())
+
+
 def _eigenbasis_projection(rho: states.DensityMatrix) -> KrausSet:
     """Projective measurement onto the state's own eigenbasis."""
     _, vecs = linalg.hermitian_eig(rho.matrix)
-    ops = tuple(np.outer(vecs[:, i], vecs[:, i].conj()) for i in range(rho.dim))
-    return KrausSet(ops, label="eigenbasis_projection")
+    return KrausSet(tuple(_projectors(vecs)), label="eigenbasis_projection")
 
 
-def _channel_candidates(rng, rho, op_class, probe_eigenbasis):
+def _draw(measure: str, condition: str, op_class, d: int, seed: int, i: int) -> dict:
+    """Inputs of sample i, drawn from default_rng([seed, i]) in a fixed order:
+    the state, then the unitary (C0), the incoherent state (C1, except for
+    ibiqc, whose incoherent set is the maximally mixed state alone), the
+    Kraus count and class channel (C2), or the mixture size, weights and
+    members (C3)."""
+    rng = np.random.default_rng([seed, i])
+    draw = {"state": states.random_density(d, rng).matrix}
+    if condition == "C0":
+        draw["unitary"] = states.haar_unitary(d, rng)
+    elif condition == "C1" and measure != "ibiqc":
+        draw["incoherent"] = states.DiagonalState(rng.dirichlet(np.ones(d))).to_density().matrix
+    elif condition in ("C2_average", "C2_selective") and op_class is not None:
+        draw["kraus"] = states.random_channel(op_class, d, int(rng.integers(1, _MAX_PARTS + 1)), rng)
+    elif condition == "C3":
+        parts = int(rng.integers(2, _MAX_PARTS + 1))
+        draw["weights"] = rng.dirichlet(np.ones(parts))
+        draw["states"] = [states.random_density(d, rng).matrix for _ in range(parts)]
+    return draw
+
+
+def _pad(per_sample: list, shape: tuple, dtype) -> np.ndarray:
+    """Stack per-sample lists of up to _MAX_PARTS items into (n, _MAX_PARTS, *shape), zero-padded."""
+    out = np.zeros((len(per_sample), _MAX_PARTS) + shape, dtype=dtype)
+    for j, parts in enumerate(per_sample):
+        out[j, : len(parts)] = parts
+    return out
+
+
+def _evaluate(measure: str, condition: str, probe_eigenbasis: bool, draws: list):
+    """Violation of every sample of one block, and the per-sample values its
+    witness reports: measure_* values and the C1 or C2 branch taken."""
+    kernel = _MEASURE_KERNELS[measure]
+    rho = np.stack([draw["state"] for draw in draws])
+    n, d = rho.shape[0], rho.shape[-1]
+    if condition == "C0":
+        u = np.stack([draw["unitary"] for draw in draws])
+        states.require_unitary(u)
+        rotated = linalg.hermitian_part(_kraus_outputs(u[:, None], rho)[:, 0])
+        return np.abs(kernel(rotated) - kernel(rho)), {}
+    if condition == "C1":
+        random_value = kernel(rho)
+        if measure == "ibiqc":
+            zero_side = np.full(n, kernel(states.maximally_mixed(d).matrix))
+        else:
+            zero_side = kernel(np.stack([draw["incoherent"] for draw in draws]))
+        positive_side = C1_POSITIVITY_FLOOR - random_value
+        on_incoherent = zero_side >= positive_side
+        return np.where(on_incoherent, zero_side, positive_side), {
+            "on_incoherent": on_incoherent,
+            "measure_value": np.where(on_incoherent, zero_side, random_value),
+        }
+    if condition == "C3":
+        weights = _pad([draw["weights"] for draw in draws], (), float)
+        members = _pad([draw["states"] for draw in draws], (d, d), complex)
+        mixture = kernel(np.einsum("nm,nmij->nij", weights, members))
+        average = (weights * kernel(members)).sum(axis=1)
+        return mixture - average, {"measure_mixture": mixture, "measure_average": average}
+    # C2: the candidate channels in pool order, the class channel first
     candidates = []
-    if op_class is not None:
-        k = int(rng.integers(1, 5))
-        candidates.append(states.random_channel(op_class, rho.dim, k, rng))
+    has_class_channel = "kraus" in draws[0]
+    if has_class_channel:
+        candidates.append(_pad([draw["kraus"].operators for draw in draws], (d, d), complex))
     if probe_eigenbasis:
-        candidates.append(_eigenbasis_projection(rho))
-    return candidates
+        candidates.append(_projectors(np.stack([linalg.hermitian_eig(m).eigenvectors for m in rho])))
+    before = kernel(rho)
+    afters = []
+    for ops in candidates:
+        _require_trace_preserving(ops, KRAUS_TP_TOL)
+        if condition == "C2_average":
+            afters.append(kernel(_average_output(ops, rho)))
+        else:
+            p, kept, normalized = _selective_readout(ops, rho, SELECTIVE_P_FLOOR)
+            afters.append(np.where(kept, p * kernel(normalized), 0.0).sum(axis=1))
+    afters = np.stack(afters)
+    violations = afters - before
+    # argmax keeps the first of equal candidates, as a strict > update would
+    winner = np.argmax(violations, axis=0)
+    pick = np.arange(n)
+    return violations[winner, pick], {
+        "class_channel": (winner == 0) & has_class_channel,
+        "measure_before": before,
+        "measure_after": afters[winner, pick],
+    }
+
+
+def _witness(condition: str, i: int, draw: dict, values: dict) -> dict:
+    """Witness of sample i, built from its draw and its evaluated values."""
+    witness = {"sample_index": i}
+    witness.update((k, float(v)) for k, v in values.items() if k.startswith("measure_"))
+    rho = draw["state"]
+    if condition == "C0":
+        witness.update(state=_matrix_json(rho), unitary=_matrix_json(draw["unitary"]))
+    elif condition == "C1":
+        if values["on_incoherent"]:
+            incoherent = draw["incoherent"] if "incoherent" in draw else states.maximally_mixed(len(rho)).matrix
+            witness.update(kind="nonzero_on_incoherent", state=_matrix_json(incoherent))
+        else:
+            witness.update(kind="below_floor_on_random", state=_matrix_json(rho))
+    elif condition == "C3":
+        witness.update(weights=[float(w) for w in draw["weights"]],
+                       states=[_matrix_json(s) for s in draw["states"]])
+    else:
+        kraus = draw["kraus"] if values["class_channel"] else _eigenbasis_projection(states.DensityMatrix(rho))
+        witness.update(state=_matrix_json(rho), channel_label=kraus.label,
+                       kraus_operators=[_matrix_json(op) for op in kraus.operators])
+    return witness
 
 
 def audit_conditions(
@@ -228,6 +364,17 @@ def audit_conditions(
     projective measurement onto each state's eigenbasis when
     probe_eigenbasis is set; each sample takes the worst candidate.
     verdict is "holds_within_tol" iff the maximum violation is at most tol.
+
+    Sample i draws its inputs from (seed, i). Samples are evaluated in
+    blocks: a block's states, unitaries, Kraus sets and mixtures are
+    stacked into arrays (Kraus sets and mixtures zero-padded to four
+    members of weight zero) and each measure is one stacked eigenvalue
+    solve. The block size follows from d so that one block's arrays take
+    a few MB whatever the number of samples.
+
+    The witness is the first sample that reaches the maximum violation.
+    On a row that holds, that maximum is round-off (about 1e-15), so its
+    sample_index may move with the LAPACK build.
     """
     if measure not in MEASURE_FUNCTIONS:
         raise InvalidArgumentsError(f"unknown measure {measure!r}; expected one of {tuple(MEASURE_FUNCTIONS)}")
@@ -249,84 +396,24 @@ def audit_conditions(
             raise InvalidArgumentsError(f"unknown operation class {op_class!r}; expected one of {OPERATION_CLASSES}")
     else:
         op_class = None
-    fn = MEASURE_FUNCTIONS[measure]
-
-    max_violation = -math.inf
-    witness: dict = {}
-    for i in range(int(samples)):
-        rng = np.random.default_rng([seed, i])
-        rho = states.random_density(d, rng)
-        if condition == "C0":
-            u = states.haar_unitary(d, rng)
-            violation = abs(fn(states.apply_unitary(rho, u)) - fn(rho))
-            sample_witness = {"sample_index": i, "state": _matrix_json(rho.matrix), "unitary": _matrix_json(u)}
-        elif condition == "C1":
-            if measure == "ibiqc":
-                incoherent = states.maximally_mixed(d)
-            else:
-                incoherent = states.DiagonalState(rng.dirichlet(np.ones(d))).to_density()
-            zero_side = fn(incoherent)
-            positive_side = C1_POSITIVITY_FLOOR - fn(rho)
-            if zero_side >= positive_side:
-                violation = zero_side
-                sample_witness = {
-                    "sample_index": i,
-                    "kind": "nonzero_on_incoherent",
-                    "state": _matrix_json(incoherent.matrix),
-                    "measure_value": zero_side,
-                }
-            else:
-                violation = positive_side
-                sample_witness = {
-                    "sample_index": i,
-                    "kind": "below_floor_on_random",
-                    "state": _matrix_json(rho.matrix),
-                    "measure_value": fn(rho),
-                }
-        elif condition in ("C2_average", "C2_selective"):
-            before = fn(rho)
-            violation = -math.inf
-            sample_witness = {}
-            for kraus in _channel_candidates(rng, rho, op_class, probe_eigenbasis):
-                if condition == "C2_average":
-                    after = fn(apply_channel(kraus, rho))
-                else:
-                    after = sum(p * fn(out) for p, out in selective_outcomes(kraus, rho))
-                candidate = after - before
-                if candidate > violation:
-                    violation = candidate
-                    sample_witness = {
-                        "sample_index": i,
-                        "state": _matrix_json(rho.matrix),
-                        "channel_label": kraus.label,
-                        "kraus_operators": [_matrix_json(op) for op in kraus.operators],
-                        "measure_before": before,
-                        "measure_after": after,
-                    }
-        else:  # C3
-            parts = int(rng.integers(2, 5))
-            weights = rng.dirichlet(np.ones(parts))
-            members = [states.random_density(d, rng) for _ in range(parts)]
-            mixture = states.DensityMatrix(sum(w * s.matrix for w, s in zip(weights, members)))
-            average = float(sum(w * fn(s) for w, s in zip(weights, members)))
-            violation = fn(mixture) - average
-            sample_witness = {
-                "sample_index": i,
-                "weights": [float(w) for w in weights],
-                "states": [_matrix_json(s.matrix) for s in members],
-                "measure_mixture": fn(mixture),
-                "measure_average": average,
-            }
-        if violation > max_violation:
-            max_violation = violation
-            witness = sample_witness
+    samples = int(samples)
+    block = max(1, _BLOCK_BYTES // (16 * max(_MAX_PARTS, d) * d * d))
+    best = None
+    for start in range(0, samples, block):
+        draws = [_draw(measure, condition, op_class, d, seed, i) for i in range(start, min(start + block, samples))]
+        violation, values = _evaluate(measure, condition, probe_eigenbasis, draws)
+        j = int(np.argmax(violation))
+        if best is None or violation[j] > best[0]:
+            best = (violation[j], start + j, draws[j], {k: v[j] for k, v in values.items()})
+    max_violation, index, draw, values = best
+    witness = _witness(condition, index, draw, values)
 
     return AuditReport(
         measure_name=measure,
         condition=condition,
         operation_class=op_class,
         dim=int(d),
-        samples=int(samples),
+        samples=samples,
         seed=int(seed),
         tol=float(tol),
         probe_eigenbasis=bool(probe_eigenbasis),

@@ -142,16 +142,21 @@ def make_density(entries, tol: float = DENSITY_TOL) -> DensityMatrix:
     return DensityMatrix(m)
 
 
+def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
+    """Raise NotUnitaryError unless u, or every matrix of a (..., d, d)
+    stack, has u^dagger u within tol of the identity (Frobenius norm)."""
+    gram_defect = linalg.gram_defect(u[..., None, :, :])
+    if not (gram_defect <= tol):
+        raise NotUnitaryError(f"u^dagger u differs from identity by {gram_defect:.3e}")
+
+
 def apply_unitary(rho: DensityMatrix, u, tol: float = UNITARY_TOL) -> DensityMatrix:
     """Conjugate a state by a unitary: u rho u^dagger."""
     um = linalg.as_complex_matrix(u)
     if um.shape[0] != rho.dim:
         raise DimensionMismatchError(f"unitary is {um.shape[0]}-dimensional, state is {rho.dim}")
-    gram_defect = float(np.linalg.norm(um.conj().T @ um - np.eye(um.shape[0])))
-    if not (gram_defect <= tol):
-        raise NotUnitaryError(f"u^dagger u differs from identity by {gram_defect:.3e}")
-    out = um @ rho.matrix @ um.conj().T
-    return DensityMatrix(0.5 * (out + out.conj().T))
+    require_unitary(um, tol)
+    return DensityMatrix(linalg.hermitian_part(um @ rho.matrix @ um.conj().T))
 
 
 def hadamard() -> np.ndarray:

@@ -13,6 +13,7 @@ from cohkit.errors import (
 from cohkit.linalg import (
     frobenius_distance,
     hermitian_eig,
+    hermitian_eigvals,
     hermiticity_defect,
     trace_distance,
 )
@@ -50,8 +51,25 @@ def test_eig_lapack_failure_is_no_convergence(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(NoConvergenceError):
         hermitian_eig(np.eye(2))
+    with pytest.raises(NoConvergenceError):
+        hermitian_eigvals(np.stack([np.eye(2), np.eye(2)]))
+
+
+def test_eigvals_stack_matches_eig_and_gates_every_matrix():
+    rng = np.random.default_rng(13)
+    stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+    values = hermitian_eigvals(stack)
+    assert values.shape == (5, 4)
+    for row, m in zip(values, stack):
+        assert np.max(np.abs(row - hermitian_eig(m).eigenvalues)) < 1e-12
+    stack[3, 0, 1] += 1e-6
+    with pytest.raises(NotHermitianError):
+        hermitian_eigvals(stack)
+    with pytest.raises(DimensionMismatchError):
+        hermitian_eig(stack)
 
 
 def test_eig_eigenvectors_unitary():

@@ -2,20 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohkit.errors import DimensionMismatchError, InvalidArgumentsError, OptimizerFailure
 from cohkit.linalg import trace_distance
 from cohkit.measures import (
+    c_ibiqc,
+    c_l1,
+    c_re,
     coherence_report,
+    entropy_bits,
     ibiqc_coherence,
     l1_coherence,
     min_distance_coherence,
     rel_ent_coherence,
     relative_entropy,
     shannon_entropy,
+    spectral_entropy,
     von_neumann_entropy,
 )
 from cohkit.states import (
+    DensityMatrix,
+    DiagonalState,
     apply_unitary,
     glauber_truncated,
     haar_unitary,
@@ -281,3 +290,54 @@ def test_coherence_report_bounds():
         assert 0.0 <= rep.c_re <= rep.s_diag + 1e-9
         assert 0.0 <= rep.c_ibiqc <= math.log2(d) + 1e-9
         assert rep.c_l1 >= 0.0
+
+
+@st.composite
+def density_matrices(draw, max_dim=5):
+    """States of every rank: G G^dagger / tr for a d x r complex Gaussian G."""
+    d = draw(st.integers(1, max_dim), label="d")
+    r = draw(st.integers(1, d), label="rank")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    m = g @ g.conj().T
+    return make_density(m / m.trace().real)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 5), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_property_stacked_kernels_match_per_state_functions(d, n, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_density(d, rng).matrix for _ in range(n)])
+    stack[0] = np.diag(rng.dirichlet(np.ones(d)))
+    for kernel, fn in ((c_l1, l1_coherence), (c_re, rel_ent_coherence), (c_ibiqc, ibiqc_coherence),
+                       (spectral_entropy, von_neumann_entropy)):
+        values = kernel(stack)
+        assert values.shape == (n,)
+        for value, m in zip(values, stack):
+            assert value == pytest.approx(fn(DensityMatrix(m)), abs=1e-12)
+    probs = rng.dirichlet(np.ones(d), size=(2, n))
+    probs[0, 0, 0] = 0.0
+    assert entropy_bits(probs).shape == (2, n)
+    for value, p in zip(entropy_bits(probs).ravel(), probs.reshape(-1, d)):
+        assert value == pytest.approx(shannon_entropy(p), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=density_matrices(), seed=st.integers(0, 2**32 - 1))
+def test_property_ibiqc_unitary_invariant(rho, seed):
+    u = haar_unitary(rho.dim, seed)
+    assert ibiqc_coherence(apply_unitary(rho, u)) == pytest.approx(ibiqc_coherence(rho), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=density_matrices())
+def test_property_rel_ent_is_distance_to_dephased(rho):
+    probs = rho.diagonal_probs()
+    dephased = DiagonalState(probs / probs.sum()).to_density()
+    assert rel_ent_coherence(rho) == pytest.approx(relative_entropy(rho, dephased), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=density_matrices())
+def test_property_ibiqc_is_distance_to_maximally_mixed(rho):
+    assert ibiqc_coherence(rho) == pytest.approx(relative_entropy(rho, maximally_mixed(rho.dim)), abs=1e-9)
