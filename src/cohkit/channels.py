@@ -71,30 +71,36 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Tuple of same-dimension operators representing one channel."""
+    """The Kraus operators of one channel as a complex (k, d, d) array.
 
-    operators: tuple
+    operators accepts any sequence of k >= 1 same-shape square matrices
+    (a tuple, a list or a (k, d, d) array); an empty set, operators of
+    mixed shapes and a single matrix raise DimensionMismatchError.
+    """
+
+    operators: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        ops = tuple(linalg.as_complex_matrix(op) for op in self.operators)
-        if not ops:
-            raise DimensionMismatchError("a channel needs at least one Kraus operator")
-        if any(op.shape != ops[0].shape for op in ops):
-            raise DimensionMismatchError("Kraus operators differ in shape")
+        try:
+            ops = linalg.as_complex_stack(self.operators)
+        except ValueError as exc:
+            raise DimensionMismatchError(f"Kraus operators differ in shape: {exc}") from exc
+        if ops.ndim != 3 or len(ops) < 1:
+            raise DimensionMismatchError(f"expected k >= 1 Kraus operators as (k, d, d), got shape {ops.shape}")
         object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
     def completeness_defect(self) -> float:
         """Frobenius distance of sum(K^dagger K) from the identity."""
-        return linalg.gram_defect(np.stack(self.operators))
+        return linalg.gram_defect(self.operators)
 
     def unitality_defect(self) -> float:
         """Frobenius distance of sum(K K^dagger) from the identity."""
-        return linalg.gram_defect(linalg.adjoint(np.stack(self.operators)))
+        return linalg.gram_defect(linalg.adjoint(self.operators))
 
 
 @dataclass(frozen=True)
@@ -136,9 +142,8 @@ def apply_channel(kraus: KrausSet, rho: states.DensityMatrix, tol: float = KRAUS
     """Deterministic channel action: sum of K rho K^dagger."""
     if kraus.dim != rho.dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
-    ops = np.stack(kraus.operators)
-    _require_trace_preserving(ops, tol)
-    return states.DensityMatrix(_average_output(ops, rho.matrix))
+    _require_trace_preserving(kraus.operators, tol)
+    return states.DensityMatrix(_average_output(kraus.operators, rho.matrix))
 
 
 def selective_outcomes(
@@ -151,15 +156,8 @@ def selective_outcomes(
     """
     if kraus.dim != rho.dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
-    p, kept, normalized = _selective_readout(np.stack(kraus.operators), rho.matrix, p_floor)
+    p, kept, normalized = _selective_readout(kraus.operators, rho.matrix, p_floor)
     return [(float(p[n]), states.DensityMatrix(normalized[n])) for n in np.flatnonzero(kept)]
-
-
-def _is_structurally_diagonal(kraus: KrausSet) -> bool:
-    for op in kraus.operators:
-        if np.any((np.abs(op) > STRUCTURAL_ENTRY_TOL).sum(axis=0) > 1):
-            return False
-    return True
 
 
 def classify_kraus(kraus: KrausSet, tol: float = KRAUS_TP_TOL) -> KrausFlags:
@@ -170,18 +168,13 @@ def classify_kraus(kraus: KrausSet, tol: float = KRAUS_TP_TOL) -> KrausFlags:
     outputs; the structural test is cross-checked behaviorally on ten
     seeded random diagonal states.
     """
-    structural = _is_structurally_diagonal(kraus)
+    ops = kraus.operators
+    structural = bool(((np.abs(ops) > STRUCTURAL_ENTRY_TOL).sum(axis=-2) <= 1).all())
     if structural:
-        rng = np.random.default_rng(_CLASSIFY_CHECK_SEED)
-        d = kraus.dim
-        ops = np.stack(kraus.operators)
-        for _ in range(10):
-            diag = np.diag(rng.dirichlet(np.ones(d))).astype(complex)
-            out = _kraus_outputs(ops, diag).sum(axis=0)
-            off = out - np.diag(np.diag(out))
-            if np.abs(off).max() >= 1e-10:
-                structural = False
-                break
+        eye = np.eye(kraus.dim)
+        diag = np.random.default_rng(_CLASSIFY_CHECK_SEED).dirichlet(np.ones(kraus.dim), size=10)[:, None] * eye
+        out = _kraus_outputs(ops, diag).sum(axis=-3)
+        structural = bool(np.abs(out - out * eye).max() < 1e-10)
     return KrausFlags(
         trace_preserving=kraus.completeness_defect() < tol,
         unital=kraus.unitality_defect() < tol,
@@ -209,11 +202,13 @@ class AuditReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
-def _matrix_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+def _matrix_json(m) -> list:
+    """A complex matrix, or a stack of them, as nested lists of [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _projectors(vecs: np.ndarray) -> np.ndarray:
@@ -224,20 +219,22 @@ def _projectors(vecs: np.ndarray) -> np.ndarray:
 def _eigenbasis_projection(rho: states.DensityMatrix) -> KrausSet:
     """Projective measurement onto the state's own eigenbasis."""
     _, vecs = linalg.hermitian_eig(rho.matrix)
-    return KrausSet(tuple(_projectors(vecs)), label="eigenbasis_projection")
+    return KrausSet(_projectors(vecs), label="eigenbasis_projection")
 
 
 def _draw(measure: str, condition: str, op_class, d: int, seed: int, i: int) -> dict:
     """Inputs of sample i, drawn from default_rng([seed, i]) in a fixed order:
-    the state, then the unitary (C0), the incoherent state (C1, except for
-    ibiqc, whose incoherent set is the maximally mixed state alone), the
-    Kraus count and class channel (C2), or the mixture size, weights and
-    members (C3)."""
+    the state, then the unitary (C0), the incoherent state (C1; ibiqc's
+    incoherent set is the maximally mixed state alone, which draws
+    nothing), the Kraus count and class channel (C2), or the mixture size,
+    weights and members (C3)."""
     rng = np.random.default_rng([seed, i])
     draw = {"state": states.random_density(d, rng).matrix}
     if condition == "C0":
         draw["unitary"] = states.haar_unitary(d, rng)
-    elif condition == "C1" and measure != "ibiqc":
+    elif condition == "C1" and measure == "ibiqc":
+        draw["incoherent"] = states.maximally_mixed(d).matrix
+    elif condition == "C1":
         draw["incoherent"] = states.DiagonalState(rng.dirichlet(np.ones(d))).to_density().matrix
     elif condition in ("C2_average", "C2_selective") and op_class is not None:
         draw["kraus"] = states.random_channel(op_class, d, int(rng.integers(1, _MAX_PARTS + 1)), rng)
@@ -269,10 +266,7 @@ def _evaluate(measure: str, condition: str, probe_eigenbasis: bool, draws: list)
         return np.abs(kernel(rotated) - kernel(rho)), {}
     if condition == "C1":
         random_value = kernel(rho)
-        if measure == "ibiqc":
-            zero_side = np.full(n, kernel(states.maximally_mixed(d).matrix))
-        else:
-            zero_side = kernel(np.stack([draw["incoherent"] for draw in draws]))
+        zero_side = kernel(np.stack([draw["incoherent"] for draw in draws]))
         positive_side = C1_POSITIVITY_FLOOR - random_value
         on_incoherent = zero_side >= positive_side
         return np.where(on_incoherent, zero_side, positive_side), {
@@ -322,17 +316,15 @@ def _witness(condition: str, i: int, draw: dict, values: dict) -> dict:
         witness.update(state=_matrix_json(rho), unitary=_matrix_json(draw["unitary"]))
     elif condition == "C1":
         if values["on_incoherent"]:
-            incoherent = draw["incoherent"] if "incoherent" in draw else states.maximally_mixed(len(rho)).matrix
-            witness.update(kind="nonzero_on_incoherent", state=_matrix_json(incoherent))
+            witness.update(kind="nonzero_on_incoherent", state=_matrix_json(draw["incoherent"]))
         else:
             witness.update(kind="below_floor_on_random", state=_matrix_json(rho))
     elif condition == "C3":
-        witness.update(weights=[float(w) for w in draw["weights"]],
-                       states=[_matrix_json(s) for s in draw["states"]])
+        witness.update(weights=draw["weights"].tolist(), states=_matrix_json(draw["states"]))
     else:
         kraus = draw["kraus"] if values["class_channel"] else _eigenbasis_projection(states.DensityMatrix(rho))
         witness.update(state=_matrix_json(rho), channel_label=kraus.label,
-                       kraus_operators=[_matrix_json(op) for op in kraus.operators])
+                       kraus_operators=_matrix_json(kraus.operators))
     return witness
 
 

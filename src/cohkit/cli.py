@@ -149,6 +149,15 @@ def load_state(path) -> states.DensityMatrix:
     return rho
 
 
+def _write_text(text: str, path=None) -> None:
+    """Write text to stdout, or to a file at path with LF line endings."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
 def save_state(rho: states.DensityMatrix, path, label: str | None = None) -> None:
     """Write a StateFile with 17-significant-digit entries."""
     rows = []
@@ -162,20 +171,14 @@ def save_state(rho: states.DensityMatrix, path, label: str | None = None) -> Non
     lines.append(",\n".join(rows))
     lines.append("  ]")
     lines.append("}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text("\n".join(lines) + "\n", path)
 
 
 def _write_table(columns, rows, out_path=None) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", out_path)
 
 
 # ------------------------------------------------------------------- sweeps
@@ -366,8 +369,7 @@ def run_audit_cli(args) -> int:
             if args.probe_eigenbasis:
                 stem += "_probe"
             path = out / f"{stem}.json"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.to_json())
+        _write_text(report.to_json(), path)
         expected = EXPECTED_VERDICTS.get((m, condition, report.operation_class, report.probe_eigenbasis))
         note = ""
         if expected is not None and expected != report.verdict:
@@ -389,12 +391,7 @@ def _cmd_measure(args) -> int:
     report = measures.coherence_report(rho).to_dict()
     if label is not None:
         report["label"] = label
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -431,7 +428,7 @@ def _cmd_demo_interference(args) -> int:
         "i_max": float(intensities.max()),
         "i_min": float(intensities.min()),
     }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

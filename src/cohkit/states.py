@@ -128,7 +128,7 @@ def make_density(entries, tol: float = DENSITY_TOL) -> DensityMatrix:
     trace = complex(m.trace())
     if not (abs(trace - 1.0) <= tol):
         raise NotUnitTraceError(f"trace {trace!r} differs from 1 beyond {tol:.1e}")
-    m = 0.5 * (m + m.conj().T)
+    m = linalg.hermitian_part(m)
     eigenvalues, vecs = linalg.hermitian_eig(m, tol)
     if eigenvalues[0] < -tol:
         raise NotPositiveError(
@@ -137,8 +137,7 @@ def make_density(entries, tol: float = DENSITY_TOL) -> DensityMatrix:
     if eigenvalues[0] < 0.0:
         clamped = np.clip(eigenvalues, 0.0, None)
         clamped = clamped / clamped.sum()
-        m = (vecs * clamped) @ vecs.conj().T
-        m = 0.5 * (m + m.conj().T)
+        m = linalg.hermitian_part((vecs * clamped) @ vecs.conj().T)
     return DensityMatrix(m)
 
 
@@ -231,8 +230,7 @@ def random_density(d: int, seed) -> DensityMatrix:
     d = _require_dim(d)
     rng = np.random.default_rng(seed)
     g = _ginibre(rng, d, d)
-    m = g @ g.conj().T
-    m = 0.5 * (m + m.conj().T)
+    m = linalg.hermitian_part(g @ g.conj().T)
     return DensityMatrix(m / float(m.trace().real))
 
 
@@ -280,25 +278,20 @@ def random_channel(kind: str, d: int, k: int = 2, seed=0):
     label = f"{kind}(d={d}, k={k})"
     if kind == "unital_mixture":
         probs = rng.dirichlet(np.ones(k))
-        ops = [math.sqrt(p) * haar_unitary(d, rng) for p in probs]
+        ops = np.sqrt(probs)[:, None, None] * np.stack([_haar_isometry(rng, d, d) for _ in range(k)])
     elif kind == "diagonal_incoherent":
         # A permutation per operator keeps at most one nonzero per column
         # and per row; per-column normalization then gives exact trace
         # preservation (independent row draws would leave cross terms).
-        rows = [rng.permutation(d) for _ in range(k)]
+        rows = np.stack([rng.permutation(d) for _ in range(k)])
         amp = _ginibre(rng, k, d)
-        amp = amp / np.linalg.norm(amp, axis=0)
-        ops = []
-        for n in range(k):
-            op = np.zeros((d, d), dtype=complex)
-            op[rows[n], np.arange(d)] = amp[n]
-            ops.append(op)
+        ops = np.zeros((k, d, d), dtype=complex)
+        ops[np.arange(k)[:, None], rows, np.arange(d)] = amp / np.linalg.norm(amp, axis=0)
     elif kind == "general_tp":
-        isometry = _haar_isometry(rng, k * d, d)
-        ops = [isometry[n * d : (n + 1) * d, :] for n in range(k)]
+        ops = _haar_isometry(rng, k * d, d).reshape(k, d, d)
     else:
         raise InvalidArgumentsError(
             f"unknown channel family {kind!r}; expected unital_mixture, "
             "diagonal_incoherent, or general_tp"
         )
-    return KrausSet(tuple(ops), label=label)
+    return KrausSet(ops, label=label)

@@ -11,6 +11,7 @@ from cohkit.channels import (
     VERDICT_HOLDS,
     VERDICT_VIOLATED,
     AuditReport,
+    KrausFlags,
     KrausSet,
     apply_channel,
     audit_conditions,
@@ -175,6 +176,47 @@ def test_classify_generated_families():
         gen = classify_kraus(random_channel("general_tp", d=3, k=3, seed=seed))
         assert gen.trace_preserving
         assert not gen.unital
+
+
+def test_kraus_set_rejects_bad_shapes():
+    with pytest.raises(DimensionMismatchError):
+        KrausSet(())
+    with pytest.raises(DimensionMismatchError):
+        KrausSet((np.eye(2), np.eye(3)))
+    with pytest.raises(DimensionMismatchError):
+        KrausSet(np.eye(2))
+
+
+def test_kraus_set_is_one_complex_stack():
+    ops = (P0, P1.real)
+    forms = [KrausSet(ops), KrausSet(list(ops)), KrausSet(np.stack(ops))]
+    for kraus in forms:
+        assert kraus.operators.dtype == complex
+        assert kraus.operators.shape == (2, 2, 2)
+        assert kraus.dim == 2
+        assert np.array_equal(kraus.operators, forms[0].operators)
+
+
+def test_classify_non_finite_is_not_diagonal():
+    u = np.eye(2, dtype=complex)
+    u[0, 0] = math.nan
+    assert classify_kraus(KrausSet((u,))) == KrausFlags(False, False, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 5), k=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+def test_property_unital_mixture_never_raises_ibiqc(d, k, seed):
+    rho = random_density(d, seed)
+    channel = random_channel("unital_mixture", d, k, seed + 1)
+    assert ibiqc_coherence(apply_channel(channel, rho)) <= ibiqc_coherence(rho) + 1e-12
+    unital = classify_kraus(channel)
+    assert unital.trace_preserving and unital.unital
+    diag = classify_kraus(random_channel("diagonal_incoherent", d, k, seed))
+    assert diag.trace_preserving and diag.diagonal_incoherent
+    gen = classify_kraus(random_channel("general_tp", d, k, seed))
+    assert gen.trace_preserving
+    # one operator of a d -> d isometry is a unitary, and so unital
+    assert gen.unital == (k == 1)
 
 
 def test_audit_c0_ibiqc_holds():
