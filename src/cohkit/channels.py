@@ -11,9 +11,10 @@ standard resource-theory conditions:
   C3           convexity under mixing
 
 Audits are reproducible: sample i of an audit draws all of its
-randomness from (seed, i). Samples are evaluated in blocks, each block's
-states and operators stacked into arrays and measured with the stacked
-kernels of the measures module. Reports serialize to stable JSON.
+randomness from (seed, i). Samples are drawn and evaluated in blocks:
+only the RNG calls run per sample, and each block's states and operators
+are built as stacked arrays and measured with the stacked kernels of the
+measures module. Reports serialize to stable JSON.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ class KrausSet:
     """The Kraus operators of one channel as a complex (k, d, d) array.
 
     operators accepts any sequence of k >= 1 same-shape square matrices
-    (a tuple, a list or a (k, d, d) array); an empty set, operators of
-    mixed shapes and a single matrix raise DimensionMismatchError.
+    (a tuple, a list or a (k, d, d) array) and holds a private read-only
+    copy of it; an empty set, operators of mixed shapes and a single
+    matrix raise DimensionMismatchError.
     """
 
     operators: np.ndarray
@@ -88,7 +90,7 @@ class KrausSet:
             raise DimensionMismatchError(f"Kraus operators differ in shape: {exc}") from exc
         if ops.ndim != 3 or len(ops) < 1:
             raise DimensionMismatchError(f"expected k >= 1 Kraus operators as (k, d, d), got shape {ops.shape}")
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", linalg.read_only_copy(ops))
 
     @property
     def dim(self) -> int:
@@ -222,51 +224,63 @@ def _eigenbasis_projection(rho: states.DensityMatrix) -> KrausSet:
     return KrausSet(_projectors(vecs), label="eigenbasis_projection")
 
 
-def _draw(measure: str, condition: str, op_class, d: int, seed: int, i: int) -> dict:
-    """Inputs of sample i, drawn from default_rng([seed, i]) in a fixed order:
-    the state, then the unitary (C0), the incoherent state (C1; ibiqc's
-    incoherent set is the maximally mixed state alone, which draws
-    nothing), the Kraus count and class channel (C2), or the mixture size,
-    weights and members (C3)."""
-    rng = np.random.default_rng([seed, i])
-    draw = {"state": states.random_density(d, rng).matrix}
+def _sample_block(measure: str, condition: str, op_class, d: int, seed: int, indices: range) -> dict:
+    """Inputs of the samples in indices as arrays stacked per block.
+
+    Only the RNG calls run per sample, on default_rng([seed, i]) in a fixed
+    order: the state, then the unitary (C0), the incoherent state (C1, not
+    for ibiqc, whose incoherent set is I/d alone), the Kraus count and
+    class channel (C2), or the mixture size, weights and members (C3).
+    Kraus sets and mixtures are zero-padded to _MAX_PARTS, with weight zero.
+    """
+    raw = []
+    for i in indices:
+        rng = np.random.default_rng([seed, i])
+        draw = [rng.standard_normal((2, d, d))]
+        if condition == "C0":
+            draw.append(rng.standard_normal((2, d, d)))
+        elif condition == "C1" and measure != "ibiqc":
+            draw.append(rng.dirichlet(np.ones(d)))
+        elif condition == "C3":
+            parts = int(rng.integers(2, _MAX_PARTS + 1))
+            draw += [parts, rng.dirichlet(np.ones(parts)), rng.standard_normal((parts, 2, d, d))]
+        elif op_class is not None:
+            parts = int(rng.integers(1, _MAX_PARTS + 1))
+            draw += [parts, states.draw_channel(rng, op_class, d, parts)]
+        raw.append(draw)
+    state, *rest = zip(*raw)
+    block = {"state": states.density_stack(np.stack(state))}
     if condition == "C0":
-        draw["unitary"] = states.haar_unitary(d, rng)
+        block["unitary"] = states.isometry_stack(np.stack(rest[0]))
     elif condition == "C1" and measure == "ibiqc":
-        draw["incoherent"] = states.maximally_mixed(d).matrix
+        block["incoherent"] = np.broadcast_to(states.maximally_mixed(d).matrix, (len(raw), d, d))
     elif condition == "C1":
-        draw["incoherent"] = states.DiagonalState(rng.dirichlet(np.ones(d))).to_density().matrix
-    elif condition in ("C2_average", "C2_selective") and op_class is not None:
-        draw["kraus"] = states.random_channel(op_class, d, int(rng.integers(1, _MAX_PARTS + 1)), rng)
+        probs = states.require_probabilities(np.stack(rest[0]))
+        block["incoherent"] = np.eye(d, dtype=complex) * probs[:, None, :]
     elif condition == "C3":
-        parts = int(rng.integers(2, _MAX_PARTS + 1))
-        draw["weights"] = rng.dirichlet(np.ones(parts))
-        draw["states"] = [states.random_density(d, rng).matrix for _ in range(parts)]
-    return draw
+        parts = block["parts"] = np.array(rest[0])
+        block["weights"] = states.pad_parts(parts, _MAX_PARTS, np.concatenate(rest[1]))
+        block["members"] = states.pad_parts(parts, _MAX_PARTS, states.density_stack(np.concatenate(rest[2])))
+    elif op_class is not None:
+        parts = block["parts"] = np.array(rest[0])
+        block["kraus"] = states.kraus_stack(op_class, d, parts, rest[1], _MAX_PARTS)
+    return block
 
 
-def _pad(per_sample: list, shape: tuple, dtype) -> np.ndarray:
-    """Stack per-sample lists of up to _MAX_PARTS items into (n, _MAX_PARTS, *shape), zero-padded."""
-    out = np.zeros((len(per_sample), _MAX_PARTS) + shape, dtype=dtype)
-    for j, parts in enumerate(per_sample):
-        out[j, : len(parts)] = parts
-    return out
-
-
-def _evaluate(measure: str, condition: str, probe_eigenbasis: bool, draws: list):
+def _evaluate(measure: str, condition: str, probe_eigenbasis: bool, block: dict):
     """Violation of every sample of one block, and the per-sample values its
     witness reports: measure_* values and the C1 or C2 branch taken."""
     kernel = _MEASURE_KERNELS[measure]
-    rho = np.stack([draw["state"] for draw in draws])
-    n, d = rho.shape[0], rho.shape[-1]
+    rho = block["state"]
+    n = len(rho)
     if condition == "C0":
-        u = np.stack([draw["unitary"] for draw in draws])
+        u = block["unitary"]
         states.require_unitary(u)
         rotated = linalg.hermitian_part(_kraus_outputs(u[:, None], rho)[:, 0])
         return np.abs(kernel(rotated) - kernel(rho)), {}
     if condition == "C1":
         random_value = kernel(rho)
-        zero_side = kernel(np.stack([draw["incoherent"] for draw in draws]))
+        zero_side = kernel(block["incoherent"])
         positive_side = C1_POSITIVITY_FLOOR - random_value
         on_incoherent = zero_side >= positive_side
         return np.where(on_incoherent, zero_side, positive_side), {
@@ -274,16 +288,15 @@ def _evaluate(measure: str, condition: str, probe_eigenbasis: bool, draws: list)
             "measure_value": np.where(on_incoherent, zero_side, random_value),
         }
     if condition == "C3":
-        weights = _pad([draw["weights"] for draw in draws], (), float)
-        members = _pad([draw["states"] for draw in draws], (d, d), complex)
+        weights, members = block["weights"], block["members"]
         mixture = kernel(np.einsum("nm,nmij->nij", weights, members))
         average = (weights * kernel(members)).sum(axis=1)
         return mixture - average, {"measure_mixture": mixture, "measure_average": average}
     # C2: the candidate channels in pool order, the class channel first
     candidates = []
-    has_class_channel = "kraus" in draws[0]
+    has_class_channel = "kraus" in block
     if has_class_channel:
-        candidates.append(_pad([draw["kraus"].operators for draw in draws], (d, d), complex))
+        candidates.append(block["kraus"])
     if probe_eigenbasis:
         candidates.append(_projectors(np.stack([linalg.hermitian_eig(m).eigenvectors for m in rho])))
     before = kernel(rho)
@@ -307,22 +320,27 @@ def _evaluate(measure: str, condition: str, probe_eigenbasis: bool, draws: list)
     }
 
 
-def _witness(condition: str, i: int, draw: dict, values: dict) -> dict:
-    """Witness of sample i, built from its draw and its evaluated values."""
+def _witness(condition: str, op_class, i: int, sample: dict, values: dict) -> dict:
+    """Witness of sample i, built from its block inputs and evaluated values."""
     witness = {"sample_index": i}
     witness.update((k, float(v)) for k, v in values.items() if k.startswith("measure_"))
-    rho = draw["state"]
+    rho = sample["state"]
     if condition == "C0":
-        witness.update(state=_matrix_json(rho), unitary=_matrix_json(draw["unitary"]))
+        witness.update(state=_matrix_json(rho), unitary=_matrix_json(sample["unitary"]))
     elif condition == "C1":
         if values["on_incoherent"]:
-            witness.update(kind="nonzero_on_incoherent", state=_matrix_json(draw["incoherent"]))
+            witness.update(kind="nonzero_on_incoherent", state=_matrix_json(sample["incoherent"]))
         else:
             witness.update(kind="below_floor_on_random", state=_matrix_json(rho))
     elif condition == "C3":
-        witness.update(weights=draw["weights"].tolist(), states=_matrix_json(draw["states"]))
+        parts = sample["parts"]
+        witness.update(weights=sample["weights"][:parts].tolist(), states=_matrix_json(sample["members"][:parts]))
     else:
-        kraus = draw["kraus"] if values["class_channel"] else _eigenbasis_projection(states.DensityMatrix(rho))
+        if values["class_channel"]:
+            k = int(sample["parts"])
+            kraus = KrausSet(sample["kraus"][:k], label=f"{op_class}(d={len(rho)}, k={k})")
+        else:
+            kraus = _eigenbasis_projection(states.DensityMatrix(rho))
         witness.update(state=_matrix_json(rho), channel_label=kraus.label,
                        kraus_operators=_matrix_json(kraus.operators))
     return witness
@@ -357,12 +375,13 @@ def audit_conditions(
     probe_eigenbasis is set; each sample takes the worst candidate.
     verdict is "holds_within_tol" iff the maximum violation is at most tol.
 
-    Sample i draws its inputs from (seed, i). Samples are evaluated in
-    blocks: a block's states, unitaries, Kraus sets and mixtures are
-    stacked into arrays (Kraus sets and mixtures zero-padded to four
-    members of weight zero) and each measure is one stacked eigenvalue
-    solve. The block size follows from d so that one block's arrays take
-    a few MB whatever the number of samples.
+    Sample i draws its inputs from (seed, i). Samples are drawn and
+    evaluated in blocks: only the RNG calls run per sample; the states,
+    unitaries, Kraus sets and mixtures of a block are built as stacked
+    arrays (Kraus sets and mixtures zero-padded to four members of weight
+    zero), and each measure is one stacked eigenvalue solve. The block
+    size follows from d so that one block's arrays take a few MB whatever
+    the number of samples; the report does not depend on it.
 
     The witness is the first sample that reaches the maximum violation.
     On a row that holds, that maximum is round-off (about 1e-15), so its
@@ -392,13 +411,13 @@ def audit_conditions(
     block = max(1, _BLOCK_BYTES // (16 * max(_MAX_PARTS, d) * d * d))
     best = None
     for start in range(0, samples, block):
-        draws = [_draw(measure, condition, op_class, d, seed, i) for i in range(start, min(start + block, samples))]
-        violation, values = _evaluate(measure, condition, probe_eigenbasis, draws)
+        inputs = _sample_block(measure, condition, op_class, d, seed, range(start, min(start + block, samples)))
+        violation, values = _evaluate(measure, condition, probe_eigenbasis, inputs)
         j = int(np.argmax(violation))
         if best is None or violation[j] > best[0]:
-            best = (violation[j], start + j, draws[j], {k: v[j] for k, v in values.items()})
-    max_violation, index, draw, values = best
-    witness = _witness(condition, index, draw, values)
+            best = (violation[j], start + j, {k: v[j] for k, v in inputs.items()}, {k: v[j] for k, v in values.items()})
+    max_violation, index, sample, values = best
+    witness = _witness(condition, op_class, index, sample, values)
 
     return AuditReport(
         measure_name=measure,

@@ -49,6 +49,13 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def read_only_copy(a: np.ndarray) -> np.ndarray:
+    """A copy of a that raises ValueError on an in-place write."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)

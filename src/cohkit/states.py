@@ -43,13 +43,13 @@ class DensityMatrix:
 
     The constructor only normalizes shape and dtype; use make_density to
     validate untrusted input. Module constructors return valid instances
-    by construction.
+    by construction. matrix is a private read-only copy of the input.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", linalg.as_complex_matrix(self.matrix))
+        object.__setattr__(self, "matrix", linalg.read_only_copy(linalg.as_complex_matrix(self.matrix)))
 
     @property
     def dim(self) -> int:
@@ -70,12 +70,7 @@ class DiagonalState:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.shape[0] < 1:
             raise DimensionMismatchError(f"expected a probability vector, got shape {p.shape}")
-        if not (p.min() >= -PROB_TOL):
-            raise NotPositiveError(f"probability {p.min():.6e} below zero tolerance {PROB_TOL:.1e}")
-        total = float(p.sum())
-        if not (abs(total - 1.0) <= PROB_TOL):
-            raise NotUnitTraceError(f"probabilities sum to {total!r}, expected 1 within {PROB_TOL:.1e}")
-        object.__setattr__(self, "probs", np.clip(p, 0.0, None))
+        object.__setattr__(self, "probs", require_probabilities(p))
 
     @property
     def dim(self) -> int:
@@ -106,6 +101,18 @@ class PureState:
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+
+
+def require_probabilities(p: np.ndarray) -> np.ndarray:
+    """p, a probability vector or a stack of them along the last axis,
+    clamped at zero; NotPositiveError or NotUnitTraceError beyond PROB_TOL."""
+    if not (p.min() >= -PROB_TOL):
+        raise NotPositiveError(f"probability {p.min():.6e} below zero tolerance {PROB_TOL:.1e}")
+    totals = p.sum(axis=-1)
+    total = float(np.ravel(totals)[np.argmax(np.abs(totals - 1.0))])
+    if not (abs(total - 1.0) <= PROB_TOL):
+        raise NotUnitTraceError(f"probabilities sum to {total!r}, expected 1 within {PROB_TOL:.1e}")
+    return np.clip(p, 0.0, None)
 
 
 def _require_dim(d: int) -> int:
@@ -218,8 +225,36 @@ def glauber_truncated(a, d: int) -> PureState:
     return PureState(amps / np.linalg.norm(amps))
 
 
-def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
+def _ginibre(normals: np.ndarray) -> np.ndarray:
+    """Complex Gaussian matrices from (..., 2, rows, cols) normals: real, then imaginary parts."""
+    return (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / math.sqrt(2.0)
+
+
+def density_stack(normals: np.ndarray) -> np.ndarray:
+    """States G G^dagger / tr(G G^dagger) for the Ginibre matrices G of (..., 2, d, d) normals."""
+    g = _ginibre(normals)
+    m = linalg.hermitian_part(g @ linalg.adjoint(g))
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def isometry_stack(normals: np.ndarray) -> np.ndarray:
+    """Haar isometries by stacked QR of the Ginibre matrices of (..., 2, rows, cols) normals.
+
+    The phases of R's diagonal are absorbed into Q so the distribution is
+    exactly invariant (Mezzadri, Notices AMS 54, 2007).
+    """
+    q, r = np.linalg.qr(_ginibre(normals))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(np.abs(diag) < 1e-300, 1.0, diag / np.abs(diag))[..., None, :]
+
+
+def pad_parts(counts, width: int, parts: np.ndarray) -> np.ndarray:
+    """Sets of counts[j] <= width parts, given one after another, as one
+    (n, width, ...) array, zero beyond each set's parts."""
+    used = np.arange(width) < np.asarray(counts)[:, None]
+    out = np.zeros(used.shape + parts.shape[1:], dtype=parts.dtype)
+    out[used] = parts
+    return out
 
 
 def random_density(d: int, seed) -> DensityMatrix:
@@ -228,28 +263,51 @@ def random_density(d: int, seed) -> DensityMatrix:
     seed: integer, or a numpy Generator to draw from an existing stream.
     """
     d = _require_dim(d)
-    rng = np.random.default_rng(seed)
-    g = _ginibre(rng, d, d)
-    m = linalg.hermitian_part(g @ g.conj().T)
-    return DensityMatrix(m / float(m.trace().real))
-
-
-def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Haar-distributed isometry from the QR decomposition of a Gaussian matrix.
-
-    The phases of R's diagonal are absorbed into Q so the distribution is
-    exactly invariant.
-    """
-    q, r = np.linalg.qr(_ginibre(rng, rows, cols))
-    diag = np.diag(r)
-    phases = np.where(np.abs(diag) < 1e-300, 1.0, diag / np.abs(diag))
-    return q * phases
+    return DensityMatrix(density_stack(np.random.default_rng(seed).standard_normal((2, d, d))))
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary. seed: integer or numpy Generator."""
     d = _require_dim(d)
-    return _haar_isometry(np.random.default_rng(seed), d, d)
+    return isometry_stack(np.random.default_rng(seed).standard_normal((2, d, d)))
+
+
+def draw_channel(rng: np.random.Generator, kind: str, d: int, k: int) -> tuple:
+    """The RNG calls of one random_channel draw, in order: (weights, rows or None; normals)."""
+    if kind == "unital_mixture":
+        return rng.dirichlet(np.ones(k)), rng.standard_normal((k, 2, d, d))
+    if kind == "diagonal_incoherent":
+        return np.stack([rng.permutation(d) for _ in range(k)]), rng.standard_normal((2, k, d))
+    if kind == "general_tp":
+        return None, rng.standard_normal((2, k * d, d))
+    raise InvalidArgumentsError(
+        f"unknown channel family {kind!r}; expected unital_mixture, "
+        "diagonal_incoherent, or general_tp"
+    )
+
+
+def kraus_stack(kind: str, d: int, ks, draws: list, width: int) -> np.ndarray:
+    """(n, width, d, d) Kraus operators of n channels from their draw_channel
+    output: set j holds ks[j] operators (ks an int array), then zeros."""
+    if kind == "unital_mixture":
+        probs, normals = (np.concatenate(c) for c in zip(*draws))
+        return pad_parts(ks, width, np.sqrt(probs)[:, None, None] * isometry_stack(normals))
+    if kind == "diagonal_incoherent":
+        # A permutation per operator keeps at most one nonzero per column
+        # and per row; per-column normalization then gives exact trace
+        # preservation (independent row draws would leave cross terms).
+        amp = pad_parts(ks, width, _ginibre(np.concatenate([z for _, z in draws], axis=1)))
+        rows = pad_parts(ks, width, np.concatenate([r for r, _ in draws]))
+        amp = amp / np.linalg.norm(amp, axis=1)[:, None]
+        ops = np.zeros(amp.shape + (d,), dtype=complex)
+        np.put_along_axis(ops, rows[..., None, :], amp[..., None, :], axis=-2)
+        return ops
+    # The isometry from d to k*d has shape (k*d, d), so sets group by k.
+    ops = np.zeros((len(ks), width, d, d), dtype=complex)
+    for k in set(ks.tolist()):
+        sel = np.flatnonzero(ks == k)
+        ops[sel, :k] = isometry_stack(np.stack([draws[j][1] for j in sel])).reshape(len(sel), k, d, d)
+    return ops
 
 
 def random_channel(kind: str, d: int, k: int = 2, seed=0):
@@ -274,24 +332,5 @@ def random_channel(kind: str, d: int, k: int = 2, seed=0):
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidDimensionError(f"number of Kraus operators must be >= 1, got {k!r}")
     k = int(k)
-    rng = np.random.default_rng(seed)
-    label = f"{kind}(d={d}, k={k})"
-    if kind == "unital_mixture":
-        probs = rng.dirichlet(np.ones(k))
-        ops = np.sqrt(probs)[:, None, None] * np.stack([_haar_isometry(rng, d, d) for _ in range(k)])
-    elif kind == "diagonal_incoherent":
-        # A permutation per operator keeps at most one nonzero per column
-        # and per row; per-column normalization then gives exact trace
-        # preservation (independent row draws would leave cross terms).
-        rows = np.stack([rng.permutation(d) for _ in range(k)])
-        amp = _ginibre(rng, k, d)
-        ops = np.zeros((k, d, d), dtype=complex)
-        ops[np.arange(k)[:, None], rows, np.arange(d)] = amp / np.linalg.norm(amp, axis=0)
-    elif kind == "general_tp":
-        ops = _haar_isometry(rng, k * d, d).reshape(k, d, d)
-    else:
-        raise InvalidArgumentsError(
-            f"unknown channel family {kind!r}; expected unital_mixture, "
-            "diagonal_incoherent, or general_tp"
-        )
-    return KrausSet(ops, label=label)
+    draw = draw_channel(np.random.default_rng(seed), kind, d, k)
+    return KrausSet(kraus_stack(kind, d, np.array([k]), [draw], k)[0], label=f"{kind}(d={d}, k={k})")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohkit import channels, states
 from cohkit.channels import (
     C1_POSITIVITY_FLOOR,
     MEASURE_FUNCTIONS,
@@ -197,6 +198,15 @@ def test_kraus_set_is_one_complex_stack():
         assert np.array_equal(kraus.operators, forms[0].operators)
 
 
+def test_kraus_set_holds_private_read_only_copy():
+    ops = np.stack([P0, P1])
+    kraus = KrausSet(ops)
+    ops[0, 0, 0] = 7
+    assert kraus.operators[0, 0, 0] == 1
+    with pytest.raises(ValueError):
+        kraus.operators[0, 0, 0] = 2
+
+
 def test_classify_non_finite_is_not_diagonal():
     u = np.eye(2, dtype=complex)
     u[0, 0] = math.nan
@@ -326,6 +336,48 @@ def test_audit_invalid_arguments():
     for tol in (math.nan, math.inf, -1e-9):
         with pytest.raises(InvalidArgumentsError):
             audit_conditions("l1", "C0", d=3, samples=10, seed=0, tol=tol)
+
+
+def test_audit_c1_gates_dirichlet_draws_as_one_stack(monkeypatch):
+    shapes = []
+    gate = states.require_probabilities
+
+    def spy(p):
+        shapes.append(p.shape)
+        return gate(p)
+
+    monkeypatch.setattr(states, "require_probabilities", spy)
+    audit_conditions("l1", "C1", d=3, samples=5, seed=1)
+    assert shapes == [(5, 3)]
+
+
+BLOCK_ROWS = [
+    ("l1", "C0", None, False),
+    ("l1", "C1", None, False),
+    ("ibiqc", "C1", None, False),
+    ("re", "C3", None, False),
+    ("ibiqc", "C2_average", "unital_mixture", False),
+    ("l1", "C2_selective", "diagonal_incoherent", False),
+    ("ibiqc", "C2_average", "general_tp", False),
+    ("ibiqc", "C2_selective", "unital_mixture", True),
+]
+
+
+@pytest.mark.parametrize("row", BLOCK_ROWS, ids=lambda row: "-".join(map(str, row)))
+def test_audit_bytes_do_not_depend_on_block_size(monkeypatch, row):
+    measure, condition, op_class, probe = row
+    d, samples, seed = 3, 20, 5
+    if op_class == "general_tp":
+        ks = channels._sample_block(measure, condition, op_class, d, seed, range(samples))["parts"]
+        assert len(set(ks)) > 1
+    default = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=seed,
+                               probe_eigenbasis=probe).to_json()
+    for size in (1, 7):
+        per_sample = 16 * max(channels._MAX_PARTS, d) * d * d
+        monkeypatch.setattr(channels, "_BLOCK_BYTES", size * per_sample)
+        report = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=seed,
+                                  probe_eigenbasis=probe)
+        assert report.to_json() == default, size
 
 
 @settings(max_examples=40, deadline=None)

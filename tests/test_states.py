@@ -14,6 +14,7 @@ from cohkit.errors import (
 )
 from cohkit.linalg import hermitian_eig
 from cohkit.states import (
+    DensityMatrix,
     DiagonalState,
     PureState,
     apply_unitary,
@@ -26,6 +27,7 @@ from cohkit.states import (
     qubit_pair,
     random_channel,
     random_density,
+    require_probabilities,
 )
 
 
@@ -297,3 +299,76 @@ def test_random_channel_deterministic():
 def test_random_channel_unknown_kind():
     with pytest.raises(InvalidArgumentsError):
         random_channel("dephasing", d=2, k=1, seed=0)
+
+
+def test_density_matrix_holds_private_read_only_copy():
+    m = np.eye(2, dtype=complex) / 2
+    r = DensityMatrix(m)
+    m[0, 0] = 7
+    assert r.matrix[0, 0] == 0.5
+    with pytest.raises(ValueError):
+        r.matrix[0, 0] = 1
+
+
+def test_require_probabilities_gates_every_vector_of_a_stack():
+    good = np.array([[0.25, 0.75], [1.0 + 5e-13, -5e-13]])
+    assert np.array_equal(require_probabilities(good), [[0.25, 0.75], [1.0 + 5e-13, 0.0]])
+    with pytest.raises(NotPositiveError):
+        require_probabilities(np.array([[0.5, 0.5], [1.0 + 2e-12, -2e-12]]))
+    with pytest.raises(NotUnitTraceError):
+        require_probabilities(np.array([[0.5, 0.5], [0.5, 0.5 + 2e-12]]))
+    with pytest.raises(NotPositiveError):
+        require_probabilities(np.array([[0.5, 0.5], [math.nan, 1.0]]))
+
+
+# The samplers as they drew before they were stacked, one RNG call and one
+# QR at a time: a Ginibre matrix is a standard_normal call for its real
+# parts, then one for its imaginary parts.
+def _ref_ginibre(rng, rows, cols):
+    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
+
+
+def _ref_isometry(rng, rows, cols):
+    q, r = np.linalg.qr(_ref_ginibre(rng, rows, cols))
+    diag = np.diag(r)
+    return q * np.where(np.abs(diag) < 1e-300, 1.0, diag / np.abs(diag))
+
+
+def _ref_density(rng, d):
+    g = _ref_ginibre(rng, d, d)
+    m = g @ g.conj().T
+    m = 0.5 * (m + m.conj().T)
+    return m / float(m.trace().real)
+
+
+def _ref_channel(rng, kind, d, k):
+    if kind == "unital_mixture":
+        probs = rng.dirichlet(np.ones(k))
+        return np.sqrt(probs)[:, None, None] * np.stack([_ref_isometry(rng, d, d) for _ in range(k)])
+    if kind == "diagonal_incoherent":
+        rows = [rng.permutation(d) for _ in range(k)]
+        amp = _ref_ginibre(rng, k, d)
+        amp = amp / np.linalg.norm(amp, axis=0)
+        ops = np.zeros((k, d, d), dtype=complex)
+        for n in range(k):
+            ops[n, rows[n], np.arange(d)] = amp[n]
+        return ops
+    return _ref_isometry(rng, k * d, d).reshape(k, d, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_samplers_match_per_call_reference_bitwise(d):
+    kinds = ("unital_mixture", "diagonal_incoherent", "general_tp")
+    for seed in range(20):
+        assert np.array_equal(random_density(d, seed).matrix, _ref_density(np.random.default_rng(seed), d))
+        assert np.array_equal(haar_unitary(d, seed), _ref_isometry(np.random.default_rng(seed), d, d))
+        for kind in kinds:
+            for k in range(1, 5):
+                ops = random_channel(kind, d, k, seed).operators
+                assert np.array_equal(ops, _ref_channel(np.random.default_rng(seed), kind, d, k)), (kind, k)
+        # one stream shared by consecutive calls draws in call order
+        stream, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(random_density(d, stream).matrix, _ref_density(ref, d))
+        assert np.array_equal(haar_unitary(d, stream), _ref_isometry(ref, d, d))
+        for kind in kinds:
+            assert np.array_equal(random_channel(kind, d, 3, stream).operators, _ref_channel(ref, kind, d, 3))
