@@ -298,7 +298,7 @@ def _evaluate(measure: str, condition: str, probe_eigenbasis: bool, block: dict)
     if has_class_channel:
         candidates.append(block["kraus"])
     if probe_eigenbasis:
-        candidates.append(_projectors(np.stack([linalg.hermitian_eig(m).eigenvectors for m in rho])))
+        candidates.append(_projectors(linalg.hermitian_eig_stack(rho).eigenvectors))
     before = kernel(rho)
     afters = []
     for ops in candidates:

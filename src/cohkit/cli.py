@@ -21,6 +21,7 @@ verdict mismatch, 2 usage error, 3 invalid input file or state.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -195,21 +196,18 @@ def sweep_alpha(alphas) -> list[tuple]:
     (diagonal state, then its Hadamard conjugate), then the two
     basis-dependent measures for each.
     """
-    rows = []
-    for alpha in np.asarray(alphas, dtype=float):
-        rho_z, rho_x = states.qubit_pair(float(alpha))
-        rows.append(
-            (
-                float(alpha),
-                measures.ibiqc_coherence(rho_z),
-                measures.ibiqc_coherence(rho_x),
-                measures.rel_ent_coherence(rho_z),
-                measures.rel_ent_coherence(rho_x),
-                measures.l1_coherence(rho_z),
-                measures.l1_coherence(rho_x),
-            )
-        )
-    return rows
+    alphas = [float(alpha) for alpha in np.asarray(alphas, dtype=float)]
+    if not alphas:
+        return []
+    pairs = [states.qubit_pair(alpha) for alpha in alphas]
+    rho_z = np.stack([z.matrix for z, _ in pairs])
+    rho_x = np.stack([x.matrix for _, x in pairs])
+    columns = [
+        kernel(rho).tolist()
+        for kernel in (measures.c_ibiqc, measures.c_re, measures.c_l1)
+        for rho in (rho_z, rho_x)
+    ]
+    return list(zip(alphas, *columns))
 
 
 def demo_glauber(a, dims) -> list[tuple]:
@@ -413,6 +411,9 @@ def _cmd_demo_glauber(args) -> int:
         raise InvalidArgumentsError(f"--dims must be comma-separated integers: {exc}") from exc
     if not dims:
         raise InvalidArgumentsError("--dims must name at least one dimension")
+    for name, value in (("--alpha-re", args.alpha_re), ("--alpha-im", args.alpha_im)):
+        if not math.isfinite(value):
+            raise InvalidArgumentsError(f"{name} must be finite, got {value!r}")
     rows = demo_glauber(complex(args.alpha_re, args.alpha_im), dims)
     table = [(str(d),) + tuple(_fmt(v) for v in rest) for d, *rest in rows]
     _write_table(GLAUBER_COLUMNS, table, args.out)
@@ -432,7 +433,14 @@ def _cmd_demo_interference(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The cohkit argument parser, built on the first call and shared after
+    it, so callers must not modify it.
+
+    Reuse is safe because parse_args returns a fresh Namespace each time and
+    set_defaults only fills attributes that namespace lacks.
+    """
     parser = argparse.ArgumentParser(
         prog="cohkit",
         description="Coherence measures, condition audits, and interference demos. Angles are radians.",

@@ -3,9 +3,10 @@
 Eigendecomposition is LAPACK's Hermitian solver through numpy.linalg.eigh,
 which is deterministic for identical input on one machine and accurate to
 machine precision for the small dense matrices this package targets.
-hermitian_eigvals is the eigenvalue-only form for stacks of matrices
-(numpy.linalg.eigvalsh); every function here that takes a stack works on
-arrays of shape (..., d, d).
+hermitian_eig_stack decomposes a whole stack of matrices at once and
+hermitian_eig is its one-matrix call; hermitian_eigvals is the
+eigenvalue-only form (numpy.linalg.eigvalsh). Every function here that
+takes a stack works on arrays of shape (..., d, d).
 """
 
 from __future__ import annotations
@@ -104,13 +105,20 @@ def gram_defect(ops) -> float:
 
 
 def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> Spectrum:
-    """Eigenvalues and eigenvectors of a Hermitian matrix.
+    """Eigenvalues and eigenvectors of one Hermitian matrix; the
+    one-matrix call of hermitian_eig_stack, with the same gate and errors."""
+    return hermitian_eig_stack(as_complex_matrix(m), tol)
 
-    Raises NotHermitianError if the input fails the Hermiticity check at
+
+def hermitian_eig_stack(m, tol: float = HERMITIAN_TOL) -> Spectrum:
+    """Eigenvalues and eigenvectors of a Hermitian matrix, or of each matrix
+    in a (..., d, d) stack.
+
+    Raises NotHermitianError if any matrix fails the Hermiticity check at
     tol (non-finite entries always fail it), and NoConvergenceError if
     LAPACK reports that the decomposition did not converge.
     """
-    a = require_hermitian(as_complex_matrix(m), tol)
+    a = require_hermitian(m, tol)
     # eigh reads one triangle only; the average makes both count.
     try:
         eigenvalues, vecs = np.linalg.eigh(hermitian_part(a))

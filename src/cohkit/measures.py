@@ -138,9 +138,14 @@ def _diagonal_distance_fn(rho: DensityMatrix, metric: str):
             return max(0.0, neg_s_rho - float((diag[keep] * np.log2(probs[keep])).sum()))
 
     elif metric == "trace":
+        # rho is gated and made exactly Hermitian once; each call subtracts
+        # diag(probs) in place, which is bitwise linalg.trace_distance(m, diag(probs)).
+        shifted = linalg.hermitian_part(linalg.require_hermitian(m))
+        diag = shifted.diagonal().copy()
 
         def fn(probs: np.ndarray) -> float:
-            return linalg.trace_distance(m, np.diag(probs))
+            np.fill_diagonal(shifted, diag - probs)
+            return 0.5 * float(np.abs(np.linalg.eigvalsh(shifted)).sum())
 
     elif metric == "frobenius":
 

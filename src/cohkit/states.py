@@ -201,24 +201,32 @@ def glauber_truncated(a, d: int) -> PureState:
     Amplitudes are proportional to a^n / sqrt(n!) for n < d, renormalized
     after truncation. Raises DegenerateTruncationError when the kept
     fraction of the untruncated distribution underflows double precision
-    (|a| huge relative to d), since the truncation is then meaningless.
+    (|a| huge relative to d, or beyond the double range), since the
+    truncation is then meaningless; a non-finite a raises
+    InvalidArgumentsError.
     """
     d = _require_dim(d)
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise InvalidArgumentsError(f"amplitude must be finite, got {a!r}")
     if a == 0:
         amps = np.zeros(d, dtype=complex)
         amps[0] = 1.0
         return PureState(amps)
     n = np.arange(d)
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(d)])
-    log_mag = n * math.log(abs(a)) - 0.5 * log_fact
+    try:
+        r = abs(a)
+    except OverflowError as exc:
+        raise DegenerateTruncationError(f"|a| exceeds the largest double for a={a!r}") from exc
+    log_mag = n * math.log(r) - 0.5 * log_fact
     # Fraction of the full (untruncated) weight that the first d levels
     # keep: logsumexp(2n log|a| - log n!) - |a|^2.
     peak = log_mag.max()
-    log_kept = 2.0 * peak + math.log(np.exp(2.0 * (log_mag - peak)).sum()) - abs(a) ** 2
+    log_kept = 2.0 * peak + math.log(np.exp(2.0 * (log_mag - peak)).sum()) - r * r
     if log_kept < _LOG_UNDERFLOW:
         raise DegenerateTruncationError(
-            f"first {d} levels hold exp({log_kept:.1f}) of the weight for |a|={abs(a):.3g}"
+            f"first {d} levels hold exp({log_kept:.1f}) of the weight for |a|={r:.3g}"
         )
     mags = np.exp(log_mag - peak)
     amps = mags * np.exp(1j * n * cmath.phase(a))

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cohkit
 from cohkit.cli import (
+    build_parser,
     default_alpha_grid,
     demo_glauber,
     demo_interference,
@@ -16,6 +22,7 @@ from cohkit.cli import (
     sweep_alpha,
 )
 from cohkit.errors import InvalidArgumentsError, NotPositiveError, ParseError
+from cohkit.measures import ibiqc_coherence, l1_coherence, rel_ent_coherence
 from cohkit.states import make_density, qubit_pair, random_density
 
 
@@ -119,6 +126,38 @@ def test_sweep_alpha_special_points():
     at_sixth = rows[2]
     assert at_sixth[1] == pytest.approx(0.18872187554086728, abs=1e-12)
     assert at_sixth[6] == pytest.approx(0.5, abs=1e-12)
+
+
+def _sweep_alpha_per_point(alphas):
+    """Reference: the scalar measure calls, one qubit pair at a time."""
+    rows = []
+    for alpha in np.asarray(alphas, dtype=float):
+        rho_z, rho_x = qubit_pair(float(alpha))
+        rows.append(
+            (
+                float(alpha),
+                ibiqc_coherence(rho_z),
+                ibiqc_coherence(rho_x),
+                rel_ent_coherence(rho_z),
+                rel_ent_coherence(rho_x),
+                l1_coherence(rho_z),
+                l1_coherence(rho_x),
+            )
+        )
+    return rows
+
+
+def _bits(rows):
+    return [tuple(float(v).hex() for v in row) for row in rows]
+
+
+def test_sweep_alpha_matches_per_point_reference_bitwise():
+    assert sweep_alpha([]) == []
+    rng = np.random.default_rng(59)
+    grids = [default_alpha_grid(), [0.0, math.pi / 4, math.pi / 2]]
+    grids += [rng.uniform(-10.0, 10.0, int(rng.integers(1, 40))) for _ in range(60)]
+    for grid in grids:
+        assert _bits(sweep_alpha(grid)) == _bits(_sweep_alpha_per_point(grid))
 
 
 def test_demo_glauber_rows():
@@ -438,3 +477,62 @@ def test_load_interference_config_missing_file(tmp_path):
 def test_invalid_dims_flag_exit_2(capsys):
     assert main(["demo", "glauber", "--dims", "two,three"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--alpha-re", "nan"], 2),
+        (["--alpha-re=inf"], 2),
+        (["--alpha-im", "nan"], 2),
+        (["--alpha-re", "1e200"], 3),
+        (["--alpha-re", "1.7e308", "--alpha-im", "1.7e308"], 3),
+    ],
+)
+def test_demo_glauber_huge_or_non_finite_amplitude_exit_code(flags, code, capsys):
+    assert main(["demo", "glauber", *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def _run_main(argv, out, capsys):
+    """Exit code, printed output and written file of one main call."""
+    out.unlink(missing_ok=True)
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+def test_reused_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    save_state(random_density(3, seed=8), state, label="reuse")
+    out = tmp_path / "out.json"
+    audit = ["audit", "--measure", "ibiqc", "--condition", "C2sel", "--class", "unital",
+             "--d", "3", "--samples", "20", "--seed", "11", "--out", str(out)]
+    sequence = [
+        audit + ["--probe-eigenbasis"],
+        audit,
+        ["sweep", "--points", "not-a-number"],
+        ["sweep", "--points", "5"],
+        ["measure", str(state), "--out", str(out)],
+        ["measure", str(state)],
+    ]
+    assert build_parser() is build_parser()
+    reused = [_run_main(argv, out, capsys) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(_run_main(argv, out, capsys))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 2, 0, 0, 0]
+    assert reused[4][3] is not None and reused[5][3] is None
+    assert reused[5][1].encode("utf-8") == reused[4][3]
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(cohkit.__file__).resolve().parents[1])
+    code = "import sys, cohkit, cohkit.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

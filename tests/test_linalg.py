@@ -13,6 +13,7 @@ from cohkit.errors import (
 from cohkit.linalg import (
     frobenius_distance,
     hermitian_eig,
+    hermitian_eig_stack,
     hermitian_eigvals,
     hermiticity_defect,
     trace_distance,
@@ -55,6 +56,8 @@ def test_eig_lapack_failure_is_no_convergence(monkeypatch):
     with pytest.raises(NoConvergenceError):
         hermitian_eig(np.eye(2))
     with pytest.raises(NoConvergenceError):
+        hermitian_eig_stack(np.stack([np.eye(2), np.eye(2)]))
+    with pytest.raises(NoConvergenceError):
         hermitian_eigvals(np.stack([np.eye(2), np.eye(2)]))
 
 
@@ -70,6 +73,23 @@ def test_eigvals_stack_matches_eig_and_gates_every_matrix():
         hermitian_eigvals(stack)
     with pytest.raises(DimensionMismatchError):
         hermitian_eig(stack)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 32])
+def test_eig_stack_equals_per_matrix_eig_and_gates_every_matrix(d):
+    rng = np.random.default_rng(100 + d)
+    stack = np.stack([random_hermitian(rng, d) for _ in range(6)])
+    spec = hermitian_eig_stack(stack)
+    for i, m in enumerate(stack):
+        one = hermitian_eig(m)
+        assert np.array_equal(spec.eigenvalues[i], one.eigenvalues)
+        assert np.array_equal(spec.eigenvectors[i], one.eigenvectors)
+    stack[4, 0, 1] += 1e-6
+    with pytest.raises(NotHermitianError):
+        hermitian_eig_stack(stack)
+    stack[4, 0, 1] = np.nan
+    with pytest.raises(NotHermitianError):
+        hermitian_eig_stack(stack)
 
 
 def test_eig_eigenvectors_unitary():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cohkit.errors import DimensionMismatchError, InvalidArgumentsError, OptimizerFailure
 from cohkit.linalg import trace_distance
 from cohkit.measures import (
+    _diagonal_distance_fn,
     c_ibiqc,
     c_l1,
     c_re,
@@ -231,6 +232,17 @@ def test_min_distance_trace_matches_grid():
         rho = random_density(2, seed=int(rng.integers(0, 2**31)))
         value, _ = min_distance_coherence(rho, "trace", "all_diagonal")
         assert abs(value - grid_min(rho)) < 2e-4
+
+
+def test_trace_objective_equals_trace_distance_bitwise():
+    # the objective reuses one shifted copy of rho across calls
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 4, 5):
+        rho = random_density(d, seed=int(rng.integers(0, 2**31)))
+        fn = _diagonal_distance_fn(rho, "trace")
+        for _ in range(5):
+            probs = rng.dirichlet(np.ones(d))
+            assert fn(probs) == trace_distance(rho.matrix, np.diag(probs))
 
 
 def test_min_distance_frobenius_qubit():

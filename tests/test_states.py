@@ -182,6 +182,16 @@ def test_glauber_complex_amplitude():
 def test_glauber_degenerate_truncation():
     with pytest.raises(DegenerateTruncationError):
         glauber_truncated(30.0, 2)
+    # |a|^2 overflows to inf, and |a| itself beyond the double range
+    for a in (1e200, complex(1.7e308, 1.7e308)):
+        with pytest.raises(DegenerateTruncationError):
+            glauber_truncated(a, 3)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(0.0, math.inf)])
+def test_glauber_rejects_non_finite_amplitude(a):
+    with pytest.raises(InvalidArgumentsError):
+        glauber_truncated(a, 3)
 
 
 def test_glauber_invalid_dimension():
