@@ -204,7 +204,40 @@ class AuditReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
+        """json.dumps(vars(self), indent=2, sort_keys=True) plus a newline, byte for byte."""
+        return _json_text(vars(self)) + "\n"
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value nested depth
+    levels deep.
+
+    json's indent path runs its pure-Python encoder, one generator step per
+    float, so each non-empty regular array of finite floats is written with
+    one %-format instead: %r of a float is float.__repr__, which is what json
+    writes. Everything else goes to json.dumps, re-indented to its depth
+    (json escapes newlines inside strings, so every newline it writes is
+    layout).
+    """
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items = (json.dumps(k) + ": " + _json_text(v, depth + 1) for k, v in sorted(value.items()))
+        return _json_block("{", items, depth, "}")
+    if isinstance(value, (list, tuple)) and value:
+        array = np.array(value, dtype=object)
+        flat = array.ravel().tolist()
+        if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
+            template = "%r"
+            for axis in reversed(range(array.ndim)):
+                template = _json_block("[", [template] * array.shape[axis], depth + axis, "]")
+            return template % tuple(flat)
+        return _json_block("[", (_json_text(v, depth + 1) for v in value), depth, "]")
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _json_block(open_: str, items, depth: int, close: str) -> str:
+    """A non-empty JSON list or object laid out as json's indent=2 lays it out."""
+    pad = "\n" + "  " * depth
+    return open_ + pad + "  " + ("," + pad + "  ").join(items) + pad + close
 
 
 def _matrix_json(m) -> list:
@@ -294,11 +327,14 @@ def _evaluate(measure: str, condition: str, probe_eigenbasis: bool, block: dict)
         return mixture - average, {"measure_mixture": mixture, "measure_average": average}
     # C2: the candidate channels in pool order, the class channel first
     candidates = []
+    values = {}
     has_class_channel = "kraus" in block
     if has_class_channel:
         candidates.append(block["kraus"])
     if probe_eigenbasis:
-        candidates.append(_projectors(linalg.hermitian_eig_stack(rho).eigenvectors))
+        # kept per sample, so a winning probe's witness needs no second eigh
+        values["eigenbasis_projection"] = _projectors(linalg.hermitian_eig_stack(rho).eigenvectors)
+        candidates.append(values["eigenbasis_projection"])
     before = kernel(rho)
     afters = []
     for ops in candidates:
@@ -313,11 +349,9 @@ def _evaluate(measure: str, condition: str, probe_eigenbasis: bool, block: dict)
     # argmax keeps the first of equal candidates, as a strict > update would
     winner = np.argmax(violations, axis=0)
     pick = np.arange(n)
-    return violations[winner, pick], {
-        "class_channel": (winner == 0) & has_class_channel,
-        "measure_before": before,
-        "measure_after": afters[winner, pick],
-    }
+    values.update(class_channel=(winner == 0) & has_class_channel, measure_before=before,
+                  measure_after=afters[winner, pick])
+    return violations[winner, pick], values
 
 
 def _witness(condition: str, op_class, i: int, sample: dict, values: dict) -> dict:
@@ -340,7 +374,7 @@ def _witness(condition: str, op_class, i: int, sample: dict, values: dict) -> di
             k = int(sample["parts"])
             kraus = KrausSet(sample["kraus"][:k], label=f"{op_class}(d={len(rho)}, k={k})")
         else:
-            kraus = _eigenbasis_projection(states.DensityMatrix(rho))
+            kraus = KrausSet(values["eigenbasis_projection"], label="eigenbasis_projection")
         witness.update(state=_matrix_json(rho), channel_label=kraus.label,
                        kraus_operators=_matrix_json(kraus.operators))
     return witness
@@ -393,8 +427,9 @@ def audit_conditions(
         raise InvalidArgumentsError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise InvalidArgumentsError(f"samples must be a positive integer, got {samples!r}")
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidArgumentsError(f"d must be a positive integer, got {d!r}")
+    # a one-state space (d = 1) holds only I/1 and has no coherence to audit
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise InvalidArgumentsError(f"d must be an integer >= 2, got {d!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidArgumentsError(f"seed must be a non-negative integer, got {seed!r}")
     if not (0.0 <= tol < math.inf):

@@ -1,11 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cohkit import channels, states
+from cohkit import channels, linalg, states
 from cohkit.channels import (
     C1_POSITIVITY_FLOOR,
     MEASURE_FUNCTIONS,
@@ -331,8 +333,9 @@ def test_audit_invalid_arguments():
         audit_conditions("ibiqc", "C2_average", d=2, samples=10, seed=0)
     with pytest.raises(InvalidArgumentsError):
         audit_conditions("ibiqc", "C0", d=2, samples=10, seed=-3)
-    with pytest.raises(InvalidArgumentsError):
-        audit_conditions("ibiqc", "C0", d=0, samples=10, seed=0)
+    for d in (0, 1):
+        with pytest.raises(InvalidArgumentsError):
+            audit_conditions("ibiqc", "C0", d=d, samples=10, seed=0)
     for tol in (math.nan, math.inf, -1e-9):
         with pytest.raises(InvalidArgumentsError):
             audit_conditions("l1", "C0", d=3, samples=10, seed=0, tol=tol)
@@ -378,6 +381,75 @@ def test_audit_bytes_do_not_depend_on_block_size(monkeypatch, row):
         report = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=seed,
                                   probe_eigenbasis=probe)
         assert report.to_json() == default, size
+
+
+SPECIAL_FLOATS = st.sampled_from([-0.0, 5e-324, 1e-7, 1e16, math.nan, math.inf, -math.inf])
+FLOATS = st.one_of(st.floats(), SPECIAL_FLOATS)
+FLOAT_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
+                          elements=FLOATS).map(np.ndarray.tolist)
+JSON_VALUES = st.recursive(
+    st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), st.text(), FLOAT_ARRAYS,
+              st.lists(st.one_of(FLOATS, st.integers(), st.booleans()), min_size=1, max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(), inner, max_size=4),
+                            st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+def _json_dumps_report(report):
+    return json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(witness=st.dictionaries(st.text(), JSON_VALUES, max_size=5), max_violation=FLOATS)
+def test_property_report_json_equals_json_dumps(witness, max_violation):
+    report = AuditReport("ibiqc", "C0", None, 2, 1, 0, 1e-9, False, max_violation, witness, VERDICT_HOLDS)
+    assert report.to_json() == _json_dumps_report(report)
+
+
+@pytest.mark.parametrize("d, samples", [(2, 20), (3, 20), (32, 1)])
+def test_report_json_equals_json_dumps_on_every_expected_row(d, samples):
+    for measure, condition, op_class, probe in EXPECTED_VERDICTS:
+        report = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=3,
+                                  probe_eigenbasis=probe)
+        assert report.to_json() == _json_dumps_report(report), (measure, condition, op_class, probe)
+
+
+def test_d32_witness_arrays_skip_json_pure_python_encoder(monkeypatch):
+    # A fallback to json's indent encoder writes the same bytes, so only a
+    # spy on it can tell: it may see the report's scalars, never a list.
+    encoded = []
+    make_iterencode = json.encoder._make_iterencode
+
+    def spy(*args, **kwargs):
+        encode = make_iterencode(*args, **kwargs)
+
+        def recording(o, level):
+            encoded.append(o)
+            return encode(o, level)
+
+        return recording
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", spy)
+    for measure, condition, op_class, probe in EXPECTED_VERDICTS:
+        audit_conditions(measure, condition, op_class, d=32, samples=1, seed=3, probe_eigenbasis=probe).to_json()
+    assert encoded
+    assert [type(o) for o in encoded if isinstance(o, (list, tuple, dict))] == []
+
+
+def test_probe_witness_reuses_the_probe_decomposition(monkeypatch):
+    def second_eig(*args, **kwargs):
+        raise AssertionError("the witness decomposed the state again")
+
+    monkeypatch.setattr(linalg, "hermitian_eig", second_eig)
+    report = audit_conditions("ibiqc", "C2_selective", d=3, samples=20, seed=5, probe_eigenbasis=True)
+    w = report.witness
+    assert w["channel_label"] == "eigenbasis_projection"
+    kraus = KrausSet(_witness_matrix(w["kraus_operators"]))
+    rho = DensityMatrix(_witness_matrix(w["state"]))
+    after = sum(p * ibiqc_coherence(out) for p, out in selective_outcomes(kraus, rho))
+    assert after == pytest.approx(w["measure_after"], abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

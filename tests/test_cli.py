@@ -261,6 +261,8 @@ def test_main_usage_error_exit_2(capsys):
     assert main(["audit", "--measure", "l1", "--condition", "C0", "--seed", "-3"]) == 2
     assert main(["audit", "--measure", "l1", "--condition", "C0", "--tol", "nan"]) == 2
     assert main(["audit", "--measure", "l1", "--condition", "C0", "--d", "0"]) == 2
+    assert main(["audit", "--measure", "ibiqc", "--condition", "C1", "--d", "1"]) == 2
+    assert main(["audit", "--measure", "ibiqc", "--condition", "C2sel", "--probe-eigenbasis", "--d", "1"]) == 2
     capsys.readouterr()
 
 
