@@ -409,16 +409,9 @@ def test_property_report_json_equals_json_dumps(witness, max_violation):
 
 
 @pytest.mark.parametrize("d, samples", [(2, 20), (3, 20), (32, 1)])
-def test_report_json_equals_json_dumps_on_every_expected_row(d, samples):
-    for measure, condition, op_class, probe in EXPECTED_VERDICTS:
-        report = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=3,
-                                  probe_eigenbasis=probe)
-        assert report.to_json() == _json_dumps_report(report), (measure, condition, op_class, probe)
-
-
-def test_d32_witness_arrays_skip_json_pure_python_encoder(monkeypatch):
-    # A fallback to json's indent encoder writes the same bytes, so only a
-    # spy on it can tell: it may see the report's scalars, never a list.
+def test_report_json_equals_json_dumps_on_every_expected_row(monkeypatch, d, samples):
+    # A witness array that fell back to json's indent encoder would keep the
+    # bytes, so a spy on that encoder checks that it sees scalars only.
     encoded = []
     make_iterencode = json.encoder._make_iterencode
 
@@ -432,10 +425,15 @@ def test_d32_witness_arrays_skip_json_pure_python_encoder(monkeypatch):
         return recording
 
     monkeypatch.setattr(json.encoder, "_make_iterencode", spy)
-    for measure, condition, op_class, probe in EXPECTED_VERDICTS:
-        audit_conditions(measure, condition, op_class, d=32, samples=1, seed=3, probe_eigenbasis=probe).to_json()
-    assert encoded
-    assert [type(o) for o in encoded if isinstance(o, (list, tuple, dict))] == []
+    for row in EXPECTED_VERDICTS:
+        measure, condition, op_class, probe = row
+        report = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=3,
+                                  probe_eigenbasis=probe)
+        encoded.clear()
+        text = report.to_json()
+        assert encoded, row
+        assert [type(o) for o in encoded if isinstance(o, (list, tuple, dict))] == [], row
+        assert text == _json_dumps_report(report), row
 
 
 def test_probe_witness_reuses_the_probe_decomposition(monkeypatch):
