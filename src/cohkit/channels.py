@@ -11,10 +11,11 @@ standard resource-theory conditions:
   C3           convexity under mixing
 
 Audits are reproducible: sample i of an audit draws all of its
-randomness from (seed, i). Samples are drawn and evaluated in blocks:
-only the RNG calls run per sample, and each block's states and operators
-are built as stacked arrays and measured with the stacked kernels of the
-measures module. Reports serialize to stable JSON.
+randomness from its own generator, default_rng([seed, i]). Samples are
+drawn and evaluated in blocks: each draw is made for every sample of the
+block in turn, and the block's states and operators are built as stacked
+arrays and measured with the stacked kernels of the measures module.
+Reports serialize to stable JSON.
 """
 
 from __future__ import annotations
@@ -251,90 +252,58 @@ def _projectors(vecs: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...kj->...jik", vecs, vecs.conj())
 
 
-def _eigenbasis_projection(rho: states.DensityMatrix) -> KrausSet:
-    """Projective measurement onto the state's own eigenbasis."""
-    _, vecs = linalg.hermitian_eig(rho.matrix)
-    return KrausSet(_projectors(vecs), label="eigenbasis_projection")
+def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool, d: int, seed: int,
+                 indices: range):
+    """Violation of every sample in indices, and the per-sample columns its
+    witness reads: the inputs, the measure_* values and the C1 or C2 branch.
 
-
-def _sample_block(measure: str, condition: str, op_class, d: int, seed: int, indices: range) -> dict:
-    """Inputs of the samples in indices as arrays stacked per block.
-
-    Only the RNG calls run per sample, on default_rng([seed, i]) in a fixed
-    order: the state, then the unitary (C0), the incoherent state (C1, not
-    for ibiqc, whose incoherent set is I/d alone), the Kraus count and
-    class channel (C2), or the mixture size, weights and members (C3).
-    Kraus sets and mixtures are zero-padded to _MAX_PARTS, with weight zero.
+    Sample i draws on its own default_rng([seed, i]), in a fixed order: the
+    state, then the unitary (C0), the incoherent state (C1, not for ibiqc,
+    whose incoherent set is I/d alone), the Kraus count and class channel
+    (C2), or the mixture size, weights and members (C3). Each draw is made
+    for the whole block in turn and built as one stacked array; Kraus sets
+    and mixtures are zero-padded to _MAX_PARTS, with weight zero.
     """
-    raw = []
-    for i in indices:
-        rng = np.random.default_rng([seed, i])
-        draw = [rng.standard_normal((2, d, d))]
-        if condition == "C0":
-            draw.append(rng.standard_normal((2, d, d)))
-        elif condition == "C1" and measure != "ibiqc":
-            draw.append(rng.dirichlet(np.ones(d)))
-        elif condition == "C3":
-            parts = int(rng.integers(2, _MAX_PARTS + 1))
-            draw += [parts, rng.dirichlet(np.ones(parts)), rng.standard_normal((parts, 2, d, d))]
-        elif op_class is not None:
-            parts = int(rng.integers(1, _MAX_PARTS + 1))
-            draw += [parts, states.draw_channel(rng, op_class, d, parts)]
-        raw.append(draw)
-    state, *rest = zip(*raw)
-    block = {"state": states.density_stack(np.stack(state))}
-    if condition == "C0":
-        block["unitary"] = states.isometry_stack(np.stack(rest[0]))
-    elif condition == "C1" and measure == "ibiqc":
-        block["incoherent"] = np.broadcast_to(states.maximally_mixed(d).matrix, (len(raw), d, d))
-    elif condition == "C1":
-        probs = states.require_probabilities(np.stack(rest[0]))
-        block["incoherent"] = np.eye(d, dtype=complex) * probs[:, None, :]
-    elif condition == "C3":
-        parts = block["parts"] = np.array(rest[0])
-        block["weights"] = states.pad_parts(parts, _MAX_PARTS, np.concatenate(rest[1]))
-        block["members"] = states.pad_parts(parts, _MAX_PARTS, states.density_stack(np.concatenate(rest[2])))
-    elif op_class is not None:
-        parts = block["parts"] = np.array(rest[0])
-        block["kraus"] = states.kraus_stack(op_class, d, parts, rest[1], _MAX_PARTS)
-    return block
-
-
-def _evaluate(measure: str, condition: str, probe_eigenbasis: bool, block: dict):
-    """Violation of every sample of one block, and the per-sample values its
-    witness reports: measure_* values and the C1 or C2 branch taken."""
     kernel = _MEASURE_KERNELS[measure]
-    rho = block["state"]
-    n = len(rho)
+    rngs = [np.random.default_rng([seed, i]) for i in indices]
+    rho = states.density_stack(np.stack([rng.standard_normal((2, d, d)) for rng in rngs]))
+    columns = {"state": rho}
     if condition == "C0":
-        u = block["unitary"]
+        u = columns["unitary"] = states.isometry_stack(np.stack([rng.standard_normal((2, d, d)) for rng in rngs]))
         states.require_unitary(u)
         rotated = linalg.hermitian_part(_kraus_outputs(u[:, None], rho)[:, 0])
-        return np.abs(kernel(rotated) - kernel(rho)), {}
+        return np.abs(kernel(rotated) - kernel(rho)), columns
     if condition == "C1":
+        if measure == "ibiqc":
+            incoherent = np.broadcast_to(states.maximally_mixed(d).matrix, rho.shape)
+        else:
+            probs = states.require_probabilities(np.stack([rng.dirichlet(np.ones(d)) for rng in rngs]))
+            incoherent = np.eye(d, dtype=complex) * probs[:, None, :]
         random_value = kernel(rho)
-        zero_side = kernel(block["incoherent"])
+        zero_side = kernel(incoherent)
         positive_side = C1_POSITIVITY_FLOOR - random_value
         on_incoherent = zero_side >= positive_side
-        return np.where(on_incoherent, zero_side, positive_side), {
-            "on_incoherent": on_incoherent,
-            "measure_value": np.where(on_incoherent, zero_side, random_value),
-        }
+        columns.update(incoherent=incoherent, on_incoherent=on_incoherent,
+                       measure_value=np.where(on_incoherent, zero_side, random_value))
+        return np.where(on_incoherent, zero_side, positive_side), columns
     if condition == "C3":
-        weights, members = block["weights"], block["members"]
+        parts = columns["parts"] = np.array([rng.integers(2, _MAX_PARTS + 1) for rng in rngs])
+        weights = columns["weights"] = states.pad_parts(
+            parts, _MAX_PARTS, np.concatenate([rng.dirichlet(np.ones(k)) for rng, k in zip(rngs, parts)]))
+        normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, parts)])
+        members = columns["members"] = states.pad_parts(parts, _MAX_PARTS, states.density_stack(normals))
         mixture = kernel(np.einsum("nm,nmij->nij", weights, members))
         average = (weights * kernel(members)).sum(axis=1)
-        return mixture - average, {"measure_mixture": mixture, "measure_average": average}
+        columns.update(measure_mixture=mixture, measure_average=average)
+        return mixture - average, columns
     # C2: the candidate channels in pool order, the class channel first
-    candidates = []
-    values = {}
-    has_class_channel = "kraus" in block
-    if has_class_channel:
-        candidates.append(block["kraus"])
+    if op_class is not None:
+        parts = columns["parts"] = np.array([rng.integers(1, _MAX_PARTS + 1) for rng in rngs])
+        columns["kraus"] = states.kraus_stack(op_class, d, parts, rngs, _MAX_PARTS)
     if probe_eigenbasis:
         # kept per sample, so a winning probe's witness needs no second eigh
-        values["eigenbasis_projection"] = _projectors(linalg.hermitian_eig_stack(rho).eigenvectors)
-        candidates.append(values["eigenbasis_projection"])
+        columns["eigenbasis_projection"] = _projectors(linalg.hermitian_eig_stack(rho).eigenvectors)
+    candidates = [columns[name] for name in ("kraus", "eigenbasis_projection") if name in columns]
     before = kernel(rho)
     afters = []
     for ops in candidates:
@@ -348,35 +317,34 @@ def _evaluate(measure: str, condition: str, probe_eigenbasis: bool, block: dict)
     violations = afters - before
     # argmax keeps the first of equal candidates, as a strict > update would
     winner = np.argmax(violations, axis=0)
-    pick = np.arange(n)
-    values.update(class_channel=(winner == 0) & has_class_channel, measure_before=before,
-                  measure_after=afters[winner, pick])
-    return violations[winner, pick], values
+    pick = np.arange(len(rho))
+    columns.update(class_channel=(winner == 0) & (op_class is not None), measure_before=before,
+                   measure_after=afters[winner, pick])
+    return violations[winner, pick], columns
 
 
-def _witness(condition: str, op_class, i: int, sample: dict, values: dict) -> dict:
-    """Witness of sample i, built from its block inputs and evaluated values."""
+def _witness(condition: str, op_class, i: int, sample: dict) -> dict:
+    """Witness of sample i, built from its row of the block columns."""
     witness = {"sample_index": i}
-    witness.update((k, float(v)) for k, v in values.items() if k.startswith("measure_"))
+    witness.update((k, float(v)) for k, v in sample.items() if k.startswith("measure_"))
     rho = sample["state"]
     if condition == "C0":
         witness.update(state=_matrix_json(rho), unitary=_matrix_json(sample["unitary"]))
     elif condition == "C1":
-        if values["on_incoherent"]:
+        if sample["on_incoherent"]:
             witness.update(kind="nonzero_on_incoherent", state=_matrix_json(sample["incoherent"]))
         else:
             witness.update(kind="below_floor_on_random", state=_matrix_json(rho))
     elif condition == "C3":
         parts = sample["parts"]
         witness.update(weights=sample["weights"][:parts].tolist(), states=_matrix_json(sample["members"][:parts]))
+    elif sample["class_channel"]:
+        k = int(sample["parts"])
+        witness.update(state=_matrix_json(rho), channel_label=f"{op_class}(d={len(rho)}, k={k})",
+                       kraus_operators=_matrix_json(sample["kraus"][:k]))
     else:
-        if values["class_channel"]:
-            k = int(sample["parts"])
-            kraus = KrausSet(sample["kraus"][:k], label=f"{op_class}(d={len(rho)}, k={k})")
-        else:
-            kraus = KrausSet(values["eigenbasis_projection"], label="eigenbasis_projection")
-        witness.update(state=_matrix_json(rho), channel_label=kraus.label,
-                       kraus_operators=_matrix_json(kraus.operators))
+        witness.update(state=_matrix_json(rho), channel_label="eigenbasis_projection",
+                       kraus_operators=_matrix_json(sample["eigenbasis_projection"]))
     return witness
 
 
@@ -409,13 +377,13 @@ def audit_conditions(
     probe_eigenbasis is set; each sample takes the worst candidate.
     verdict is "holds_within_tol" iff the maximum violation is at most tol.
 
-    Sample i draws its inputs from (seed, i). Samples are drawn and
-    evaluated in blocks: only the RNG calls run per sample; the states,
-    unitaries, Kraus sets and mixtures of a block are built as stacked
-    arrays (Kraus sets and mixtures zero-padded to four members of weight
-    zero), and each measure is one stacked eigenvalue solve. The block
-    size follows from d so that one block's arrays take a few MB whatever
-    the number of samples; the report does not depend on it.
+    Sample i draws its inputs from its own generator, default_rng([seed, i]).
+    Samples are drawn and evaluated in blocks: the states, unitaries, Kraus
+    sets and mixtures of a block are built as stacked arrays (Kraus sets
+    and mixtures zero-padded to four members of weight zero), and each
+    measure is one stacked eigenvalue solve. The block size follows from d
+    so that one block's arrays take a few MB whatever the number of
+    samples; the report does not depend on it.
 
     The witness is the first sample that reaches the maximum violation.
     On a row that holds, that maximum is round-off (about 1e-15), so its
@@ -434,8 +402,7 @@ def audit_conditions(
         raise InvalidArgumentsError(f"seed must be a non-negative integer, got {seed!r}")
     if not (0.0 <= tol < math.inf):
         raise InvalidArgumentsError(f"tol must be finite and non-negative, got {tol!r}")
-    needs_channel = condition in ("C2_average", "C2_selective")
-    if needs_channel:
+    if condition in ("C2_average", "C2_selective"):
         if op_class is None and not probe_eigenbasis:
             raise InvalidArgumentsError(f"{condition} needs an operation class or probe_eigenbasis")
         if op_class is not None and op_class not in OPERATION_CLASSES:
@@ -446,13 +413,13 @@ def audit_conditions(
     block = max(1, _BLOCK_BYTES // (16 * max(_MAX_PARTS, d) * d * d))
     best = None
     for start in range(0, samples, block):
-        inputs = _sample_block(measure, condition, op_class, d, seed, range(start, min(start + block, samples)))
-        violation, values = _evaluate(measure, condition, probe_eigenbasis, inputs)
+        indices = range(start, min(start + block, samples))
+        violation, columns = _audit_block(measure, condition, op_class, probe_eigenbasis, d, seed, indices)
         j = int(np.argmax(violation))
         if best is None or violation[j] > best[0]:
-            best = (violation[j], start + j, {k: v[j] for k, v in inputs.items()}, {k: v[j] for k, v in values.items()})
-    max_violation, index, sample, values = best
-    witness = _witness(condition, op_class, index, sample, values)
+            best = (violation[j], start + j, {k: v[j] for k, v in columns.items()})
+    max_violation, index, row = best
+    witness = _witness(condition, op_class, index, row)
 
     return AuditReport(
         measure_name=measure,
@@ -483,7 +450,7 @@ def selective_counterexample(rho: states.DensityMatrix) -> tuple[KrausSet, float
         raise PureStateError(
             f"state entropy {entropy:.3e} bits leaves nothing for a selective readout to gain"
         )
-    kraus = _eigenbasis_projection(rho)
+    kraus = KrausSet(_projectors(linalg.hermitian_eig(rho.matrix).eigenvectors), label="eigenbasis_projection")
     before = measures.ibiqc_coherence(rho)
     after = sum(p * measures.ibiqc_coherence(out) for p, out in selective_outcomes(kraus, rho))
     return kraus, float(after - before)

@@ -99,11 +99,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _finite_number(v) -> bool:
+    """An int or float, not a bool, that a double holds as a finite value
+    (json reads an integer literal of any size as an exact int)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _parse_state_document(doc, context: str) -> tuple[states.DensityMatrix, str | None]:
     if not isinstance(doc, dict):
         raise ParseError(f"{context}: expected a JSON object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f"{context}: \"dim\" must be a positive integer, got {dim!r}")
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
@@ -116,11 +122,7 @@ def _parse_state_document(doc, context: str) -> tuple[states.DensityMatrix, str 
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{context}: entries[{i}] must be a list of {dim} cells")
         for j, cell in enumerate(row):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in cell)
-            ):
+            if not isinstance(cell, list) or len(cell) != 2 or not all(map(_finite_number, cell)):
                 raise ParseError(
                     f"{context}: entries[{i}][{j}] must be a finite [re, im] pair, got {cell!r}"
                 )
@@ -246,7 +248,7 @@ def parse_interference_config(doc, context: str = "interference config") -> Inte
         rho = states.maximally_mixed(2)
     elif isinstance(source, dict) and set(source) == {"linear"}:
         psi = source["linear"]
-        if not isinstance(psi, (int, float)) or not math.isfinite(psi):
+        if not _finite_number(psi):
             raise ParseError(f"{context}: linear polarization angle must be a finite number")
         rho = states.PureState(np.array([math.cos(psi), math.sin(psi)], dtype=complex)).to_density()
     elif isinstance(source, dict) and "entries" in source:
@@ -260,15 +262,11 @@ def parse_interference_config(doc, context: str = "interference config") -> Inte
     angles = {}
     for key in ("plate_angle", "polarizer_angle"):
         value = doc.get(key)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not _finite_number(value):
             raise ParseError(f"{context}: \"{key}\" must be a finite number in radians")
         angles[key] = float(value)
     grid = doc.get("gamma_grid")
-    if (
-        not isinstance(grid, list)
-        or not grid
-        or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in grid)
-    ):
+    if not isinstance(grid, list) or not grid or not all(map(_finite_number, grid)):
         raise ParseError(f"{context}: \"gamma_grid\" must be a non-empty list of finite numbers")
     return InterferenceConfig(
         input_state=rho,
@@ -409,8 +407,8 @@ def _cmd_demo_glauber(args) -> int:
         dims = [int(token) for token in args.dims.split(",") if token.strip()]
     except ValueError as exc:
         raise InvalidArgumentsError(f"--dims must be comma-separated integers: {exc}") from exc
-    if not dims:
-        raise InvalidArgumentsError("--dims must name at least one dimension")
+    if not dims or min(dims) < 1:
+        raise InvalidArgumentsError(f"--dims must name one or more dimensions >= 1, got {args.dims!r}")
     for name, value in (("--alpha-re", args.alpha_re), ("--alpha-im", args.alpha_im)):
         if not math.isfinite(value):
             raise InvalidArgumentsError(f"{name} must be finite, got {value!r}")

@@ -110,6 +110,18 @@ def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> Spectrum:
     return hermitian_eig_stack(as_complex_matrix(m), tol)
 
 
+def _lapack_hermitian(solver, m, tol: float):
+    """solver (numpy's eigh or eigvalsh) on the Hermitian part of each matrix
+    of m, after the require_hermitian gate at tol; a LinAlgError from LAPACK
+    raises NoConvergenceError."""
+    a = require_hermitian(m, tol)
+    # eigh and eigvalsh read one triangle only; the average makes both count.
+    try:
+        return solver(hermitian_part(a))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"Hermitian eigendecomposition failed: {exc}") from exc
+
+
 def hermitian_eig_stack(m, tol: float = HERMITIAN_TOL) -> Spectrum:
     """Eigenvalues and eigenvectors of a Hermitian matrix, or of each matrix
     in a (..., d, d) stack.
@@ -118,13 +130,7 @@ def hermitian_eig_stack(m, tol: float = HERMITIAN_TOL) -> Spectrum:
     tol (non-finite entries always fail it), and NoConvergenceError if
     LAPACK reports that the decomposition did not converge.
     """
-    a = require_hermitian(m, tol)
-    # eigh reads one triangle only; the average makes both count.
-    try:
-        eigenvalues, vecs = np.linalg.eigh(hermitian_part(a))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"Hermitian eigendecomposition failed: {exc}") from exc
-    return Spectrum(eigenvalues, vecs)
+    return Spectrum(*_lapack_hermitian(np.linalg.eigh, m, tol))
 
 
 def hermitian_eigvals(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -135,11 +141,7 @@ def hermitian_eigvals(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     matrix fails the Hermiticity check at tol (non-finite entries always
     fail it), NoConvergenceError if LAPACK reports no convergence.
     """
-    a = require_hermitian(m, tol)
-    try:
-        return np.linalg.eigvalsh(hermitian_part(a))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"Hermitian eigenvalue solve failed: {exc}") from exc
+    return _lapack_hermitian(np.linalg.eigvalsh, m, tol)
 
 
 def trace_distance(a, b, tol: float = HERMITIAN_TOL) -> float:

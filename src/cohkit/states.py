@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidArgumentsError,
     InvalidDimensionError,
-    NotHermitianError,
     NotPositiveError,
     NotUnitTraceError,
     NotUnitaryError,
@@ -129,14 +128,12 @@ def make_density(entries, tol: float = DENSITY_TOL) -> DensityMatrix:
     and the spectrum renormalized to unit sum before reconstruction.
     """
     m = linalg.as_complex_matrix(entries)
-    defect = linalg.hermiticity_defect(m)
-    if not (defect <= tol):
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}")
+    # hermitian_eig gates Hermiticity at tol and decomposes the Hermitian part
+    eigenvalues, vecs = linalg.hermitian_eig(m, tol)
     trace = complex(m.trace())
     if not (abs(trace - 1.0) <= tol):
         raise NotUnitTraceError(f"trace {trace!r} differs from 1 beyond {tol:.1e}")
     m = linalg.hermitian_part(m)
-    eigenvalues, vecs = linalg.hermitian_eig(m, tol)
     if eigenvalues[0] < -tol:
         raise NotPositiveError(
             f"smallest eigenvalue {eigenvalues[0]:.6e} is below -{tol:.1e}"
@@ -280,42 +277,41 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     return isometry_stack(np.random.default_rng(seed).standard_normal((2, d, d)))
 
 
-def draw_channel(rng: np.random.Generator, kind: str, d: int, k: int) -> tuple:
-    """The RNG calls of one random_channel draw, in order: (weights, rows or None; normals)."""
-    if kind == "unital_mixture":
-        return rng.dirichlet(np.ones(k)), rng.standard_normal((k, 2, d, d))
-    if kind == "diagonal_incoherent":
-        return np.stack([rng.permutation(d) for _ in range(k)]), rng.standard_normal((2, k, d))
-    if kind == "general_tp":
-        return None, rng.standard_normal((2, k * d, d))
-    raise InvalidArgumentsError(
-        f"unknown channel family {kind!r}; expected unital_mixture, "
-        "diagonal_incoherent, or general_tp"
-    )
+def kraus_stack(kind: str, d: int, ks, rngs, width: int) -> np.ndarray:
+    """(n, width, d, d) Kraus operators of n random channels: set j holds
+    ks[j] operators (ks an int array) drawn from rngs[j], then zeros.
 
-
-def kraus_stack(kind: str, d: int, ks, draws: list, width: int) -> np.ndarray:
-    """(n, width, d, d) Kraus operators of n channels from their draw_channel
-    output: set j holds ks[j] operators (ks an int array), then zeros."""
+    Channel j draws on rngs[j], in order: Dirichlet weights, then normals
+    (unital_mixture); ks[j] row permutations, then normals
+    (diagonal_incoherent); or one (2, ks[j] * d, d) normal (general_tp).
+    """
     if kind == "unital_mixture":
-        probs, normals = (np.concatenate(c) for c in zip(*draws))
+        probs = np.concatenate([rng.dirichlet(np.ones(k)) for rng, k in zip(rngs, ks)])
+        normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])
         return pad_parts(ks, width, np.sqrt(probs)[:, None, None] * isometry_stack(normals))
     if kind == "diagonal_incoherent":
         # A permutation per operator keeps at most one nonzero per column
         # and per row; per-column normalization then gives exact trace
         # preservation (independent row draws would leave cross terms).
-        amp = pad_parts(ks, width, _ginibre(np.concatenate([z for _, z in draws], axis=1)))
-        rows = pad_parts(ks, width, np.concatenate([r for r, _ in draws]))
+        rows = pad_parts(ks, width, np.array([rng.permutation(d) for rng, k in zip(rngs, ks) for _ in range(k)]))
+        normals = np.concatenate([rng.standard_normal((2, k, d)) for rng, k in zip(rngs, ks)], axis=1)
+        amp = pad_parts(ks, width, _ginibre(normals))
         amp = amp / np.linalg.norm(amp, axis=1)[:, None]
         ops = np.zeros(amp.shape + (d,), dtype=complex)
         np.put_along_axis(ops, rows[..., None, :], amp[..., None, :], axis=-2)
         return ops
-    # The isometry from d to k*d has shape (k*d, d), so sets group by k.
-    ops = np.zeros((len(ks), width, d, d), dtype=complex)
-    for k in set(ks.tolist()):
-        sel = np.flatnonzero(ks == k)
-        ops[sel, :k] = isometry_stack(np.stack([draws[j][1] for j in sel])).reshape(len(sel), k, d, d)
-    return ops
+    if kind == "general_tp":
+        normals = [rng.standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]
+        # The isometry from d to k*d has shape (k*d, d), so sets group by k.
+        ops = np.zeros((len(ks), width, d, d), dtype=complex)
+        for k in set(ks.tolist()):
+            sel = np.flatnonzero(ks == k)
+            ops[sel, :k] = isometry_stack(np.stack([normals[j] for j in sel])).reshape(len(sel), k, d, d)
+        return ops
+    raise InvalidArgumentsError(
+        f"unknown channel family {kind!r}; expected unital_mixture, "
+        "diagonal_incoherent, or general_tp"
+    )
 
 
 def random_channel(kind: str, d: int, k: int = 2, seed=0):
@@ -340,5 +336,5 @@ def random_channel(kind: str, d: int, k: int = 2, seed=0):
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidDimensionError(f"number of Kraus operators must be >= 1, got {k!r}")
     k = int(k)
-    draw = draw_channel(np.random.default_rng(seed), kind, d, k)
-    return KrausSet(kraus_stack(kind, d, np.array([k]), [draw], k)[0], label=f"{kind}(d={d}, k={k})")
+    ops = kraus_stack(kind, d, np.array([k]), [np.random.default_rng(seed)], k)[0]
+    return KrausSet(ops, label=f"{kind}(d={d}, k={k})")

@@ -371,7 +371,7 @@ def test_audit_bytes_do_not_depend_on_block_size(monkeypatch, row):
     measure, condition, op_class, probe = row
     d, samples, seed = 3, 20, 5
     if op_class == "general_tp":
-        ks = channels._sample_block(measure, condition, op_class, d, seed, range(samples))["parts"]
+        ks = channels._audit_block(measure, condition, op_class, probe, d, seed, range(samples))[1]["parts"]
         assert len(set(ks)) > 1
     default = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=seed,
                                probe_eigenbasis=probe).to_json()

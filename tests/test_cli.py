@@ -477,8 +477,47 @@ def test_load_interference_config_missing_file(tmp_path):
 
 
 def test_invalid_dims_flag_exit_2(capsys):
-    assert main(["demo", "glauber", "--dims", "two,three"]) == 2
-    capsys.readouterr()
+    for dims in ("two,three", "0", "3,0", "2,-1", "-4"):
+        assert main(["demo", "glauber", f"--dims={dims}"]) == 2, dims
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), dims
+
+
+# An integer literal beyond the double range, which json reads as an exact int.
+_BIG = "1" + "0" * 400
+_CONFIG = '{"input": %s, "plate_angle": %s, "polarizer_angle": 0.5, "gamma_grid": %s}'
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("measure", '{"dim": true, "entries": [[[1, 0]]]}'),
+        ("measure", '{"dim": 1, "entries": [[[%s, 0]]]}' % _BIG),
+        ("measure", '{"dim": 1, "entries": [[[1, true]]]}'),
+        ("interference", _CONFIG % ('{"linear": %s}' % _BIG, "0", "[0]")),
+        ("interference", _CONFIG % ('{"linear": true}', "0", "[0]")),
+        ("interference", _CONFIG % ('"natural_light"', _BIG, "[0]")),
+        ("interference", _CONFIG % ('"natural_light"', "false", "[0]")),
+        ("interference", _CONFIG % ('"natural_light"', "0", "[0, %s]" % _BIG)),
+        ("interference", _CONFIG % ('"natural_light"', "0", "[0, true]")),
+        ("interference", _CONFIG % ('{"dim": 2, "entries": [[[%s, 0], [0, 0]], [[0, 0], [0, 0]]]}' % _BIG, "0", "[0]")),
+    ],
+    ids=["dim-bool", "cell-big", "cell-bool", "linear-big", "linear-bool", "angle-big", "angle-bool",
+         "grid-big", "grid-bool", "input-state-big"],
+)
+def test_bad_numbers_in_json_input_exit_3(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    if command == "measure":
+        load, argv = load_state, ["measure", str(path)]
+    else:
+        load, argv = load_interference_config, ["demo", "interference", "--config", str(path),
+                                                "--out", str(tmp_path / "out.csv")]
+    with pytest.raises(ParseError):
+        load(path)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

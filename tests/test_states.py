@@ -21,6 +21,7 @@ from cohkit.states import (
     glauber_truncated,
     haar_unitary,
     hadamard,
+    kraus_stack,
     make_density,
     maximally_coherent,
     maximally_mixed,
@@ -51,6 +52,9 @@ def test_make_density_rejects_indefinite():
 def test_make_density_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         make_density(np.array([[0.5, 0.3], [0.0, 0.5]]))
+    # the Hermiticity gate comes before the trace check
+    with pytest.raises(NotHermitianError):
+        make_density(np.array([[1.0, 0.3], [0.0, 1.0]]))
 
 
 def test_make_density_rejects_bad_trace():
@@ -309,6 +313,11 @@ def test_random_channel_deterministic():
 def test_random_channel_unknown_kind():
     with pytest.raises(InvalidArgumentsError):
         random_channel("dephasing", d=2, k=1, seed=0)
+    rng = np.random.default_rng(4)
+    with pytest.raises(InvalidArgumentsError):
+        kraus_stack("dephasing", 2, np.array([1]), [rng], 1)
+    # nothing was drawn before the error
+    assert rng.standard_normal() == np.random.default_rng(4).standard_normal()
 
 
 def test_density_matrix_holds_private_read_only_copy():
@@ -382,3 +391,16 @@ def test_samplers_match_per_call_reference_bitwise(d):
         assert np.array_equal(haar_unitary(d, stream), _ref_isometry(ref, d, d))
         for kind in kinds:
             assert np.array_equal(random_channel(kind, d, 3, stream).operators, _ref_channel(ref, kind, d, 3))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_kraus_stack_draws_each_set_on_its_own_generator(d):
+    # 20 channels, k = 1-4 five times each in shuffled order, so general_tp
+    # groups by k across non-adjacent sets
+    ks = np.random.default_rng(d).permutation(np.repeat(np.arange(1, 5), 5))
+    for kind in ("unital_mixture", "diagonal_incoherent", "general_tp"):
+        ops = kraus_stack(kind, d, ks, [np.random.default_rng(seed) for seed in range(20)], 4)
+        assert ops.shape == (20, 4, d, d)
+        for seed, k in enumerate(ks):
+            assert np.array_equal(ops[seed, :k], random_channel(kind, d, int(k), seed).operators), (kind, seed)
+            assert not ops[seed, k:].any(), (kind, seed)
