@@ -11,7 +11,8 @@ standard resource-theory conditions:
   C3           convexity under mixing
 
 Audits are reproducible: sample i of an audit draws all of its
-randomness from its own generator, default_rng([seed, i]). Samples are
+randomness from its own generator, bitwise default_rng([seed, i]), and a
+block's generators are seeded by one stacked hash. Samples are
 drawn and evaluated in blocks: each draw is made for every sample of the
 block in turn, and the block's states and operators are built as stacked
 arrays and measured with the stacked kernels of the measures module.
@@ -175,7 +176,8 @@ def classify_kraus(kraus: KrausSet, tol: float = KRAUS_TP_TOL) -> KrausFlags:
     structural = bool(((np.abs(ops) > STRUCTURAL_ENTRY_TOL).sum(axis=-2) <= 1).all())
     if structural:
         eye = np.eye(kraus.dim)
-        diag = np.random.default_rng(_CLASSIFY_CHECK_SEED).dirichlet(np.ones(kraus.dim), size=10)[:, None] * eye
+        rng = np.random.default_rng(_CLASSIFY_CHECK_SEED)
+        diag = states.dirichlet_stack([rng] * 10, np.full(10, kraus.dim), kraus.dim)[:, None] * eye
         out = _kraus_outputs(ops, diag).sum(axis=-3)
         structural = bool(np.abs(out - out * eye).max() < 1e-10)
     return KrausFlags(
@@ -257,15 +259,16 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     """Violation of every sample in indices, and the per-sample columns its
     witness reads: the inputs, the measure_* values and the C1 or C2 branch.
 
-    Sample i draws on its own default_rng([seed, i]), in a fixed order: the
-    state, then the unitary (C0), the incoherent state (C1, not for ibiqc,
-    whose incoherent set is I/d alone), the Kraus count and class channel
-    (C2), or the mixture size, weights and members (C3). Each draw is made
+    Sample i draws on its own generator from states.sample_generators,
+    bitwise default_rng([seed, i]), in a fixed order: the state, then the
+    unitary (C0), the incoherent state (C1, not for ibiqc, whose incoherent
+    set is I/d alone), the Kraus count and class channel (C2), or the
+    mixture size, weights and members (C3). Each draw is made
     for the whole block in turn and built as one stacked array; Kraus sets
     and mixtures are zero-padded to _MAX_PARTS, with weight zero.
     """
     kernel = _MEASURE_KERNELS[measure]
-    rngs = [np.random.default_rng([seed, i]) for i in indices]
+    rngs = states.sample_generators(seed, indices)
     rho = states.density_stack(np.stack([rng.standard_normal((2, d, d)) for rng in rngs]))
     columns = {"state": rho}
     if condition == "C0":
@@ -277,7 +280,7 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         if measure == "ibiqc":
             incoherent = np.broadcast_to(states.maximally_mixed(d).matrix, rho.shape)
         else:
-            probs = states.require_probabilities(np.stack([rng.dirichlet(np.ones(d)) for rng in rngs]))
+            probs = states.require_probabilities(states.dirichlet_stack(rngs, np.full(len(rngs), d), d))
             incoherent = np.eye(d, dtype=complex) * probs[:, None, :]
         random_value = kernel(rho)
         zero_side = kernel(incoherent)
@@ -288,8 +291,7 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         return np.where(on_incoherent, zero_side, positive_side), columns
     if condition == "C3":
         parts = columns["parts"] = np.array([rng.integers(2, _MAX_PARTS + 1) for rng in rngs])
-        weights = columns["weights"] = states.pad_parts(
-            parts, _MAX_PARTS, np.concatenate([rng.dirichlet(np.ones(k)) for rng, k in zip(rngs, parts)]))
+        weights = columns["weights"] = states.dirichlet_stack(rngs, parts, _MAX_PARTS)
         normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, parts)])
         members = columns["members"] = states.pad_parts(parts, _MAX_PARTS, states.density_stack(normals))
         mixture = kernel(np.einsum("nm,nmij->nij", weights, members))
@@ -377,7 +379,8 @@ def audit_conditions(
     probe_eigenbasis is set; each sample takes the worst candidate.
     verdict is "holds_within_tol" iff the maximum violation is at most tol.
 
-    Sample i draws its inputs from its own generator, default_rng([seed, i]).
+    Sample i draws its inputs from its own generator, bitwise
+    default_rng([seed, i]); samples must be at most 2**32.
     Samples are drawn and evaluated in blocks: the states, unitaries, Kraus
     sets and mixtures of a block are built as stacked arrays (Kraus sets
     and mixtures zero-padded to four members of weight zero), and each
@@ -393,8 +396,9 @@ def audit_conditions(
         raise InvalidArgumentsError(f"unknown measure {measure!r}; expected one of {tuple(MEASURE_FUNCTIONS)}")
     if condition not in CONDITIONS:
         raise InvalidArgumentsError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise InvalidArgumentsError(f"samples must be a positive integer, got {samples!r}")
+    # sample indices below 2**32 are one 32-bit seed word, as sample_generators needs
+    if not isinstance(samples, (int, np.integer)) or not 1 <= samples <= 2**32:
+        raise InvalidArgumentsError(f"samples must be an integer from 1 to 2**32, got {samples!r}")
     # a one-state space (d = 1) holds only I/1 and has no coherence to audit
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidArgumentsError(f"d must be an integer >= 2, got {d!r}")

@@ -15,7 +15,8 @@ row, comma separators, '.' decimals, and LF line endings. All angles
 are radians; degree input is not accepted anywhere.
 
 Exit codes: 0 success (audit verdicts match expectations), 1 audit
-verdict mismatch, 2 usage error, 3 invalid input file or state.
+verdict mismatch, 2 usage error (an output path that cannot be written
+among them), 3 invalid input file or state.
 """
 
 from __future__ import annotations
@@ -153,12 +154,16 @@ def load_state(path) -> states.DensityMatrix:
 
 
 def _write_text(text: str, path=None) -> None:
-    """Write text to stdout, or to a file at path with LF line endings."""
+    """Write text to stdout, or to a file at path with LF line endings; a
+    path that cannot be written raises InvalidArgumentsError."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidArgumentsError(f"cannot write {path}: {exc}") from exc
 
 
 def save_state(rho: states.DensityMatrix, path, label: str | None = None) -> None:
@@ -342,7 +347,10 @@ def run_audit_cli(args) -> int:
     out = Path(args.out)
     single_file = out.suffix == ".json" and len(combos) == 1
     if not single_file:
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidArgumentsError(f"cannot write reports to {out}: {exc}") from exc
 
     mismatches = 0
     for m, cond_flag, cls_flag in combos:

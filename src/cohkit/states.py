@@ -10,6 +10,7 @@ seed argument also accepts a numpy Generator for streaming use.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -253,6 +254,113 @@ def isometry_stack(normals: np.ndarray) -> np.ndarray:
     return q * np.where(np.abs(diag) < 1e-300, 1.0, diag / np.abs(diag))[..., None, :]
 
 
+# numpy's SeedSequence hash (NEP 19, numpy/random/bit_generator.pyx): a pool
+# of four 32-bit words, the hash constants of its entropy mixing (A) and of
+# generate_state (B), and the multipliers of its mix step.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before each of calls hashmix steps and after the
+    last one, as a (calls + 1, 1) uint32 column."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+# PCG64 takes 4 uint64 words, 8 uint32 words drawn cyclically from the pool
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hashmix(value: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """len(h) - 1 consecutive hashmix steps, one per row of the result:
+    row r is value xor h[r], times h[r + 1], xor itself shifted right by 16."""
+    value = (value ^ h[:-1]) * h[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ (value >> 16)
+
+
+@functools.cache
+def _seed_words_type():
+    """A numpy ISeedSequence that hands PCG64 precomputed seed words.
+
+    Defined on first use: importing numpy.random takes about 15 ms, which
+    commands that draw nothing should not pay.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        # PCG64 reads generate_state(4, np.uint64)'s buffer without checking
+        # its layout, so words must be four C-contiguous uint64 values.
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def sample_generators(seed: int, indices: range) -> list:
+    """default_rng([seed, i]) for every i in indices, bitwise, seeded by
+    one stacked SeedSequence hash over the block.
+
+    Row j of the entropy holds the 32-bit words of seed, least significant
+    first, then indices[j], which must be below 2**32 (one word). The pool
+    mixing, the extra rounds for entropy words beyond the pool and
+    generate_state(4, np.uint64) run as uint32 array operations over all
+    samples; each sample then gets Generator(PCG64(its four words)).
+    """
+    seed = int(seed)
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((len(seed_words) + 1, len(indices)), dtype=np.uint32)
+    entropy[:-1] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[-1] = indices
+    extra = entropy[_POOL_SIZE:]
+    h = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * len(extra))
+    pool = np.zeros((_POOL_SIZE, len(indices)), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, h[:_POOL_SIZE + 1])
+    step = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [j for j in range(_POOL_SIZE) if j != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[step:step + _POOL_SIZE]))
+        step += _POOL_SIZE - 1
+    for word in extra:
+        pool = _mix(pool, _hashmix(word, h[step:step + _POOL_SIZE + 1]))
+        step += _POOL_SIZE
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_CONSTANTS)
+    # uint32 pairs read as little-endian uint64, as generate_state does;
+    # astype copies, so each row is its own C-contiguous run of 4 words
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    seed_words_type = _seed_words_type()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return [generator(pcg64(seed_words_type(w))) for w in words]
+
+
+def dirichlet_stack(rngs, ks, width: int) -> np.ndarray:
+    """(n, width) Dirichlet(1, ..., 1) weights: row j holds ks[j] weights
+    drawn from rngs[j], then zeros.
+
+    Bitwise Generator.dirichlet(np.ones(k)): for alpha = 1 it draws k
+    standard exponentials, sums them left to right and scales each by
+    1 / sum.
+    """
+    draws = pad_parts(ks, width, np.concatenate([rng.standard_exponential(k) for rng, k in zip(rngs, ks)]))
+    acc = draws[:, 0].copy()
+    for column in draws.T[1:]:
+        acc += column
+    return draws * (1.0 / acc)[:, None]
+
+
 def pad_parts(counts, width: int, parts: np.ndarray) -> np.ndarray:
     """Sets of counts[j] <= width parts, given one after another, as one
     (n, width, ...) array, zero beyond each set's parts."""
@@ -286,9 +394,9 @@ def kraus_stack(kind: str, d: int, ks, rngs, width: int) -> np.ndarray:
     (diagonal_incoherent); or one (2, ks[j] * d, d) normal (general_tp).
     """
     if kind == "unital_mixture":
-        probs = np.concatenate([rng.dirichlet(np.ones(k)) for rng, k in zip(rngs, ks)])
+        probs = dirichlet_stack(rngs, ks, width)
         normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])
-        return pad_parts(ks, width, np.sqrt(probs)[:, None, None] * isometry_stack(normals))
+        return np.sqrt(probs)[..., None, None] * pad_parts(ks, width, isometry_stack(normals))
     if kind == "diagonal_incoherent":
         # A permutation per operator keeps at most one nonzero per column
         # and per row; per-column normalization then gives exact trace

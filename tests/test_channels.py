@@ -383,6 +383,34 @@ def test_audit_bytes_do_not_depend_on_block_size(monkeypatch, row):
         assert report.to_json() == default, size
 
 
+def test_audit_uses_neither_seed_sequence_nor_dirichlet(monkeypatch):
+    # Generators come from the stacked seed hash and Dirichlet weights from
+    # exponential draws. Generator is an immutable type, so a subclass whose
+    # dirichlet raises stands in for it.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an audit called default_rng, SeedSequence or Generator.dirichlet")
+
+    made = []
+
+    class NoDirichlet(np.random.Generator):
+        dirichlet = forbidden
+
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            made.append(self)
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    monkeypatch.setattr(np.random, "Generator", NoDirichlet)
+    for row, verdict in EXPECTED_VERDICTS.items():
+        measure, condition, op_class, probe = row
+        made.clear()
+        report = audit_conditions(measure, condition, op_class, d=3, samples=100, seed=11,
+                                  probe_eigenbasis=probe)
+        assert report.verdict == verdict, row
+        assert len(made) == 100, row
+
+
 SPECIAL_FLOATS = st.sampled_from([-0.0, 5e-324, 1e-7, 1e16, math.nan, math.inf, -math.inf])
 FLOATS = st.one_of(st.floats(), SPECIAL_FLOATS)
 FLOAT_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cohkit
+from cohkit.channels import audit_conditions
 from cohkit.cli import (
     build_parser,
     default_alpha_grid,
@@ -471,6 +472,37 @@ def test_main_demo_interference_statefile_input(tmp_path, capsys):
     assert summary["visibility"] < 1e-12
 
 
+@pytest.mark.parametrize("command", ["measure", "sweep", "audit-file", "audit-dir", "glauber", "interference"])
+def test_unwritable_output_exit_2(tmp_path, capsys, command):
+    state, cfg, blocker = tmp_path / "state.json", tmp_path / "cfg.json", tmp_path / "file"
+    write_json(state, delta0_doc())
+    write_json(cfg, {"input": "natural_light", "plate_angle": 0, "polarizer_angle": 0, "gamma_grid": [0]})
+    blocker.write_text("", encoding="utf-8")
+    missing = str(tmp_path / "missing" / "x")
+    argv = {
+        "measure": ["measure", str(state), "--out", missing + ".json"],
+        "sweep": ["sweep", "--out", missing + ".csv"],
+        "audit-file": ["audit", "--measure", "l1", "--condition", "C0", "--samples", "2", "--out", missing + ".json"],
+        "audit-dir": ["audit", "--measure", "l1", "--condition", "C0", "--samples", "2", "--out", str(blocker / "sub")],
+        "glauber": ["demo", "glauber", "--out", missing + ".csv"],
+        "interference": ["demo", "interference", "--config", str(cfg), "--out", missing + ".csv"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: cannot write ")
+
+
+def test_audit_samples_above_2_pow_32_exit_2(tmp_path, capsys):
+    # an index of 2**32 or more would be two seed words; the gate stops the audit before any draw
+    with pytest.raises(InvalidArgumentsError):
+        audit_conditions("l1", "C0", d=2, samples=2**32 + 1)
+    out = tmp_path / "x.json"
+    argv = ["audit", "--measure", "l1", "--condition", "C0", "--samples", str(2**32 + 1), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "samples" in captured.err and not out.exists()
+
+
 def test_load_interference_config_missing_file(tmp_path):
     with pytest.raises(ParseError):
         load_interference_config(tmp_path / "nope.json")
@@ -572,8 +604,9 @@ def test_reused_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys):
 
 
 def test_import_leaves_scipy_unloaded():
+    # numpy.random loads on the first draw, so commands that draw nothing skip it
     src = str(Path(cohkit.__file__).resolve().parents[1])
-    code = "import sys, cohkit, cohkit.cli; print('scipy' in sys.modules)"
+    code = "import sys, cohkit, cohkit.cli; print('scipy' in sys.modules, 'numpy.random' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"

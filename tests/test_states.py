@@ -26,9 +26,11 @@ from cohkit.states import (
     maximally_coherent,
     maximally_mixed,
     qubit_pair,
+    dirichlet_stack,
     random_channel,
     random_density,
     require_probabilities,
+    sample_generators,
 )
 
 
@@ -404,3 +406,40 @@ def test_kraus_stack_draws_each_set_on_its_own_generator(d):
         for seed, k in enumerate(ks):
             assert np.array_equal(ops[seed, :k], random_channel(kind, d, int(k), seed).operators), (kind, seed)
             assert not ops[seed, k:].any(), (kind, seed)
+
+
+# 10**40 has five 32-bit words, so with the index the entropy overflows the
+# four-word pool and the extra mixing rounds run
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 9, 2**96 + 3, 10**40]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sample_generators_equal_default_rng(seed):
+    # blocks of two or more catch seed words that are not C-contiguous per
+    # sample: PCG64 reads them without a layout check and seeds silently wrong
+    for start in (0, 2**32 - 1820):
+        for n in (1, 2, 3, 100, 1820):
+            indices = range(start, start + n)
+            rngs = sample_generators(seed, indices)
+            assert len(rngs) == n
+            for i, rng in zip(indices, rngs):
+                ref = np.random.default_rng([seed, i])
+                assert rng.bit_generator.state == ref.bit_generator.state, (start, n, i)
+                assert np.array_equal(rng.random(3), ref.random(3)), (start, n, i)
+
+
+def test_dirichlet_stack_equals_generator_dirichlet():
+    for k in range(1, 9):
+        rngs = sample_generators(k, range(20))
+        weights = dirichlet_stack(rngs, np.full(20, k), k)
+        for i, rng in enumerate(rngs):
+            ref = np.random.default_rng([k, i])
+            assert np.array_equal(weights[i], ref.dirichlet(np.ones(k))), (k, i)
+            # the same number of draws was taken
+            assert rng.random() == ref.random(), (k, i)
+    ks = np.random.default_rng(4).integers(1, 5, size=30)
+    weights = dirichlet_stack(sample_generators(4, range(30)), ks, 4)
+    assert weights.shape == (30, 4)
+    for i, k in enumerate(ks):
+        assert np.array_equal(weights[i, :k], np.random.default_rng([4, i]).dirichlet(np.ones(k))), i
+        assert not weights[i, k:].any(), i

@@ -1,0 +1,137 @@
+"""Alternating parent/change benchmark pairs, written as one BENCH_<n>.json.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_pairs.py --parent <rev> --pairs 10 --first-seed 1001 --out BENCH_<n>.json \
+        [--claim audit-table:ops_per_s] [--change "what the change does"]
+
+The parent revision is checked out into a temporary git worktree, which is
+removed afterwards; the change is this checkout as it stands. For every
+workload of BENCHMARK.json, pair p runs BENCHMARK.json's command with
+--workload W --seed <first-seed + p> --seconds <run_seconds> --trace 0 once
+on each side, one run at a time: the parent runs first in even pairs and
+second in odd ones. The file holds every run's environment line and final
+JSON line, and per workload and end-to-end metric the medians, quartiles
+(statistics.quantiles, method='inclusive'), the ratio of the medians and in
+how many pairs the change was better.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV_PREFIX = "environment = "
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in checkout: its return code, environment line and final JSON line."""
+    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    env = next((json.loads(line[len(ENV_PREFIX):]) for line in lines if line.startswith(ENV_PREFIX)), None)
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+        sys.stderr.write(proc.stderr)
+    return {"environment": env, "returncode": proc.returncode, "result": result}
+
+
+def _metric(run: dict, name: str):
+    result = run["result"]
+    return None if result is None else result["metrics"][name]["value"]
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload and metric: pairs, medians, quartiles, ratio and change_better_in_pairs."""
+    summary = {}
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        pairs = {}
+        for run in runs:
+            if run["workload"] == workload:
+                pairs.setdefault(run["seed"], {})[run["side"]] = run
+        complete = [p for p in pairs.values() if len(p) == 2 and all(r["result"] for r in p.values())]
+        summary[workload] = {}
+        if len(complete) < 2:  # quartiles need two pairs
+            continue
+        for metric in metrics:
+            name, lower = metric["name"], metric["better"] == "lower"
+            values = {side: [_metric(p[side], name) for p in complete] for side in ("parent", "change")}
+            entry = {"pairs": len(complete)}
+            for side, vals in values.items():
+                q1, median, q3 = statistics.quantiles(vals, n=4, method="inclusive")
+                entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
+            entry["ratio_change_over_parent"] = entry["change_median"] / entry["parent_median"]
+            entry["change_better_in_pairs"] = sum(
+                (c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+            summary[workload][name] = entry
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--first-seed", type=int, required=True, help="workload seed of pair 0")
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims a gain on")
+    parser.add_argument("--change", default=None, help="what the change does (default: HEAD's subject)")
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    command, seconds = bench["command"], bench["run_seconds"]
+    parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    claim = None
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        claim = {"workload": workload, "metric": metric}
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_dir = Path(tmp) / "parent"
+        _git("worktree", "add", "--detach", str(parent_dir), parent_sha)
+        try:
+            for workload in (w["name"] for w in bench["workloads"]):
+                for p in range(args.pairs):
+                    seed = args.first_seed + p
+                    order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
+                    for position, side in enumerate(order, start=1):
+                        checkout = parent_dir if side == "parent" else ROOT
+                        run = {"workload": workload, "seed": seed, "side": side, "position_in_pair": position}
+                        run.update(run_once(checkout, command, workload, seed, seconds))
+                        runs.append(run)
+                        print(f"{workload} seed {seed} {side}: {_metric(run, 'ops_per_s')} ops/s",
+                              file=sys.stderr, flush=True)
+        finally:
+            _git("worktree", "remove", "--force", str(parent_dir))
+
+    doc = {
+        "what": (f"{args.pairs} alternating parent/change pairs per workload of the cohkit benchmark "
+                 "(BENCHMARK.json), one run per side per pair, sequential, made by tools/bench_pairs.py. "
+                 f"Pair p uses workload seed {args.first_seed} + p; the parent runs first in even pairs "
+                 "and second in odd ones (position_in_pair). Quartiles are "
+                 "statistics.quantiles(method='inclusive')."),
+        "command": " ".join(command + ["--workload", "<workload>", "--seed", "<seed>",
+                                       "--seconds", str(seconds), "--trace", "0"]),
+        "parent_commit": parent_sha,
+        "change": args.change or _git("log", "-1", "--format=%s"),
+        "claim": claim,
+        "summary": summarize(runs, bench["end_to_end"]),
+        "runs": runs,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0 if all(run["result"] for run in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
