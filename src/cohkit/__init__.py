@@ -43,6 +43,7 @@ from .channels import (
     apply_channel,
     audit_conditions,
     classify_kraus,
+    replay_violation,
     selective_counterexample,
     selective_outcomes,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "random_density",
     "rel_ent_coherence",
     "relative_entropy",
+    "replay_violation",
     "selective_counterexample",
     "selective_outcomes",
     "shannon_entropy",

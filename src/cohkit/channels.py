@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidArgumentsError,
     InvalidKrausError,
+    ParseError,
     PureStateError,
 )
 
@@ -58,6 +59,7 @@ CONDITIONS = ("C0", "C1", "C2_average", "C2_selective", "C3")
 OPERATION_CLASSES = ("unital_mixture", "diagonal_incoherent", "general_tp")
 VERDICT_HOLDS = "holds_within_tol"
 VERDICT_VIOLATED = "violated"
+REPORT_FORMAT = 2
 
 _CLASSIFY_CHECK_SEED = 1060
 
@@ -202,45 +204,17 @@ class AuditReport:
     max_violation: float
     witness: dict
     verdict: str
+    diagnostics: dict
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def to_json(self) -> str:
-        """json.dumps(vars(self), indent=2, sort_keys=True) plus a newline, byte for byte."""
-        return _json_text(vars(self)) + "\n"
-
-
-def _json_text(value, depth: int = 0) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for a value nested depth
-    levels deep.
-
-    json's indent path runs its pure-Python encoder, one generator step per
-    float, so each non-empty regular array of finite floats is written with
-    one %-format instead: %r of a float is float.__repr__, which is what json
-    writes. Everything else goes to json.dumps, re-indented to its depth
-    (json escapes newlines inside strings, so every newline it writes is
-    layout).
-    """
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        items = (json.dumps(k) + ": " + _json_text(v, depth + 1) for k, v in sorted(value.items()))
-        return _json_block("{", items, depth, "}")
-    if isinstance(value, (list, tuple)) and value:
-        array = np.array(value, dtype=object)
-        flat = array.ravel().tolist()
-        if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
-            template = "%r"
-            for axis in reversed(range(array.ndim)):
-                template = _json_block("[", [template] * array.shape[axis], depth + axis, "]")
-            return template % tuple(flat)
-        return _json_block("[", (_json_text(v, depth + 1) for v in value), depth, "]")
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-
-
-def _json_block(open_: str, items, depth: int, close: str) -> str:
-    """A non-empty JSON list or object laid out as json's indent=2 lays it out."""
-    pad = "\n" + "  " * depth
-    return open_ + pad + "  " + ("," + pad + "  ").join(items) + pad + close
+        """Report format 2: one line per top-level key, "format" among them,
+        in sorted order, each value written by json.dumps(value, sort_keys=True)."""
+        fields = sorted({**vars(self), "format": REPORT_FORMAT}.items())
+        lines = (f"  {json.dumps(key)}: {json.dumps(value, sort_keys=True)}" for key, value in fields)
+        return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def _matrix_json(m) -> list:
@@ -257,7 +231,8 @@ def _projectors(vecs: np.ndarray) -> np.ndarray:
 def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool, d: int, seed: int,
                  indices: range):
     """Violation of every sample in indices, and the per-sample columns its
-    witness reads: the inputs, the measure_* values and the C1 or C2 branch.
+    witness reads: the inputs, the measure_* values and the C1 or C2 branch;
+    and for C2_selective, each sample's count of dropped outcomes.
 
     Sample i draws on its own generator from states.sample_generators,
     bitwise default_rng([seed, i]), in a fixed order: the state, then the
@@ -298,23 +273,27 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         average = (weights * kernel(members)).sum(axis=1)
         columns.update(measure_mixture=mixture, measure_average=average)
         return mixture - average, columns
-    # C2: the candidate channels in pool order, the class channel first
+    # C2: the candidate channels in pool order, the class channel first, each
+    # with the mask of its real outcomes (Kraus sets are zero-padded)
+    candidates = []
     if op_class is not None:
         parts = columns["parts"] = np.array([rng.integers(1, _MAX_PARTS + 1) for rng in rngs])
         columns["kraus"] = states.kraus_stack(op_class, d, parts, rngs, _MAX_PARTS)
+        candidates.append((columns["kraus"], np.arange(_MAX_PARTS) < parts[:, None]))
     if probe_eigenbasis:
         # kept per sample, so a winning probe's witness needs no second eigh
-        columns["eigenbasis_projection"] = _projectors(linalg.hermitian_eig_stack(rho).eigenvectors)
-    candidates = [columns[name] for name in ("kraus", "eigenbasis_projection") if name in columns]
+        columns["eigenvectors"] = linalg.hermitian_eig_stack(rho).eigenvectors
+        candidates.append((_projectors(columns["eigenvectors"]), True))
     before = kernel(rho)
     afters = []
-    for ops in candidates:
+    for ops, outcomes in candidates:
         _require_trace_preserving(ops, KRAUS_TP_TOL)
         if condition == "C2_average":
             afters.append(kernel(_average_output(ops, rho)))
         else:
             p, kept, normalized = _selective_readout(ops, rho, SELECTIVE_P_FLOOR)
             afters.append(np.where(kept, p * kernel(normalized), 0.0).sum(axis=1))
+            columns["dropped_outcomes"] = columns.get("dropped_outcomes", 0) + (outcomes & ~kept).sum(axis=1)
     afters = np.stack(afters)
     violations = afters - before
     # argmax keeps the first of equal candidates, as a strict > update would
@@ -346,7 +325,7 @@ def _witness(condition: str, op_class, i: int, sample: dict) -> dict:
                        kraus_operators=_matrix_json(sample["kraus"][:k]))
     else:
         witness.update(state=_matrix_json(rho), channel_label="eigenbasis_projection",
-                       kraus_operators=_matrix_json(sample["eigenbasis_projection"]))
+                       eigenvectors=_matrix_json(sample["eigenvectors"]))
     return witness
 
 
@@ -390,38 +369,34 @@ def audit_conditions(
 
     The witness is the first sample that reaches the maximum violation.
     On a row that holds, that maximum is round-off (about 1e-15), so its
-    sample_index may move with the LAPACK build.
+    sample_index may move with the LAPACK build. A winning eigenbasis probe
+    is witnessed by the state's eigenvectors (columns v_j); its Kraus
+    operators are the projectors |v_j><v_j|.
+
+    diagnostics holds counters over every sample, not kept per sample:
+    min_violation and samples_above_tol; for C2, class_channel_wins and
+    probe_wins; for C2_selective, dropped_outcomes, the outcomes of every
+    candidate that fell below SELECTIVE_P_FLOOR.
     """
-    if measure not in MEASURE_FUNCTIONS:
-        raise InvalidArgumentsError(f"unknown measure {measure!r}; expected one of {tuple(MEASURE_FUNCTIONS)}")
-    if condition not in CONDITIONS:
-        raise InvalidArgumentsError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
-    # sample indices below 2**32 are one 32-bit seed word, as sample_generators needs
-    if not isinstance(samples, (int, np.integer)) or not 1 <= samples <= 2**32:
-        raise InvalidArgumentsError(f"samples must be an integer from 1 to 2**32, got {samples!r}")
-    # a one-state space (d = 1) holds only I/1 and has no coherence to audit
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidArgumentsError(f"d must be an integer >= 2, got {d!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidArgumentsError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (0.0 <= tol < math.inf):
-        raise InvalidArgumentsError(f"tol must be finite and non-negative, got {tol!r}")
-    if condition in ("C2_average", "C2_selective"):
-        if op_class is None and not probe_eigenbasis:
-            raise InvalidArgumentsError(f"{condition} needs an operation class or probe_eigenbasis")
-        if op_class is not None and op_class not in OPERATION_CLASSES:
-            raise InvalidArgumentsError(f"unknown operation class {op_class!r}; expected one of {OPERATION_CLASSES}")
-    else:
-        op_class = None
+    op_class = validate_audit_arguments(measure, condition, op_class, d, samples, seed, tol, probe_eigenbasis)
     samples = int(samples)
     block = max(1, _BLOCK_BYTES // (16 * max(_MAX_PARTS, d) * d * d))
     best = None
+    diagnostics = {"min_violation": math.inf}
     for start in range(0, samples, block):
         indices = range(start, min(start + block, samples))
         violation, columns = _audit_block(measure, condition, op_class, probe_eigenbasis, d, seed, indices)
         j = int(np.argmax(violation))
         if best is None or violation[j] > best[0]:
             best = (violation[j], start + j, {k: v[j] for k, v in columns.items()})
+        diagnostics["min_violation"] = min(diagnostics["min_violation"], float(violation.min()))
+        counts = {"samples_above_tol": violation > tol}
+        if "class_channel" in columns:
+            counts.update(class_channel_wins=columns["class_channel"], probe_wins=~columns["class_channel"])
+        if "dropped_outcomes" in columns:
+            counts["dropped_outcomes"] = columns["dropped_outcomes"]
+        for name, per_sample in counts.items():
+            diagnostics[name] = diagnostics.get(name, 0) + int(per_sample.sum())
     max_violation, index, row = best
     witness = _witness(condition, op_class, index, row)
 
@@ -437,7 +412,85 @@ def audit_conditions(
         max_violation=float(max_violation),
         witness=witness,
         verdict=VERDICT_HOLDS if max_violation <= tol else VERDICT_VIOLATED,
+        diagnostics=diagnostics,
     )
+
+
+def validate_audit_arguments(measure: str, condition: str, op_class: str | None, d: int, samples: int, seed: int,
+                             tol: float, probe_eigenbasis: bool) -> str | None:
+    """Raise InvalidArgumentsError unless audit_conditions accepts these
+    arguments; return the operation class the audit uses (None outside C2)."""
+    if measure not in MEASURE_FUNCTIONS:
+        raise InvalidArgumentsError(f"unknown measure {measure!r}; expected one of {tuple(MEASURE_FUNCTIONS)}")
+    if condition not in CONDITIONS:
+        raise InvalidArgumentsError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
+    # sample indices below 2**32 are one 32-bit seed word, as sample_generators needs
+    if not isinstance(samples, (int, np.integer)) or not 1 <= samples <= 2**32:
+        raise InvalidArgumentsError(f"samples must be an integer from 1 to 2**32, got {samples!r}")
+    # a one-state space (d = 1) holds only I/1 and has no coherence to audit
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise InvalidArgumentsError(f"d must be an integer >= 2, got {d!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgumentsError(f"seed must be a non-negative integer, got {seed!r}")
+    if not (0.0 <= tol < math.inf):
+        raise InvalidArgumentsError(f"tol must be finite and non-negative, got {tol!r}")
+    if condition not in ("C2_average", "C2_selective"):
+        return None
+    if op_class is None and not probe_eigenbasis:
+        raise InvalidArgumentsError(f"{condition} needs an operation class or probe_eigenbasis")
+    if op_class is not None and op_class not in OPERATION_CLASSES:
+        raise InvalidArgumentsError(f"unknown operation class {op_class!r}; expected one of {OPERATION_CLASSES}")
+    return op_class
+
+
+def _witness_matrices(entries, ndim: int) -> np.ndarray:
+    """The complex matrix (ndim 2) or stack of matrices (ndim 3) that
+    _matrix_json wrote as nested [re, im] pairs; ParseError if it is none."""
+    a = np.ascontiguousarray(entries, dtype=float)
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or a.shape[-3] != a.shape[-2]:
+        raise ParseError(f"expected {ndim}-dimensional square [re, im] entries, got shape {a.shape}")
+    return a.view(complex)[..., 0]
+
+
+def replay_violation(report: dict) -> float:
+    """A report's violation, recomputed from its witness matrices alone.
+
+    report is AuditReport.to_dict() output or a parsed report file. The
+    value goes through the scalar API: apply_unitary (C0); the measure of
+    the witness state on its branch (C1); apply_channel or
+    selective_outcomes on the witness's Kraus set (C2), whose operators a
+    probe witness gives as the projectors |v_j><v_j| of its eigenvectors;
+    and the weighted mixture of the witness states (C3). It equals the
+    report's max_violation to round-off. A witness that cannot be read
+    raises ParseError; readable matrices that are not a valid unitary or
+    channel raise that check's error.
+    """
+    try:
+        fn = MEASURE_FUNCTIONS[report["measure_name"]]
+        condition, w = report["condition"], report["witness"]
+        if condition == "C3":
+            weights = np.asarray(w["weights"], dtype=float)
+            members = _witness_matrices(w["states"], 3)
+            mixture = states.DensityMatrix(np.einsum("m,mij->ij", weights, members))
+            return fn(mixture) - sum(p * fn(states.DensityMatrix(m)) for p, m in zip(weights, members))
+        rho = states.DensityMatrix(_witness_matrices(w["state"], 2))
+        if condition == "C0":
+            return abs(fn(states.apply_unitary(rho, _witness_matrices(w["unitary"], 2))) - fn(rho))
+        if condition == "C1" and w["kind"] == "nonzero_on_incoherent":
+            return fn(rho)
+        if condition == "C1" and w["kind"] == "below_floor_on_random":
+            return C1_POSITIVITY_FLOOR - fn(rho)
+        if condition in ("C2_average", "C2_selective"):
+            if "kraus_operators" in w:
+                kraus = KrausSet(_witness_matrices(w["kraus_operators"], 3))
+            else:
+                kraus = KrausSet(_projectors(_witness_matrices(w["eigenvectors"], 2)))
+            if condition == "C2_average":
+                return fn(apply_channel(kraus, rho)) - fn(rho)
+            return sum(p * fn(out) for p, out in selective_outcomes(kraus, rho)) - fn(rho)
+    except (KeyError, TypeError, ValueError, IndexError, DimensionMismatchError) as exc:
+        raise ParseError(f"cannot read the report's witness: {exc!r}") from exc
+    raise ParseError(f"cannot replay a {condition!r} witness of kind {w.get('kind')!r}")
 
 
 def selective_counterexample(rho: states.DensityMatrix) -> tuple[KrausSet, float]:

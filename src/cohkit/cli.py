@@ -343,6 +343,10 @@ def run_audit_cli(args) -> int:
                     combos.append((m, cond_flag, cls_flag))
             else:
                 combos.append((m, cond_flag, None))
+    # every combination is checked before --out is created, so a rejected run leaves nothing behind
+    for m, cond_flag, cls_flag in combos:
+        channels.validate_audit_arguments(m, CONDITION_BY_FLAG[cond_flag], CLASS_BY_FLAG.get(cls_flag), args.d,
+                                          args.samples, args.seed, args.tol, args.probe_eigenbasis)
 
     out = Path(args.out)
     single_file = out.suffix == ".json" and len(combos) == 1

@@ -3,14 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from cohkit import channels, linalg, states
 from cohkit.channels import (
-    C1_POSITIVITY_FLOOR,
-    MEASURE_FUNCTIONS,
     VERDICT_HOLDS,
     VERDICT_VIOLATED,
     AuditReport,
@@ -19,6 +16,7 @@ from cohkit.channels import (
     apply_channel,
     audit_conditions,
     classify_kraus,
+    replay_violation,
     selective_counterexample,
     selective_outcomes,
 )
@@ -31,6 +29,7 @@ from cohkit.errors import (
     NotPositiveError,
     NotUnitaryError,
     NotUnitTraceError,
+    ParseError,
     PureStateError,
 )
 from cohkit.linalg import hermitian_eig, hermitian_eigvals, require_hermitian
@@ -261,7 +260,7 @@ def test_audit_c2_average_ibiqc_general_violated():
     report = audit_conditions("ibiqc", "C2_average", op_class="general_tp", d=3, samples=100, seed=3)
     assert report.verdict == "violated"
     assert report.max_violation > 1e-3
-    assert "kraus_operators" in report.witness
+    assert "kraus_operators" in report.witness and "eigenvectors" not in report.witness
     assert "state" in report.witness
 
 
@@ -285,6 +284,7 @@ def test_audit_c2_selective_ibiqc_probe_violated():
     assert report.verdict == "violated"
     assert report.max_violation > 0.1
     assert report.witness["channel_label"] == "eigenbasis_projection"
+    assert "eigenvectors" in report.witness and "kraus_operators" not in report.witness
 
 
 def test_audit_c3_all_measures_hold():
@@ -316,6 +316,7 @@ def test_audit_report_shape():
         "max_violation",
         "witness",
         "verdict",
+        "diagnostics",
     ):
         assert key in d
     assert isinstance(report, AuditReport)
@@ -411,57 +412,24 @@ def test_audit_uses_neither_seed_sequence_nor_dirichlet(monkeypatch):
         assert len(made) == 100, row
 
 
-SPECIAL_FLOATS = st.sampled_from([-0.0, 5e-324, 1e-7, 1e16, math.nan, math.inf, -math.inf])
-FLOATS = st.one_of(st.floats(), SPECIAL_FLOATS)
-FLOAT_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
-                          elements=FLOATS).map(np.ndarray.tolist)
-JSON_VALUES = st.recursive(
-    st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), st.text(), FLOAT_ARRAYS,
-              st.lists(st.one_of(FLOATS, st.integers(), st.booleans()), min_size=1, max_size=4)),
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
-                            st.dictionaries(st.text(), inner, max_size=4),
-                            st.dictionaries(st.integers(), inner, max_size=3)),
-    max_leaves=12,
-)
-
-
-def _json_dumps_report(report):
-    return json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
-
-
-@settings(max_examples=80, deadline=None)
-@given(witness=st.dictionaries(st.text(), JSON_VALUES, max_size=5), max_violation=FLOATS)
-def test_property_report_json_equals_json_dumps(witness, max_violation):
-    report = AuditReport("ibiqc", "C0", None, 2, 1, 0, 1e-9, False, max_violation, witness, VERDICT_HOLDS)
-    assert report.to_json() == _json_dumps_report(report)
-
-
 @pytest.mark.parametrize("d, samples", [(2, 20), (3, 20), (32, 1)])
-def test_report_json_equals_json_dumps_on_every_expected_row(monkeypatch, d, samples):
-    # A witness array that fell back to json's indent encoder would keep the
-    # bytes, so a spy on that encoder checks that it sees scalars only.
-    encoded = []
-    make_iterencode = json.encoder._make_iterencode
+def test_report_json_is_one_sorted_key_per_line_on_every_expected_row(monkeypatch, d, samples):
+    # json's indent encoder is its pure-Python one; format 2 never needs it
+    def indent_encoder(*args, **kwargs):
+        raise AssertionError("to_json called json's indent encoder")
 
-    def spy(*args, **kwargs):
-        encode = make_iterencode(*args, **kwargs)
-
-        def recording(o, level):
-            encoded.append(o)
-            return encode(o, level)
-
-        return recording
-
-    monkeypatch.setattr(json.encoder, "_make_iterencode", spy)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", indent_encoder)
     for row in EXPECTED_VERDICTS:
         measure, condition, op_class, probe = row
         report = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=3,
                                   probe_eigenbasis=probe)
-        encoded.clear()
         text = report.to_json()
-        assert encoded, row
-        assert [type(o) for o in encoded if isinstance(o, (list, tuple, dict))] == [], row
-        assert text == _json_dumps_report(report), row
+        doc = json.loads(text)
+        assert doc == {**report.to_dict(), "format": 2}, row
+        lines = text.split("\n")
+        assert lines[0] == "{" and lines[-2:] == ["}", ""], row
+        keys = [list(json.loads("{" + line.removesuffix(",") + "}")) for line in lines[1:-2]]
+        assert keys == [[k] for k in sorted(doc)], row
 
 
 def test_probe_witness_reuses_the_probe_decomposition(monkeypatch):
@@ -472,7 +440,7 @@ def test_probe_witness_reuses_the_probe_decomposition(monkeypatch):
     report = audit_conditions("ibiqc", "C2_selective", d=3, samples=20, seed=5, probe_eigenbasis=True)
     w = report.witness
     assert w["channel_label"] == "eigenbasis_projection"
-    kraus = KrausSet(_witness_matrix(w["kraus_operators"]))
+    kraus = KrausSet(channels._projectors(_witness_matrix(w["eigenvectors"])))
     rho = DensityMatrix(_witness_matrix(w["state"]))
     after = sum(p * ibiqc_coherence(out) for p, out in selective_outcomes(kraus, rho))
     assert after == pytest.approx(w["measure_after"], abs=1e-12)
@@ -589,23 +557,6 @@ def _witness_matrix(entries):
     return a[..., 0] + 1j * a[..., 1]
 
 
-def _replayed_violation(report):
-    """The report's max_violation, recomputed from its witness alone."""
-    w = report.witness
-    fn = MEASURE_FUNCTIONS[report.measure_name]
-    if report.condition == "C0":
-        rho = DensityMatrix(_witness_matrix(w["state"]))
-        return abs(fn(apply_unitary(rho, _witness_matrix(w["unitary"]))) - fn(rho))
-    if report.condition == "C1":
-        assert fn(DensityMatrix(_witness_matrix(w["state"]))) == pytest.approx(w["measure_value"], abs=1e-12)
-        if w["kind"] == "nonzero_on_incoherent":
-            return w["measure_value"]
-        return C1_POSITIVITY_FLOOR - w["measure_value"]
-    if report.condition == "C3":
-        return w["measure_mixture"] - w["measure_average"]
-    return w["measure_after"] - w["measure_before"]
-
-
 def test_audit_pin_covers_expected_verdicts():
     assert set(AUDIT_PIN) == set(EXPECTED_VERDICTS)
 
@@ -620,4 +571,58 @@ def test_audit_matches_pin_and_witness_replays(row):
     assert report.max_violation == pytest.approx(max_violation, abs=1e-12)
     if max_violation > 1e-12:
         assert report.witness["sample_index"] == sample_index
-    assert _replayed_violation(report) == pytest.approx(report.max_violation, abs=1e-12)
+    assert replay_violation(report.to_dict()) == pytest.approx(report.max_violation, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=st.sampled_from(list(EXPECTED_VERDICTS)), d=st.integers(2, 6), seed=st.integers(0, 2**128),
+       samples=st.integers(1, 40))
+@example(row=("ibiqc", "C2_selective", "unital_mixture", True), d=32, seed=12345, samples=1)
+def test_property_witness_replays_and_holding_rows_hold(row, d, seed, samples):
+    measure, condition, op_class, probe = row
+    report = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=seed, probe_eigenbasis=probe)
+    for parsed in (report.to_dict(), json.loads(report.to_json())):
+        assert replay_violation(parsed) == pytest.approx(report.max_violation, abs=1e-12)
+    if EXPECTED_VERDICTS[row] == VERDICT_HOLDS:
+        assert report.verdict != VERDICT_VIOLATED
+    diagnostics = report.diagnostics
+    assert diagnostics["min_violation"] <= report.max_violation
+    assert (diagnostics["samples_above_tol"] > 0) == (report.verdict == VERDICT_VIOLATED)
+    if condition.startswith("C2"):
+        assert diagnostics["class_channel_wins"] + diagnostics["probe_wins"] == samples
+        assert diagnostics["probe_wins"] == 0 or probe
+
+
+# Diagnostics of three AUDIT_PIN rows whose counts stand clear of round-off
+DIAGNOSTICS_PIN = {
+    ("l1", "C0", None, False): {"min_violation": 0.002398614516751718, "samples_above_tol": 100},
+    ("ibiqc", "C2_average", "general_tp", False): {
+        "min_violation": -0.8100943897732005, "samples_above_tol": 5, "class_channel_wins": 100, "probe_wins": 0},
+    ("ibiqc", "C2_selective", "general_tp", True): {
+        "min_violation": 0.35841212904714626, "samples_above_tol": 100, "class_channel_wins": 0, "probe_wins": 100,
+        "dropped_outcomes": 0},
+}
+
+
+@pytest.mark.parametrize("row", list(DIAGNOSTICS_PIN), ids=lambda row: "-".join(map(str, row)))
+def test_audit_diagnostics_match_pin(row):
+    measure, condition, op_class, probe = row
+    report = audit_conditions(measure, condition, op_class=op_class, d=PIN_D, samples=PIN_SAMPLES,
+                              seed=PIN_SEED, probe_eigenbasis=probe)
+    assert report.diagnostics == pytest.approx(DIAGNOSTICS_PIN[row], abs=1e-12)
+
+
+def test_replay_violation_rejects_unreadable_witness():
+    report = audit_conditions("ibiqc", "C2_selective", d=2, samples=5, seed=1, probe_eigenbasis=True).to_dict()
+    witness = report["witness"]
+    for broken in (
+        {**report, "witness": {}},
+        {**report, "witness": None},
+        {**report, "measure_name": "fidelity"},
+        {**report, "condition": "C9"},
+        {**report, "witness": {**witness, "state": "not a matrix"}},
+        {**report, "witness": {**witness, "eigenvectors": [[1.0, 0.0], [0.0, 1.0]]}},
+        {**report, "witness": {k: v for k, v in witness.items() if k != "eigenvectors"}},
+    ):
+        with pytest.raises(ParseError):
+            replay_violation(broken)

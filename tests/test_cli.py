@@ -492,6 +492,16 @@ def test_unwritable_output_exit_2(tmp_path, capsys, command):
     assert captured.out == "" and captured.err.startswith("error: cannot write ")
 
 
+@pytest.mark.parametrize("bad", [["--samples", "0"], ["--d", "1"], ["--seed", "-1"], ["--tol", "nan"],
+                                 ["--condition", "C0,C2avg"]])
+def test_rejected_audit_creates_no_out_directory(tmp_path, capsys, bad):
+    out = tmp_path / "newdir"
+    argv = ["audit", "--measure", "l1", "--condition", "C0", "--samples", "2", *bad, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_audit_samples_above_2_pow_32_exit_2(tmp_path, capsys):
     # an index of 2**32 or more would be two seed words; the gate stops the audit before any draw
     with pytest.raises(InvalidArgumentsError):
