@@ -593,6 +593,17 @@ def test_property_witness_replays_and_holding_rows_hold(row, d, seed, samples):
         assert diagnostics["probe_wins"] == 0 or probe
 
 
+@settings(max_examples=100, deadline=None)
+@given(row=st.sampled_from(list(EXPECTED_VERDICTS)), d=st.integers(2, 5), seed=st.integers(0, 2**128),
+       n=st.integers(1, 20), m=st.integers(1, 20))
+def test_property_audit_max_violation_is_monotone_in_samples(row, d, seed, n, m):
+    # sample i draws only from (seed, i), so n samples are a prefix of n + m
+    measure, condition, op_class, probe = row
+    prefix, longer = (audit_conditions(measure, condition, op_class, d=d, samples=k, seed=seed,
+                                       probe_eigenbasis=probe) for k in (n, n + m))
+    assert prefix.max_violation <= longer.max_violation
+
+
 # Diagnostics of three AUDIT_PIN rows whose counts stand clear of round-off
 DIAGNOSTICS_PIN = {
     ("l1", "C0", None, False): {"min_violation": 0.002398614516751718, "samples_above_tol": 100},
