@@ -253,22 +253,23 @@ def test_min_distance_trace_lies_between_its_bounds_above_qubits():
     for d in (3, 4):
         for _ in range(10):
             rho = random_density(d, seed=int(rng.integers(0, 2**31)))
-            offdiag = rho.matrix - np.diag(rho.matrix.diagonal())
+            dephased = np.diag(rho.matrix.diagonal())
             value, _ = min_distance_coherence(rho, "trace", "all_diagonal")
-            assert np.abs(offdiag).max() - 1e-12 <= value
-            assert value <= trace_distance(rho.matrix, np.diag(rho.matrix.diagonal())) + 1e-12
+            assert np.abs(rho.matrix - dephased).max() - 1e-12 <= value
+            assert value <= trace_distance(rho.matrix, dephased) + 1e-12
 
 
 # States on which Nelder-Mead stagnates 3e-5 to 9e-5 above the minimum
-# unless it restarts from its best point. Each reference is the best of 12 scipy Powell starts (rho's
-# diagonal, uniform and ten N(0, 1) points in the softmax coordinates,
-# xtol 1e-12, ftol 1e-15), each polished by Nelder-Mead restarts (xatol
-# 1e-12, fatol 1e-16) until the value stops falling.
+# unless it restarts from its best point. Each reference is the best of 12
+# scipy Powell starts (rho's diagonal, uniform and ten N(0, 1) points in
+# the softmax coordinates, xtol 1e-12, ftol 1e-15), each polished by
+# Nelder-Mead restarts (xatol 1e-12, fatol 1e-16) until the value stops
+# falling.
 TRACE_STALL_REFERENCES = {315: 0.45573647314727894, 969: 0.3881434176097516, 1030: 0.43599378017072804}
 
 
 @pytest.mark.parametrize("seed", list(TRACE_STALL_REFERENCES))
-def test_min_distance_trace_reaches_reference_where_cold_restart_stalls(seed):
+def test_min_distance_trace_reaches_reference_on_stagnating_states(seed):
     value, _ = min_distance_coherence(random_density(4, seed=seed), "trace", "all_diagonal")
     assert value == pytest.approx(TRACE_STALL_REFERENCES[seed], abs=1e-8)
 
