@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,7 +208,8 @@ class AuditReport:
     diagnostics: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # equals dataclasses.asdict (no field holds a dataclass) without its element-by-element deep copy
+        return pickle.loads(pickle.dumps(vars(self)))
 
     def to_json(self) -> str:
         """Report format 2: one line per top-level key, "format" among them,

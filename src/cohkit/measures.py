@@ -132,6 +132,8 @@ def _diagonal_distance_fn(rho: DensityMatrix, metric: str):
 
         def fn(probs: np.ndarray) -> float:
             tiny = probs < SUPPORT_EIGENVALUE_TOL
+            if not tiny.any():
+                return max(0.0, neg_s_rho - float((diag * np.log2(probs)).sum()))
             if np.any(diag[tiny] > SUPPORT_WEIGHT_TOL):
                 return math.inf
             keep = ~tiny
@@ -169,11 +171,14 @@ def min_distance_coherence(
     "all_diagonal" runs a derivative-free Nelder-Mead search over softmax
     coordinates (the first coordinate is pinned to remove the shift
     gauge) from rho's diagonal, then restarts it once from the best point,
-    each run with half the evaluation budget. A run stops when its
+    each run with half the evaluation budget. The restart runs only when
+    the first run moved: Nelder-Mead is deterministic, so a restart from
+    the point the first run started from would replay it bit for bit, and
+    then only half of the budget is used. A run stops when its
     simplex spans under 1e-6 in every coordinate and its values under
     1e-13: near a smooth minimum a step of 1e-8 already leaves the value
     unchanged in double precision, so the value sets the accuracy.
-    Raises OptimizerFailure if neither run converges.
+    Raises OptimizerFailure if no run converges.
     """
     from scipy import optimize  # deferred: scipy costs most of the package import
 
@@ -185,15 +190,18 @@ def min_distance_coherence(
         delta = DiagonalState(np.full(d, 1.0 / d))
         return distance(delta.probs), delta
 
+    logits = np.zeros(d)  # logits[0] stays 0: the pinned coordinate
+
     def objective(y: np.ndarray) -> float:
-        return distance(_softmax(np.concatenate(([0.0], y))))
+        logits[1:] = y
+        return distance(_softmax(logits))
 
     diag_start = np.clip(rho.diagonal_probs(), 1e-12, None)
     diag_start = diag_start / diag_start.sum()
+    x0 = np.log(diag_start[1:] / diag_start[0])
     best = None
     converged = False
     for _ in range(2):
-        x0 = np.log(diag_start[1:] / diag_start[0]) if best is None else best.x
         result = optimize.minimize(
             objective,
             x0,
@@ -203,6 +211,9 @@ def min_distance_coherence(
         converged = converged or bool(result.success)
         if best is None or result.fun < best.fun:
             best = result
+        if np.array_equal(best.x, x0):
+            break  # Nelder-Mead is deterministic: a restart from x0 would replay this run
+        x0 = best.x
     if not converged:
         raise OptimizerFailure(
             f"direct search did not converge within {budget} evaluations for metric {metric!r}"

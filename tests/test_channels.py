@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -321,6 +322,25 @@ def test_audit_report_shape():
         assert key in d
     assert isinstance(report, AuditReport)
     assert d["samples"] == 10
+
+
+@pytest.mark.parametrize("row", [("ibiqc", "C2_average", "general_tp", False), ("re", "C3", None, False),
+                                 ("ibiqc", "C2_selective", "general_tp", True)],
+                         ids=lambda row: "-".join(map(str, row)))
+def test_to_dict_equals_asdict_and_is_a_deep_copy(row):
+    measure, condition, op_class, probe = row
+    report = audit_conditions(measure, condition, op_class, d=3, samples=10, seed=3, probe_eigenbasis=probe)
+    expected = dataclasses.asdict(report)
+    copy = report.to_dict()
+    assert copy == expected
+    assert list(copy) == list(expected)
+    for value in copy["witness"].values():
+        if isinstance(value, list):
+            if isinstance(value[0], list):
+                value[0].append(None)
+            value.append(None)
+    copy["diagnostics"].clear()
+    assert dataclasses.asdict(report) == expected
 
 
 def test_audit_invalid_arguments():

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 from cohkit.errors import DimensionMismatchError, InvalidArgumentsError, OptimizerFailure
 from cohkit.linalg import trace_distance
 from cohkit.measures import (
+    OPTIMIZER_BUDGET,
+    SUPPORT_EIGENVALUE_TOL,
+    SUPPORT_WEIGHT_TOL,
     _diagonal_distance_fn,
+    _softmax,
     c_ibiqc,
     c_l1,
     c_re,
@@ -306,6 +310,113 @@ def test_min_distance_budget_exhaustion():
     rho = random_density(3, seed=19)
     with pytest.raises(OptimizerFailure):
         min_distance_coherence(rho, "trace", "all_diagonal", budget=4)
+
+
+def _masked_relative_entropy_fn(rho):
+    """The relative-entropy objective that masks its arguments on every call."""
+    neg_s_rho = -von_neumann_entropy(rho)
+    diag = rho.diagonal_probs()
+
+    def fn(probs):
+        tiny = probs < SUPPORT_EIGENVALUE_TOL
+        if np.any(diag[tiny] > SUPPORT_WEIGHT_TOL):
+            return math.inf
+        keep = ~tiny
+        return max(0.0, neg_s_rho - float((diag[keep] * np.log2(probs[keep])).sum()))
+
+    return fn
+
+
+def _always_restart_search(rho, metric, budget=OPTIMIZER_BUDGET):
+    """Reference search that always restarts: Nelder-Mead from rho's diagonal,
+    then once more from the best point even when that is where the first run
+    started. Returns (converged, value, probs)."""
+    from scipy import optimize
+
+    distance = _masked_relative_entropy_fn(rho) if metric == "relative_entropy" else _diagonal_distance_fn(rho, metric)
+
+    def objective(y):
+        return distance(_softmax(np.concatenate(([0.0], y))))
+
+    diag_start = np.clip(rho.diagonal_probs(), 1e-12, None)
+    diag_start = diag_start / diag_start.sum()
+    best = None
+    converged = False
+    for _ in range(2):
+        x0 = np.log(diag_start[1:] / diag_start[0]) if best is None else best.x
+        result = optimize.minimize(objective, x0, method="Nelder-Mead",
+                                   options={"maxfev": budget // 2, "xatol": 1e-6, "fatol": 1e-13})
+        converged = converged or bool(result.success)
+        if best is None or result.fun < best.fun:
+            best = result
+    return converged, float(best.fun), _softmax(np.concatenate(([0.0], best.x)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_min_distance_equals_always_restart_reference_bitwise(d):
+    rng = np.random.default_rng(53 + d)
+    for _ in range(10):
+        rho = random_density(d, seed=int(rng.integers(0, 2**31)))
+        for metric in ("relative_entropy", "trace", "frobenius"):
+            converged, ref_value, ref_probs = _always_restart_search(rho, metric)
+            value, argmin = min_distance_coherence(rho, metric, "all_diagonal")
+            assert converged
+            assert value == ref_value, metric
+            assert np.array_equal(argmin.probs, ref_probs), metric
+
+
+@pytest.mark.parametrize("metric", ["relative_entropy", "trace"])
+def test_min_distance_budget_failures_equal_always_restart_reference(metric):
+    rho = random_density(3, seed=19)
+    for budget in range(2, 41):
+        converged, ref_value, ref_probs = _always_restart_search(rho, metric, budget)
+        if not converged:
+            with pytest.raises(OptimizerFailure):
+                min_distance_coherence(rho, metric, "all_diagonal", budget=budget)
+            continue
+        value, argmin = min_distance_coherence(rho, metric, "all_diagonal", budget=budget)
+        assert value == ref_value and np.array_equal(argmin.probs, ref_probs), budget
+
+
+def test_relative_entropy_objective_equals_masked_form_bitwise():
+    rng = np.random.default_rng(59)
+    for d in (2, 3, 4):
+        rho = random_density(d, seed=int(rng.integers(0, 2**31)))
+        fn, masked = _diagonal_distance_fn(rho, "relative_entropy"), _masked_relative_entropy_fn(rho)
+        for tiny in (None, 0.0, 1e-13):
+            probs = rng.dirichlet(np.ones(d))
+            if tiny is not None:
+                probs[-1] = tiny
+            assert fn(probs) == masked(probs), (d, tiny)
+    pure = maximally_coherent(2).to_density()  # rho weighs both entries, probs vanishes on one
+    probs = np.array([1.0, 0.0])
+    assert _diagonal_distance_fn(pure, "relative_entropy")(probs) == math.inf == _masked_relative_entropy_fn(pure)(probs)
+
+
+def test_min_distance_restarts_only_after_a_moving_run(monkeypatch):
+    from scipy import optimize
+
+    runs = []
+    minimize = optimize.minimize
+
+    def recording(fun, x0, **kwargs):
+        result = minimize(fun, x0, **kwargs)
+        runs.append((np.array(x0), result.x))
+        return result
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    for d in (2, 3, 4):
+        rho = random_density(d, seed=61 + d)
+        for metric in ("relative_entropy", "frobenius"):
+            runs.clear()
+            min_distance_coherence(rho, metric, "all_diagonal")
+            assert len(runs) == 1, (d, metric)
+            assert np.array_equal(*runs[0])
+    runs.clear()
+    min_distance_coherence(random_density(3, seed=7), "trace", "all_diagonal")
+    assert len(runs) == 2
+    assert not np.array_equal(*runs[0])
+    assert np.array_equal(runs[1][0], runs[0][1])
 
 
 def test_ibiqc_zero_implies_maximally_mixed():
