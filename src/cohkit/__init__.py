@@ -6,7 +6,6 @@ angles are radians.
 from . import errors
 from .linalg import (
     Spectrum,
-    frobenius_distance,
     hermitian_eig,
     trace_distance,
 )
@@ -19,7 +18,6 @@ from .states import (
     haar_unitary,
     hadamard,
     make_density,
-    maximally_coherent,
     maximally_mixed,
     qubit_pair,
     random_channel,
@@ -65,7 +63,6 @@ __all__ = [
     "classify_kraus",
     "coherence_report",
     "errors",
-    "frobenius_distance",
     "glauber_truncated",
     "haar_unitary",
     "hadamard",
@@ -73,7 +70,6 @@ __all__ = [
     "ibiqc_coherence",
     "l1_coherence",
     "make_density",
-    "maximally_coherent",
     "maximally_mixed",
     "min_distance_coherence",
     "qubit_pair",

@@ -86,7 +86,6 @@ class KrausSet:
     """
 
     operators: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         try:
@@ -427,14 +426,14 @@ def validate_audit_arguments(measure: str, condition: str, op_class: str | None,
     if condition not in CONDITIONS:
         raise InvalidArgumentsError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
     # sample indices below 2**32 are one 32-bit seed word, as sample_generators needs
-    if not isinstance(samples, (int, np.integer)) or not 1 <= samples <= 2**32:
+    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or not 1 <= samples <= 2**32:
         raise InvalidArgumentsError(f"samples must be an integer from 1 to 2**32, got {samples!r}")
     # a one-state space (d = 1) holds only I/1 and has no coherence to audit
-    if not isinstance(d, (int, np.integer)) or d < 2:
+    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 2:
         raise InvalidArgumentsError(f"d must be an integer >= 2, got {d!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise InvalidArgumentsError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (0.0 <= tol < math.inf):
+    if isinstance(tol, bool) or not (0.0 <= tol < math.inf):
         raise InvalidArgumentsError(f"tol must be finite and non-negative, got {tol!r}")
     if condition not in ("C2_average", "C2_selective"):
         return None
@@ -509,7 +508,7 @@ def selective_counterexample(rho: states.DensityMatrix) -> tuple[KrausSet, float
         raise PureStateError(
             f"state entropy {entropy:.3e} bits leaves nothing for a selective readout to gain"
         )
-    kraus = KrausSet(_projectors(linalg.hermitian_eig(rho.matrix).eigenvectors), label="eigenbasis_projection")
+    kraus = KrausSet(_projectors(linalg.hermitian_eig(rho.matrix).eigenvectors))
     before = measures.ibiqc_coherence(rho)
     after = sum(p * measures.ibiqc_coherence(out) for p, out in selective_outcomes(kraus, rho))
     return kraus, float(after - before)

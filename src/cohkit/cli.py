@@ -9,10 +9,11 @@ Subcommands:
   demo interference       wave-plate fringe curve and visibility
 
 State files are JSON: {"dim": d, "entries": d x d rows of [re, im]
-pairs, "label": optional}. Numbers are written with 17 significant
-digits so a save/load round trip is exact. CSV output uses a header
-row, comma separators, '.' decimals, and LF line endings. All angles
-are radians; degree input is not accepted anywhere.
+pairs, "label": optional}; they are read, never written, and any JSON
+number that a double holds is read exactly. CSV output uses a header
+row, comma separators, '.' decimals, LF line endings, and numbers with
+17 significant digits, enough to reproduce each double exactly. All
+angles are radians; degree input is not accepted anywhere.
 
 Exit codes: 0 success (audit verdicts match expectations), 1 audit
 verdict mismatch, 2 usage error (an output path that cannot be written
@@ -142,15 +143,11 @@ def _load_json(path, what: str):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _read_statefile(path) -> tuple[states.DensityMatrix, str | None]:
+def load_state(path) -> tuple[states.DensityMatrix, str | None]:
+    """Read and validate a StateFile: its state and its label (None when
+    absent). Malformed input raises ParseError, invalid states raise the
+    make_density errors."""
     return _parse_state_document(_load_json(path, "state file"), context=str(path))
-
-
-def load_state(path) -> states.DensityMatrix:
-    """Read and validate a StateFile; malformed input raises ParseError,
-    invalid states raise the make_density errors."""
-    rho, _ = _read_statefile(path)
-    return rho
 
 
 def _write_text(text: str, path=None) -> None:
@@ -166,26 +163,10 @@ def _write_text(text: str, path=None) -> None:
         raise InvalidArgumentsError(f"cannot write {path}: {exc}") from exc
 
 
-def save_state(rho: states.DensityMatrix, path, label: str | None = None) -> None:
-    """Write a StateFile with 17-significant-digit entries."""
-    rows = []
-    for row in rho.matrix:
-        cells = ", ".join(f"[{_fmt(v.real)}, {_fmt(v.imag)}]" for v in row)
-        rows.append(f"    [{cells}]")
-    lines = ["{", f'  "dim": {rho.dim},']
-    if label is not None:
-        lines.append(f'  "label": {json.dumps(label)},')
-    lines.append('  "entries": [')
-    lines.append(",\n".join(rows))
-    lines.append("  ]")
-    lines.append("}")
-    _write_text("\n".join(lines) + "\n", path)
-
-
 def _write_table(columns, rows, out_path=None) -> None:
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+        lines.append(",".join(_fmt(v) for v in row))
     _write_text("\n".join(lines) + "\n", out_path)
 
 
@@ -395,7 +376,7 @@ def run_audit_cli(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    rho, label = _read_statefile(args.statefile)
+    rho, label = load_state(args.statefile)
     report = measures.coherence_report(rho).to_dict()
     if label is not None:
         report["label"] = label
@@ -425,8 +406,7 @@ def _cmd_demo_glauber(args) -> int:
         if not math.isfinite(value):
             raise InvalidArgumentsError(f"{name} must be finite, got {value!r}")
     rows = demo_glauber(complex(args.alpha_re, args.alpha_im), dims)
-    table = [(str(d),) + tuple(_fmt(v) for v in rest) for d, *rest in rows]
-    _write_table(GLAUBER_COLUMNS, table, args.out)
+    _write_table(GLAUBER_COLUMNS, rows, args.out)
     return EXIT_OK
 
 

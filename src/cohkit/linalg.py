@@ -154,12 +154,3 @@ def trace_distance(a, b, tol: float = HERMITIAN_TOL) -> float:
     if am.shape != bm.shape:
         raise DimensionMismatchError(f"shape mismatch: {am.shape} vs {bm.shape}")
     return 0.5 * float(np.abs(hermitian_eigvals(am - bm, tol)).sum())
-
-
-def frobenius_distance(a, b) -> float:
-    """Frobenius norm of the entrywise difference."""
-    am = as_complex_matrix(a)
-    bm = as_complex_matrix(b)
-    if am.shape != bm.shape:
-        raise DimensionMismatchError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    return float(np.linalg.norm(am - bm))

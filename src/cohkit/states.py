@@ -116,7 +116,7 @@ def require_probabilities(p: np.ndarray) -> np.ndarray:
 
 
 def _require_dim(d: int) -> int:
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {d!r}")
     return int(d)
 
@@ -172,12 +172,6 @@ def maximally_mixed(d: int) -> DensityMatrix:
     """Identity over d: the unique state with no preferred direction."""
     d = _require_dim(d)
     return DensityMatrix(np.eye(d, dtype=complex) / d)
-
-
-def maximally_coherent(d: int) -> PureState:
-    """Equal-amplitude superposition over the computational basis."""
-    d = _require_dim(d)
-    return PureState(np.full(d, 1.0 / math.sqrt(d), dtype=complex))
 
 
 def qubit_pair(alpha: float) -> tuple[DensityMatrix, DensityMatrix]:
@@ -441,8 +435,7 @@ def random_channel(kind: str, d: int, k: int = 2, seed=0):
     from .channels import KrausSet  # deferred: channels imports this module
 
     d = _require_dim(d)
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise InvalidDimensionError(f"number of Kraus operators must be >= 1, got {k!r}")
-    k = int(k)
     ops = kraus_stack(kind, d, np.array([k]), [np.random.default_rng(seed)], k)[0]
-    return KrausSet(ops, label=f"{kind}(d={d}, k={k})")
+    return KrausSet(ops)

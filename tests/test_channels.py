@@ -25,6 +25,7 @@ from cohkit.cli import EXPECTED_VERDICTS
 from cohkit.errors import (
     DimensionMismatchError,
     InvalidArgumentsError,
+    InvalidDimensionError,
     InvalidKrausError,
     NotHermitianError,
     NotPositiveError,
@@ -55,7 +56,7 @@ P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def dephasing():
-    return KrausSet(operators=(P0, P1), label="computational dephasing")
+    return KrausSet(operators=(P0, P1))
 
 
 def test_apply_channel_single_unitary():
@@ -362,6 +363,28 @@ def test_audit_invalid_arguments():
             audit_conditions("l1", "C0", d=3, samples=10, seed=0, tol=tol)
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: states.random_density(True, 0), InvalidDimensionError),
+        (lambda: states.haar_unitary(True, 0), InvalidDimensionError),
+        (lambda: states.maximally_mixed(True), InvalidDimensionError),
+        (lambda: states.glauber_truncated(1.0, True), InvalidDimensionError),
+        (lambda: states.random_channel("general_tp", True), InvalidDimensionError),
+        (lambda: states.random_channel("general_tp", 2, k=True), InvalidDimensionError),
+        (lambda: audit_conditions("l1", "C0", d=True, samples=10, seed=0), InvalidArgumentsError),
+        (lambda: audit_conditions("l1", "C0", d=3, samples=True, seed=0), InvalidArgumentsError),
+        (lambda: audit_conditions("l1", "C0", d=3, samples=10, seed=True), InvalidArgumentsError),
+        (lambda: audit_conditions("l1", "C0", d=3, samples=10, seed=0, tol=True), InvalidArgumentsError),
+    ],
+    ids=["random_density-d", "haar_unitary-d", "maximally_mixed-d", "glauber_truncated-d", "random_channel-d",
+         "random_channel-k", "audit-d", "audit-samples", "audit-seed", "audit-tol"],
+)
+def test_bools_fail_the_integer_and_tolerance_gates(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_audit_c1_gates_dirichlet_draws_as_one_stack(monkeypatch):
     shapes = []
     gate = states.require_probabilities
@@ -611,6 +634,7 @@ def test_property_witness_replays_and_holding_rows_hold(row, d, seed, samples):
     if condition.startswith("C2"):
         assert diagnostics["class_channel_wins"] + diagnostics["probe_wins"] == samples
         assert diagnostics["probe_wins"] == 0 or probe
+        assert report.witness["measure_after"] - report.witness["measure_before"] == report.max_violation
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,16 +20,22 @@ from cohkit.cli import (
     load_state,
     main,
     parse_interference_config,
-    save_state,
     sweep_alpha,
 )
 from cohkit.errors import InvalidArgumentsError, NotPositiveError, ParseError
-from cohkit.measures import ibiqc_coherence, l1_coherence, rel_ent_coherence
+from cohkit.measures import coherence_report, ibiqc_coherence, l1_coherence, rel_ent_coherence
 from cohkit.states import make_density, qubit_pair, random_density
 
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def write_state(path, rho, label=None):
+    doc = {"dim": rho.dim, "entries": [[[v.real, v.imag] for v in row] for row in rho.matrix.tolist()]}
+    if label is not None:
+        doc["label"] = label
+    write_json(path, doc)
 
 
 def delta0_doc():
@@ -38,14 +45,15 @@ def delta0_doc():
 def test_load_state_maximally_mixed(tmp_path):
     p = tmp_path / "state.json"
     write_json(p, delta0_doc())
-    rho = load_state(p)
+    rho, label = load_state(p)
     assert np.allclose(rho.matrix, np.eye(2) / 2)
+    assert label is None
 
 
 def test_load_state_diagonal(tmp_path):
     p = tmp_path / "state.json"
     write_json(p, {"dim": 2, "entries": [[[0.75, 0], [0, 0]], [[0, 0], [0.25, 0]]]})
-    rho = load_state(p)
+    rho, _ = load_state(p)
     assert np.allclose(rho.matrix, np.diag([0.75, 0.25]))
 
 
@@ -71,21 +79,17 @@ def test_load_state_rejects_wrong_shape(tmp_path):
         load_state(p)
 
 
-def test_save_load_roundtrip(tmp_path):
+def test_json_dumps_state_file_reads_back_bitwise(tmp_path, capsys):
+    # json.dumps writes the shortest text that reads back as the same double
     rho = random_density(4, seed=33)
     p = tmp_path / "state.json"
-    save_state(rho, p, label="random 4-level state")
-    back = load_state(p)
-    assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-15
-
-
-def test_save_load_roundtrip_is_bitwise(tmp_path):
-    rho = random_density(3, seed=34)
-    p = tmp_path / "state.json"
-    save_state(rho, p)
-    back = load_state(p)
-    # 17 significant digits reproduce doubles exactly
+    write_state(p, rho, label="random 4-level state")
+    back, label = load_state(p)
     assert np.array_equal(back.matrix, rho.matrix)
+    assert label == "random 4-level state"
+    assert main(["measure", str(p)]) == 0
+    expected = {**coherence_report(rho).to_dict(), "label": label}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_default_alpha_grid():
@@ -237,7 +241,7 @@ def test_interference_config_validation():
 def test_main_measure_stdout(tmp_path, capsys):
     p = tmp_path / "state.json"
     rz, _ = qubit_pair(math.pi / 6)
-    save_state(rz, p, label="qubit demo")
+    write_state(p, rz, label="qubit demo")
     assert main(["measure", str(p)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["dim"] == 2
@@ -455,7 +459,7 @@ def test_main_demo_interference(tmp_path, capsys):
 
 def test_main_demo_interference_statefile_input(tmp_path, capsys):
     state = tmp_path / "input.json"
-    save_state(make_density(np.eye(2) / 2), state)
+    write_state(state, make_density(np.eye(2) / 2))
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "curve.csv"
     write_json(
@@ -589,7 +593,7 @@ def _run_main(argv, out, capsys):
 
 def test_reused_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys):
     state = tmp_path / "state.json"
-    save_state(random_density(3, seed=8), state, label="reuse")
+    write_state(state, random_density(3, seed=8), label="reuse")
     out = tmp_path / "out.json"
     audit = ["audit", "--measure", "ibiqc", "--condition", "C2sel", "--class", "unital",
              "--d", "3", "--samples", "20", "--seed", "11", "--out", str(out)]
@@ -611,6 +615,11 @@ def test_reused_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys):
     assert [r[0] for r in reused] == [0, 0, 2, 0, 0, 0]
     assert reused[4][3] is not None and reused[5][3] is None
     assert reused[5][1].encode("utf-8") == reused[4][3]
+
+
+def test_readme_names_every_public_export():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in cohkit.__all__ if not re.search(rf"\b{name}\b", readme)] == []
 
 
 def test_import_leaves_scipy_unloaded():

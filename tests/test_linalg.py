@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from cohkit.errors import (
     NotHermitianError,
 )
 from cohkit.linalg import (
-    frobenius_distance,
     hermitian_eig,
     hermitian_eig_stack,
     hermitian_eigvals,
@@ -187,20 +184,6 @@ def test_trace_distance_symmetry():
     a = random_hermitian(rng, 4)
     b = random_hermitian(rng, 4)
     assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), abs=1e-12)
-
-
-def test_frobenius_distance_examples():
-    a = np.diag([1.0, 0.0])
-    b = np.diag([0.0, 1.0])
-    assert frobenius_distance(a, a) == 0.0
-    assert frobenius_distance(a, b) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    rx0 = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert frobenius_distance(rx0, np.eye(2) / 2) == pytest.approx(math.sqrt(0.5), abs=1e-12)
-
-
-def test_frobenius_distance_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        frobenius_distance(np.eye(2), np.eye(4))
 
 
 @settings(max_examples=30, deadline=None)

@@ -30,12 +30,12 @@ from cohkit.measures import (
 from cohkit.states import (
     DensityMatrix,
     DiagonalState,
+    PureState,
     apply_unitary,
     glauber_truncated,
     haar_unitary,
     hadamard,
     make_density,
-    maximally_coherent,
     maximally_mixed,
     qubit_pair,
     random_density,
@@ -64,7 +64,7 @@ def test_shannon_entropy():
 
 
 def test_von_neumann_entropy_pure():
-    psi = maximally_coherent(4).to_density()
+    psi = PureState(np.full(4, 4 ** -0.5)).to_density()
     assert von_neumann_entropy(psi) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -87,7 +87,7 @@ def test_l1_coherence_diagonal_is_zero():
 def test_l1_coherence_examples():
     _, rx0 = qubit_pair(0.0)
     assert l1_coherence(rx0) == pytest.approx(1.0, abs=1e-12)
-    psi3 = maximally_coherent(3).to_density()
+    psi3 = PureState(np.full(3, 3 ** -0.5)).to_density()
     assert l1_coherence(psi3) == pytest.approx(2.0, abs=1e-12)
     _, rx6 = qubit_pair(math.pi / 6)
     assert l1_coherence(rx6) == pytest.approx(0.5, abs=1e-12)
@@ -103,7 +103,7 @@ def test_rel_ent_coherence_examples():
     _, rx = qubit_pair(math.pi / 6)
     assert rel_ent_coherence(rx) == pytest.approx(COHERENCE_PI_SIXTH, abs=1e-9)
     for d in (2, 3, 4):
-        psi = maximally_coherent(d).to_density()
+        psi = PureState(np.full(d, d ** -0.5)).to_density()
         assert rel_ent_coherence(psi) == pytest.approx(math.log2(d), abs=1e-9)
 
 
@@ -388,7 +388,7 @@ def test_relative_entropy_objective_equals_masked_form_bitwise():
             if tiny is not None:
                 probs[-1] = tiny
             assert fn(probs) == masked(probs), (d, tiny)
-    pure = maximally_coherent(2).to_density()  # rho weighs both entries, probs vanishes on one
+    pure = PureState(np.full(2, 2 ** -0.5)).to_density()  # rho weighs both entries, probs vanishes on one
     probs = np.array([1.0, 0.0])
     assert _diagonal_distance_fn(pure, "relative_entropy")(probs) == math.inf == _masked_relative_entropy_fn(pure)(probs)
 

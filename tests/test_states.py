@@ -23,7 +23,6 @@ from cohkit.states import (
     hadamard,
     kraus_stack,
     make_density,
-    maximally_coherent,
     maximally_mixed,
     qubit_pair,
     dirichlet_stack,
@@ -126,15 +125,6 @@ def test_maximally_mixed():
     assert np.allclose(maximally_mixed(4).matrix, np.eye(4) / 4)
     with pytest.raises(InvalidDimensionError):
         maximally_mixed(0)
-
-
-def test_maximally_coherent():
-    psi = maximally_coherent(2)
-    assert np.allclose(psi.amplitudes, np.full(2, 1 / math.sqrt(2)))
-    assert np.allclose(maximally_coherent(1).amplitudes, [1.0])
-    assert np.allclose(maximally_coherent(3).amplitudes, np.full(3, 1 / math.sqrt(3)))
-    with pytest.raises(InvalidDimensionError):
-        maximally_coherent(-1)
 
 
 def test_qubit_pair_alpha_zero():

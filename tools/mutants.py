@@ -1,0 +1,160 @@
+"""Mutation check of the test suite: every mutant below must make a test fail.
+
+Usage, from the root of a checkout:
+
+    python3 tools/mutants.py
+
+Each mutant replaces one text of a file under src/, which must occur
+exactly once there, by another. For each mutant the tool copies src/,
+tests/, pyproject.toml and README.md into a temporary directory, applies
+the mutant there and runs pytest -x on the test files the mutant names. A
+mutant whose tests all pass survives. The tool first runs every named test
+file on the unmutated copy, so that a failure counts only when it is the
+mutant's. It prints one line per mutant, then the survivors, and exits 1
+when a mutant survives or its run ends in an error (a pytest exit code
+other than 0 or 1). The checkout is never edited. A run takes a few
+minutes; tests/test_mutants.py checks in every test run that each `old`
+text still occurs exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    why: str
+
+
+CHANNELS, LINALG, MEASURES, STATES, CLI = (f"src/cohkit/{name}.py" for name in
+                                            ("channels", "linalg", "measures", "states", "cli"))
+T_CHANNELS, T_CLI, T_LINALG, T_MEASURES, T_STATES = (f"tests/test_{name}.py" for name in
+                                                      ("channels", "cli", "linalg", "measures", "states"))
+
+MUTANTS = (
+    # witnesses: each must replay to the recorded violation
+    Mutant(CHANNELS, 'kraus_operators=_matrix_json(sample["kraus"][:k])',
+           'kraus_operators=_matrix_json(sample["kraus"][:k].conj())', (T_CHANNELS,),
+           "a C2 class-channel witness written with conjugated Kraus operators"),
+    Mutant(CHANNELS, 'weights=sample["weights"][:parts].tolist()',
+           'weights=sample["weights"][:parts][::-1].tolist()', (T_CHANNELS,),
+           "a C3 witness written with its weights reversed"),
+    Mutant(CHANNELS, 'eigenvectors=_matrix_json(sample["eigenvectors"])',
+           'eigenvectors=_matrix_json(sample["eigenvectors"].T)', (T_CHANNELS,),
+           "a probe witness written with its eigenvectors transposed"),
+    Mutant(CHANNELS, "return pickle.loads(pickle.dumps(vars(self)))", "return dict(vars(self))", (T_CHANNELS,),
+           "to_dict a shallow copy that shares witness lists with the report"),
+    Mutant(CHANNELS, "measure_after=afters[winner, pick]", "measure_after=afters[0]", (T_CHANNELS,),
+           "a C2 witness's measure_after taken from the first candidate, not the winner"),
+    Mutant(CHANNELS, "probs = states.require_probabilities(states.dirichlet_stack(rngs, np.full(len(rngs), d), d))",
+           "probs = states.dirichlet_stack(rngs, np.full(len(rngs), d), d)", (T_CHANNELS,),
+           "C1's incoherent states no longer gated as probability vectors"),
+    # argument gates
+    Mutant(STATES, "isinstance(d, bool) or d < 1", "d < 1", (T_CHANNELS, T_STATES),
+           "states accept True as the dimension 1"),
+    Mutant(CHANNELS, "if isinstance(tol, bool) or not (0.0 <= tol < math.inf):", "if not (0.0 <= tol < math.inf):",
+           (T_CHANNELS,), "audits accept True as the tolerance 1.0"),
+    Mutant(CHANNELS, "isinstance(d, bool) or d < 2", "isinstance(d, bool) or d < 1", (T_CHANNELS, T_CLI),
+           "audits accept d = 1, a space with no coherence to audit"),
+    Mutant(STATES, "if not cmath.isfinite(a):", "if False:", (T_STATES, T_CLI),
+           "glauber_truncated accepts a non-finite amplitude"),
+    Mutant(LINALG, "a = require_hermitian(m, tol)", "a = as_complex_stack(m)", (T_LINALG,),
+           "the eigensolvers skip their Hermiticity gate"),
+    Mutant(LINALG, "a = a.copy()", "a = a.view()", (T_STATES, T_CHANNELS),
+           "DensityMatrix and KrausSet share the caller's array"),
+    # state files and configs
+    Mutant(CLI, "and not isinstance(v, bool) and abs(v)", "and abs(v)", (T_CLI,),
+           "JSON true and false read as the numbers 1 and 0"),
+    Mutant(CLI, "abs(v) <= sys.float_info.max", "True", (T_CLI,),
+           "integer literals beyond the double range accepted"),
+    Mutant(CLI, "return states.make_density(m), label", "return states.make_density(m), None", (T_CLI,),
+           "load_state drops the state file's label"),
+    # seeded sampling: bitwise default_rng([seed, i]) and Generator.dirichlet
+    Mutant(STATES, "pool = _mix(pool, _hashmix(word, h[step:step + _POOL_SIZE + 1]))", "pass", (T_STATES,),
+           "sample_generators skips the mixing rounds of seed words beyond the pool"),
+    Mutant(STATES, "acc = draws[:, 0].copy()\n    for column in draws.T[1:]:\n        acc += column",
+           "acc = draws.sum(axis=1)", (T_STATES,),
+           "Dirichlet weights scaled by numpy's pairwise sum, not the left-to-right one"),
+    Mutant(STATES, "probs = dirichlet_stack(rngs, ks, width)\n"
+                   "        normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])",
+           "normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])\n"
+           "        probs = dirichlet_stack(rngs, ks, width)", (T_STATES,),
+           "unital-mixture normals drawn before the Dirichlet weights"),
+    Mutant(STATES, "normals = [rng.standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]",
+           "normals = [rngs[0].standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]", (T_STATES,),
+           "general_tp draws every channel of a block on the first sample's generator"),
+    # distance search
+    Mutant(MEASURES, "break  # Nelder-Mead is deterministic", "pass  # Nelder-Mead is deterministic", (T_MEASURES,),
+           "the search restarts even when the restart would replay its first run"),
+    Mutant(MEASURES, "for _ in range(2):", "for _ in range(1):", (T_MEASURES,),
+           "the search never restarts from its best point"),
+    Mutant(MEASURES, "if not tiny.any():", "if True:", (T_MEASURES,),
+           "the relative-entropy objective never takes its masked path, even with a probability below "
+           "the support tolerance"),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def _pytest(copy: Path, tests) -> int:
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="cohkit-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy_tree(base)
+        named = sorted({t for m in MUTANTS for t in m.tests})
+        code = _pytest(base, named)
+        if code != 0:
+            print(f"the unmutated tests fail (pytest exit {code}); no mutant was run")
+            return 1
+        survivors, errors = [], []
+        for n, mutant in enumerate(MUTANTS):
+            copy = Path(tmp) / f"m{n}"
+            shutil.copytree(base, copy)
+            path = copy / mutant.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                errors.append(mutant)
+                print(f"[{n}] {mutant.file}: old text found {text.count(mutant.old)} times")
+                continue
+            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            code = _pytest(copy, mutant.tests)
+            status = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            print(f"[{n}] {status}: {mutant.why}")
+            if code == 0:
+                survivors.append(mutant)
+            elif code != 1:
+                errors.append(mutant)
+            shutil.rmtree(copy)
+    print(f"{len(MUTANTS)} mutants, {len(survivors)} survived, {len(errors)} errors")
+    for mutant in survivors:
+        print(f"survivor: {mutant.file}: {mutant.why}")
+    return 1 if survivors or errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
