@@ -35,11 +35,15 @@ from .errors import (
     InvalidKrausError,
     ParseError,
     PureStateError,
+    require_count,
+    require_real,
 )
 
 KRAUS_TP_TOL = 1e-10
 STRUCTURAL_ENTRY_TOL = 1e-12
 DEFAULT_AUDIT_TOL = 1e-9
+# The eigenbasis probe builds a (d, d, d) complex array per sample: 268 MB at d = 256.
+MAX_AUDIT_DIM = 256
 SELECTIVE_P_FLOOR = 1e-12
 
 # A random state whose measure falls below this floor fails the
@@ -121,10 +125,10 @@ def _kraus_outputs(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return ops @ rho[..., None, :, :] @ linalg.adjoint(ops)
 
 
-def _require_trace_preserving(ops: np.ndarray, tol: float) -> None:
-    """Raise InvalidKrausError unless every set in a (..., k, d, d) stack is complete within tol."""
+def _require_trace_preserving(ops: np.ndarray) -> None:
+    """Raise InvalidKrausError unless every set in a (..., k, d, d) stack is complete within KRAUS_TP_TOL."""
     defect = linalg.gram_defect(ops)
-    if not (defect <= tol):
+    if not (defect <= KRAUS_TP_TOL):
         raise InvalidKrausError(f"sum K^dagger K differs from identity by {defect:.3e}")
 
 
@@ -133,41 +137,39 @@ def _average_output(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return linalg.hermitian_part(_kraus_outputs(ops, rho).sum(axis=-3))
 
 
-def _selective_readout(ops: np.ndarray, rho: np.ndarray, p_floor: float):
-    """Outcome probabilities p, the mask p >= p_floor, and the normalized
-    outcome states (zero where an outcome is dropped), all stacked."""
+def _selective_readout(ops: np.ndarray, rho: np.ndarray):
+    """Outcome probabilities p, the mask p >= SELECTIVE_P_FLOOR, and the
+    normalized outcome states (zero where an outcome is dropped), all stacked."""
     outs = _kraus_outputs(ops, rho)
     p = np.trace(outs, axis1=-2, axis2=-1).real
-    kept = p >= p_floor
+    kept = p >= SELECTIVE_P_FLOOR
     normalized = np.divide(linalg.hermitian_part(outs), p[..., None, None],
                            out=np.zeros_like(outs), where=kept[..., None, None])
     return p, kept, normalized
 
 
-def apply_channel(kraus: KrausSet, rho: states.DensityMatrix, tol: float = KRAUS_TP_TOL) -> states.DensityMatrix:
+def apply_channel(kraus: KrausSet, rho: states.DensityMatrix) -> states.DensityMatrix:
     """Deterministic channel action: sum of K rho K^dagger."""
     if kraus.dim != rho.dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
-    _require_trace_preserving(kraus.operators, tol)
+    _require_trace_preserving(kraus.operators)
     return states.DensityMatrix(_average_output(kraus.operators, rho.matrix))
 
 
-def selective_outcomes(
-    kraus: KrausSet, rho: states.DensityMatrix, p_floor: float = SELECTIVE_P_FLOOR
-) -> list[tuple[float, states.DensityMatrix]]:
+def selective_outcomes(kraus: KrausSet, rho: states.DensityMatrix) -> list[tuple[float, states.DensityMatrix]]:
     """Measurement-like readout: [(p_n, K_n rho K_n^dagger / p_n), ...].
 
-    Outcomes with probability below p_floor are dropped; the rest keep
-    the Kraus order.
+    Outcomes with probability below SELECTIVE_P_FLOOR are dropped; the
+    rest keep the Kraus order.
     """
     if kraus.dim != rho.dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
-    p, kept, normalized = _selective_readout(kraus.operators, rho.matrix, p_floor)
+    p, kept, normalized = _selective_readout(kraus.operators, rho.matrix)
     return [(float(p[n]), states.DensityMatrix(normalized[n])) for n in np.flatnonzero(kept)]
 
 
-def classify_kraus(kraus: KrausSet, tol: float = KRAUS_TP_TOL) -> KrausFlags:
-    """Structural flags of a Kraus set.
+def classify_kraus(kraus: KrausSet) -> KrausFlags:
+    """Structural flags of a Kraus set; trace_preserving and unital at KRAUS_TP_TOL.
 
     diagonal_incoherent means every operator has at most one nonzero
     entry per column, which guarantees diagonal inputs map to diagonal
@@ -183,8 +185,8 @@ def classify_kraus(kraus: KrausSet, tol: float = KRAUS_TP_TOL) -> KrausFlags:
         out = _kraus_outputs(ops, diag).sum(axis=-3)
         structural = bool(np.abs(out - out * eye).max() < 1e-10)
     return KrausFlags(
-        trace_preserving=kraus.completeness_defect() < tol,
-        unital=kraus.unitality_defect() < tol,
+        trace_preserving=kraus.completeness_defect() < KRAUS_TP_TOL,
+        unital=kraus.unitality_defect() < KRAUS_TP_TOL,
         diagonal_incoherent=structural,
     )
 
@@ -288,11 +290,11 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     before = kernel(rho)
     afters = []
     for ops, outcomes in candidates:
-        _require_trace_preserving(ops, KRAUS_TP_TOL)
+        _require_trace_preserving(ops)
         if condition == "C2_average":
             afters.append(kernel(_average_output(ops, rho)))
         else:
-            p, kept, normalized = _selective_readout(ops, rho, SELECTIVE_P_FLOOR)
+            p, kept, normalized = _selective_readout(ops, rho)
             afters.append(np.where(kept, p * kernel(normalized), 0.0).sum(axis=1))
             columns["dropped_outcomes"] = columns.get("dropped_outcomes", 0) + (outcomes & ~kept).sum(axis=1)
     afters = np.stack(afters)
@@ -360,7 +362,7 @@ def audit_conditions(
     verdict is "holds_within_tol" iff the maximum violation is at most tol.
 
     Sample i draws its inputs from its own generator, bitwise
-    default_rng([seed, i]); samples must be at most 2**32.
+    default_rng([seed, i]); samples is at most 2**32, and d at most MAX_AUDIT_DIM.
     Samples are drawn and evaluated in blocks: the states, unitaries, Kraus
     sets and mixtures of a block are built as stacked arrays (Kraus sets
     and mixtures zero-padded to four members of weight zero), and each
@@ -426,15 +428,13 @@ def validate_audit_arguments(measure: str, condition: str, op_class: str | None,
     if condition not in CONDITIONS:
         raise InvalidArgumentsError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
     # sample indices below 2**32 are one 32-bit seed word, as sample_generators needs
-    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or not 1 <= samples <= 2**32:
-        raise InvalidArgumentsError(f"samples must be an integer from 1 to 2**32, got {samples!r}")
+    require_count("samples", samples, 1, 2**32)
     # a one-state space (d = 1) holds only I/1 and has no coherence to audit
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 2:
-        raise InvalidArgumentsError(f"d must be an integer >= 2, got {d!r}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InvalidArgumentsError(f"seed must be a non-negative integer, got {seed!r}")
-    if isinstance(tol, bool) or not (0.0 <= tol < math.inf):
-        raise InvalidArgumentsError(f"tol must be finite and non-negative, got {tol!r}")
+    require_count("d", d, 2, MAX_AUDIT_DIM)
+    require_count("seed", seed, 0)
+    require_real("tol", tol, lo=0)
+    if not isinstance(probe_eigenbasis, (bool, np.bool_)):
+        raise InvalidArgumentsError(f"probe_eigenbasis must be a bool, got {probe_eigenbasis!r}")
     if condition not in ("C2_average", "C2_selective"):
         return None
     if op_class is None and not probe_eigenbasis:

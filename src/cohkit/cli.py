@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, measures, states
-from .errors import CohkitError, InvalidArgumentsError, ParseError
+from .errors import CohkitError, InvalidArgumentsError, ParseError, finite_real, require_count, require_real
 
 EXIT_OK = 0
 EXIT_VERDICT_MISMATCH = 1
@@ -101,12 +101,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _finite_number(v) -> bool:
-    """An int or float, not a bool, that a double holds as a finite value
-    (json reads an integer literal of any size as an exact int)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
 def _parse_state_document(doc, context: str) -> tuple[states.DensityMatrix, str | None]:
     if not isinstance(doc, dict):
         raise ParseError(f"{context}: expected a JSON object")
@@ -124,7 +118,7 @@ def _parse_state_document(doc, context: str) -> tuple[states.DensityMatrix, str 
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{context}: entries[{i}] must be a list of {dim} cells")
         for j, cell in enumerate(row):
-            if not isinstance(cell, list) or len(cell) != 2 or not all(map(_finite_number, cell)):
+            if not isinstance(cell, list) or len(cell) != 2 or not all(map(finite_real, cell)):
                 raise ParseError(
                     f"{context}: entries[{i}][{j}] must be a finite [re, im] pair, got {cell!r}"
                 )
@@ -234,7 +228,7 @@ def parse_interference_config(doc, context: str = "interference config") -> Inte
         rho = states.maximally_mixed(2)
     elif isinstance(source, dict) and set(source) == {"linear"}:
         psi = source["linear"]
-        if not _finite_number(psi):
+        if not finite_real(psi):
             raise ParseError(f"{context}: linear polarization angle must be a finite number")
         rho = states.PureState(np.array([math.cos(psi), math.sin(psi)], dtype=complex)).to_density()
     elif isinstance(source, dict) and "entries" in source:
@@ -248,11 +242,11 @@ def parse_interference_config(doc, context: str = "interference config") -> Inte
     angles = {}
     for key in ("plate_angle", "polarizer_angle"):
         value = doc.get(key)
-        if not _finite_number(value):
+        if not finite_real(value):
             raise ParseError(f"{context}: \"{key}\" must be a finite number in radians")
         angles[key] = float(value)
     grid = doc.get("gamma_grid")
-    if not isinstance(grid, list) or not grid or not all(map(_finite_number, grid)):
+    if not isinstance(grid, list) or not grid or not all(map(finite_real, grid)):
         raise ParseError(f"{context}: \"gamma_grid\" must be a non-empty list of finite numbers")
     return InterferenceConfig(
         input_state=rho,
@@ -385,12 +379,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    for name, value in (("--from", args.start), ("--to", args.stop)):
-        if not math.isfinite(value):
-            raise InvalidArgumentsError(f"{name} must be finite, got {value!r}")
-    if args.points < 1:
-        raise InvalidArgumentsError(f"--points must be >= 1, got {args.points}")
-    rows = sweep_alpha(default_alpha_grid(args.points, args.start, args.stop))
+    start, stop = require_real("--from", args.start), require_real("--to", args.stop)
+    rows = sweep_alpha(default_alpha_grid(require_count("--points", args.points, 1), start, stop))
     _write_table(SWEEP_COLUMNS, rows, args.out)
     return EXIT_OK
 
@@ -402,10 +392,8 @@ def _cmd_demo_glauber(args) -> int:
         raise InvalidArgumentsError(f"--dims must be comma-separated integers: {exc}") from exc
     if not dims or min(dims) < 1:
         raise InvalidArgumentsError(f"--dims must name one or more dimensions >= 1, got {args.dims!r}")
-    for name, value in (("--alpha-re", args.alpha_re), ("--alpha-im", args.alpha_im)):
-        if not math.isfinite(value):
-            raise InvalidArgumentsError(f"{name} must be finite, got {value!r}")
-    rows = demo_glauber(complex(args.alpha_re, args.alpha_im), dims)
+    a = complex(require_real("--alpha-re", args.alpha_re), require_real("--alpha-im", args.alpha_im))
+    rows = demo_glauber(a, dims)
     _write_table(GLAUBER_COLUMNS, rows, args.out)
     return EXIT_OK
 

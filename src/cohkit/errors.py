@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the argument gates that raise them."""
+
+import math
+import numbers
+import sys
 
 
 class CohkitError(Exception):
@@ -55,3 +59,24 @@ class InvalidArgumentsError(CohkitError):
 
 class ParseError(CohkitError):
     """An input file does not match the expected schema."""
+
+
+def finite_real(v) -> bool:
+    """A real number, not a bool, that a double holds finitely (an int of any size compares exactly)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def require_count(name: str, v, lo: int, hi=math.inf, error=InvalidArgumentsError) -> int:
+    """v as an int: an integer, not a bool, from lo to hi; error otherwise."""
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool) or not lo <= v <= hi:
+        bound = f">= {lo}" if hi == math.inf else f"from {lo} to {hi}"
+        raise error(f"{name} must be an integer {bound}, got {v!r}")
+    return int(v)
+
+
+def require_real(name: str, v, lo=-math.inf, error=InvalidArgumentsError) -> float:
+    """v as a float: a finite real number (finite_real) of at least lo; error otherwise."""
+    if not finite_real(v) or not v >= lo:
+        bound = "" if lo == -math.inf else f" >= {lo}"
+        raise error(f"{name} must be a finite number{bound}, got {v!r}")
+    return float(v)

@@ -76,14 +76,14 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(a - adjoint(a)).max())
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Coerce m, a matrix or a stack of them, and check every one is
-    Hermitian within tol; raises NotHermitianError otherwise."""
+    Hermitian within HERMITIAN_TOL; raises NotHermitianError otherwise."""
     a = as_complex_stack(m)
     defect = hermiticity_defect(a)
-    if not (defect <= tol):
+    if not (defect <= HERMITIAN_TOL):
         raise NotHermitianError(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}"
+            f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITIAN_TOL:.1e}"
         )
     return a
 
@@ -104,17 +104,17 @@ def gram_defect(ops) -> float:
     return float(np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(-2, -1)).max()))
 
 
-def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> Spectrum:
+def hermitian_eig(m) -> Spectrum:
     """Eigenvalues and eigenvectors of one Hermitian matrix; the
     one-matrix call of hermitian_eig_stack, with the same gate and errors."""
-    return hermitian_eig_stack(as_complex_matrix(m), tol)
+    return hermitian_eig_stack(as_complex_matrix(m))
 
 
-def _lapack_hermitian(solver, m, tol: float):
+def _lapack_hermitian(solver, m):
     """solver (numpy's eigh or eigvalsh) on the Hermitian part of each matrix
-    of m, after the require_hermitian gate at tol; a LinAlgError from LAPACK
+    of m, after the require_hermitian gate; a LinAlgError from LAPACK
     raises NoConvergenceError."""
-    a = require_hermitian(m, tol)
+    a = require_hermitian(m)
     # eigh and eigvalsh read one triangle only; the average makes both count.
     try:
         return solver(hermitian_part(a))
@@ -122,35 +122,35 @@ def _lapack_hermitian(solver, m, tol: float):
         raise NoConvergenceError(f"Hermitian eigendecomposition failed: {exc}") from exc
 
 
-def hermitian_eig_stack(m, tol: float = HERMITIAN_TOL) -> Spectrum:
+def hermitian_eig_stack(m) -> Spectrum:
     """Eigenvalues and eigenvectors of a Hermitian matrix, or of each matrix
     in a (..., d, d) stack.
 
     Raises NotHermitianError if any matrix fails the Hermiticity check at
-    tol (non-finite entries always fail it), and NoConvergenceError if
-    LAPACK reports that the decomposition did not converge.
+    HERMITIAN_TOL (non-finite entries always fail it), and NoConvergenceError
+    if LAPACK reports that the decomposition did not converge.
     """
-    return Spectrum(*_lapack_hermitian(np.linalg.eigh, m, tol))
+    return Spectrum(*_lapack_hermitian(np.linalg.eigh, m))
 
 
-def hermitian_eigvals(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigvals(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a
     (..., d, d) stack, without eigenvectors.
 
     The same gate and errors as hermitian_eig: NotHermitianError if any
-    matrix fails the Hermiticity check at tol (non-finite entries always
-    fail it), NoConvergenceError if LAPACK reports no convergence.
+    matrix fails the Hermiticity check at HERMITIAN_TOL (non-finite entries
+    always fail it), NoConvergenceError if LAPACK reports no convergence.
     """
-    return _lapack_hermitian(np.linalg.eigvalsh, m, tol)
+    return _lapack_hermitian(np.linalg.eigvalsh, m)
 
 
-def trace_distance(a, b, tol: float = HERMITIAN_TOL) -> float:
+def trace_distance(a, b) -> float:
     """Half the sum of absolute eigenvalues of (a - b).
 
-    Requires a - b to be Hermitian within tol.
+    Requires a - b to be Hermitian within HERMITIAN_TOL.
     """
     am = as_complex_matrix(a)
     bm = as_complex_matrix(b)
     if am.shape != bm.shape:
         raise DimensionMismatchError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    return 0.5 * float(np.abs(hermitian_eigvals(am - bm, tol)).sum())
+    return 0.5 * float(np.abs(hermitian_eigvals(am - bm)).sum())

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, InvalidArgumentsError, OptimizerFailure
+from .errors import DimensionMismatchError, InvalidArgumentsError, OptimizerFailure, require_count
 from .states import DensityMatrix, DiagonalState
 
 SUPPORT_EIGENVALUE_TOL = 1e-12
@@ -178,12 +178,13 @@ def min_distance_coherence(
     simplex spans under 1e-6 in every coordinate and its values under
     1e-13: near a smooth minimum a step of 1e-8 already leaves the value
     unchanged in double precision, so the value sets the accuracy.
-    Raises OptimizerFailure if no run converges.
+    budget is an integer >= 2. Raises OptimizerFailure if no run converges.
     """
     from scipy import optimize  # deferred: scipy costs most of the package import
 
     if search_set not in SEARCH_SETS:
         raise InvalidArgumentsError(f"unknown search set {search_set!r}; expected one of {SEARCH_SETS}")
+    budget = require_count("budget", budget, 2)
     distance = _diagonal_distance_fn(rho, metric)
     d = rho.dim
     if search_set == "delta0_only" or d == 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .errors import (
     NotPositiveError,
     NotUnitTraceError,
     NotUnitaryError,
+    require_count,
+    require_real,
 )
 
 DENSITY_TOL = 1e-10
@@ -115,29 +118,23 @@ def require_probabilities(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _require_dim(d: int) -> int:
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-        raise InvalidDimensionError(f"dimension must be a positive integer, got {d!r}")
-    return int(d)
-
-
-def make_density(entries, tol: float = DENSITY_TOL) -> DensityMatrix:
+def make_density(entries) -> DensityMatrix:
     """Validate a matrix as a density operator.
 
-    Checks Hermiticity and unit trace at tol, then positivity: eigenvalues
-    below -tol are rejected, eigenvalues in [-tol, 0) are clamped to zero
-    and the spectrum renormalized to unit sum before reconstruction.
+    Checks Hermiticity and unit trace at DENSITY_TOL, then positivity:
+    eigenvalues below -DENSITY_TOL are rejected, eigenvalues in
+    [-DENSITY_TOL, 0) are clamped to zero and the spectrum renormalized.
     """
     m = linalg.as_complex_matrix(entries)
-    # hermitian_eig gates Hermiticity at tol and decomposes the Hermitian part
-    eigenvalues, vecs = linalg.hermitian_eig(m, tol)
+    # hermitian_eig gates Hermiticity and decomposes the Hermitian part
+    eigenvalues, vecs = linalg.hermitian_eig(m)
     trace = complex(m.trace())
-    if not (abs(trace - 1.0) <= tol):
-        raise NotUnitTraceError(f"trace {trace!r} differs from 1 beyond {tol:.1e}")
+    if not (abs(trace - 1.0) <= DENSITY_TOL):
+        raise NotUnitTraceError(f"trace {trace!r} differs from 1 beyond {DENSITY_TOL:.1e}")
     m = linalg.hermitian_part(m)
-    if eigenvalues[0] < -tol:
+    if eigenvalues[0] < -DENSITY_TOL:
         raise NotPositiveError(
-            f"smallest eigenvalue {eigenvalues[0]:.6e} is below -{tol:.1e}"
+            f"smallest eigenvalue {eigenvalues[0]:.6e} is below -{DENSITY_TOL:.1e}"
         )
     if eigenvalues[0] < 0.0:
         clamped = np.clip(eigenvalues, 0.0, None)
@@ -146,20 +143,20 @@ def make_density(entries, tol: float = DENSITY_TOL) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
+def require_unitary(u: np.ndarray) -> None:
     """Raise NotUnitaryError unless u, or every matrix of a (..., d, d)
-    stack, has u^dagger u within tol of the identity (Frobenius norm)."""
+    stack, has u^dagger u within UNITARY_TOL of the identity (Frobenius norm)."""
     gram_defect = linalg.gram_defect(u[..., None, :, :])
-    if not (gram_defect <= tol):
+    if not (gram_defect <= UNITARY_TOL):
         raise NotUnitaryError(f"u^dagger u differs from identity by {gram_defect:.3e}")
 
 
-def apply_unitary(rho: DensityMatrix, u, tol: float = UNITARY_TOL) -> DensityMatrix:
+def apply_unitary(rho: DensityMatrix, u) -> DensityMatrix:
     """Conjugate a state by a unitary: u rho u^dagger."""
     um = linalg.as_complex_matrix(u)
     if um.shape[0] != rho.dim:
         raise DimensionMismatchError(f"unitary is {um.shape[0]}-dimensional, state is {rho.dim}")
-    require_unitary(um, tol)
+    require_unitary(um)
     return DensityMatrix(linalg.hermitian_part(um @ rho.matrix @ um.conj().T))
 
 
@@ -170,7 +167,7 @@ def hadamard() -> np.ndarray:
 
 def maximally_mixed(d: int) -> DensityMatrix:
     """Identity over d: the unique state with no preferred direction."""
-    d = _require_dim(d)
+    d = require_count("d", d, 1, error=InvalidDimensionError)
     return DensityMatrix(np.eye(d, dtype=complex) / d)
 
 
@@ -180,6 +177,7 @@ def qubit_pair(alpha: float) -> tuple[DensityMatrix, DensityMatrix]:
     The two states share a spectrum; the second carries all of the
     population contrast into off-diagonal entries.
     """
+    alpha = require_real("alpha", alpha)
     c2 = math.cos(alpha) ** 2
     s2 = math.sin(alpha) ** 2
     rho_z = DensityMatrix(np.diag([c2, s2]).astype(complex))
@@ -194,13 +192,13 @@ def glauber_truncated(a, d: int) -> PureState:
     after truncation. Raises DegenerateTruncationError when the kept
     fraction of the untruncated distribution underflows double precision
     (|a| huge relative to d, or beyond the double range), since the
-    truncation is then meaningless; a non-finite a raises
-    InvalidArgumentsError.
+    truncation is then meaningless; an a that is not a finite complex
+    number raises InvalidArgumentsError.
     """
-    d = _require_dim(d)
-    a = complex(a)
-    if not cmath.isfinite(a):
-        raise InvalidArgumentsError(f"amplitude must be finite, got {a!r}")
+    d = require_count("d", d, 1, error=InvalidDimensionError)
+    if isinstance(a, bool) or not isinstance(a, numbers.Complex):
+        raise InvalidArgumentsError(f"amplitude must be a complex number, got {a!r}")
+    a = complex(require_real("amplitude real part", a.real), require_real("amplitude imag part", a.imag))
     if a == 0:
         amps = np.zeros(d, dtype=complex)
         amps[0] = 1.0
@@ -364,19 +362,24 @@ def pad_parts(counts, width: int, parts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _generator(seed) -> np.random.Generator:
+    """seed itself when it is a numpy Generator, else default_rng of seed, an integer >= 0."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(require_count("seed", seed, 0))
+
+
 def random_density(d: int, seed) -> DensityMatrix:
     """Random full-rank state: G G^dagger / tr(G G^dagger), G complex Gaussian.
 
-    seed: integer, or a numpy Generator to draw from an existing stream.
+    seed: integer >= 0, or a numpy Generator to draw from an existing stream.
     """
-    d = _require_dim(d)
-    return DensityMatrix(density_stack(np.random.default_rng(seed).standard_normal((2, d, d))))
+    d = require_count("d", d, 1, error=InvalidDimensionError)
+    return DensityMatrix(density_stack(_generator(seed).standard_normal((2, d, d))))
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed d x d unitary. seed: integer or numpy Generator."""
-    d = _require_dim(d)
-    return isometry_stack(np.random.default_rng(seed).standard_normal((2, d, d)))
+    """Haar-distributed d x d unitary. seed: integer >= 0 or numpy Generator."""
+    d = require_count("d", d, 1, error=InvalidDimensionError)
+    return isometry_stack(_generator(seed).standard_normal((2, d, d)))
 
 
 def kraus_stack(kind: str, d: int, ks, rngs, width: int) -> np.ndarray:
@@ -430,12 +433,11 @@ def random_channel(kind: str, d: int, k: int = 2, seed=0):
                           k blocks; trace preserving, generically not
                           unital.
 
-    seed: integer or numpy Generator. Returns a channels.KrausSet.
+    seed: integer >= 0 or numpy Generator. Returns a channels.KrausSet.
     """
     from .channels import KrausSet  # deferred: channels imports this module
 
-    d = _require_dim(d)
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise InvalidDimensionError(f"number of Kraus operators must be >= 1, got {k!r}")
-    ops = kraus_stack(kind, d, np.array([k]), [np.random.default_rng(seed)], k)[0]
+    d = require_count("d", d, 1, error=InvalidDimensionError)
+    k = require_count("k", k, 1, error=InvalidDimensionError)
+    ops = kraus_stack(kind, d, np.array([k]), [_generator(seed)], k)[0]
     return KrausSet(ops)

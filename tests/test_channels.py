@@ -127,20 +127,20 @@ def test_selective_outcomes_projectors():
 
 def test_selective_outcomes_drops_null_branch():
     pure0 = make_density(P0)
-    outcomes = selective_outcomes(dephasing(), pure0, p_floor=1e-12)
+    outcomes = selective_outcomes(dephasing(), pure0)
     assert len(outcomes) == 1
     assert outcomes[0][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_selective_outcomes_recombine():
-    # with no floor the weighted outcomes must re-sum to the channel output
+    # the kept outcomes re-sum to the channel output: each dropped one carries under SELECTIVE_P_FLOOR
     rng = np.random.default_rng(53)
     for kind in ("unital_mixture", "diagonal_incoherent", "general_tp"):
         for i in range(30):
             d = int(rng.integers(2, 5))
             ks = random_channel(kind, d=d, k=int(rng.integers(1, 4)), seed=int(rng.integers(0, 2**31)))
             rho = random_density(d, seed=int(rng.integers(0, 2**31)))
-            outcomes = selective_outcomes(ks, rho, p_floor=0.0)
+            outcomes = selective_outcomes(ks, rho)
             total_p = sum(p for p, _ in outcomes)
             mix = sum(p * s.matrix for p, s in outcomes)
             assert total_p == pytest.approx(1.0, abs=1e-9)
@@ -383,6 +383,41 @@ def test_audit_invalid_arguments():
 def test_bools_fail_the_integer_and_tolerance_gates(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("seed", [-1, "x", 1.5, math.nan, None, True, np.zeros(2)])
+@pytest.mark.parametrize("draw", [lambda seed: states.random_density(2, seed),
+                                  lambda seed: states.haar_unitary(2, seed),
+                                  lambda seed: states.random_channel("general_tp", 2, seed=seed)],
+                         ids=["random_density", "haar_unitary", "random_channel"])
+def test_samplers_take_a_generator_or_a_non_negative_integer_seed(draw, seed):
+    with pytest.raises(InvalidArgumentsError):
+        draw(seed)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, True, "0.5", None, 2**1024, np.zeros(2)])
+def test_qubit_pair_takes_a_finite_real_angle(alpha):
+    with pytest.raises(InvalidArgumentsError):
+        qubit_pair(alpha)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": "1e-9"}, {"tol": None}, {"tol": -1e-9}, {"d": 257}, {"d": 2**70}, {"d": 2.0}, {"seed": 2.0},
+     {"samples": 2**70}, {"probe_eigenbasis": "no"}, {"probe_eigenbasis": 1}, {"probe_eigenbasis": None}],
+    ids=lambda kwargs: "-".join(f"{k}={v!r}" for k, v in kwargs.items()),
+)
+def test_audit_gates_raise_invalid_arguments(kwargs):
+    args = {"d": 3, "samples": 1, "seed": 0, **kwargs}
+    with pytest.raises(InvalidArgumentsError):
+        audit_conditions("ibiqc", "C2_selective", "unital_mixture", **args)
+
+
+def test_audit_takes_numpy_scalars_and_bools():
+    report = audit_conditions("ibiqc", "C2_selective", "unital_mixture", d=np.int64(3), samples=np.int32(5),
+                              seed=np.uint8(2), tol=np.float64(1e-9), probe_eigenbasis=np.True_)
+    assert report.to_json() == audit_conditions("ibiqc", "C2_selective", "unital_mixture", d=3, samples=5, seed=2,
+                                                probe_eigenbasis=True).to_json()
 
 
 def test_audit_c1_gates_dirichlet_draws_as_one_stack(monkeypatch):

@@ -497,7 +497,7 @@ def test_unwritable_output_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("bad", [["--samples", "0"], ["--d", "1"], ["--seed", "-1"], ["--tol", "nan"],
-                                 ["--condition", "C0,C2avg"]])
+                                 ["--condition", "C0,C2avg"], ["--d", "257"]])
 def test_rejected_audit_creates_no_out_directory(tmp_path, capsys, bad):
     out = tmp_path / "newdir"
     argv = ["audit", "--measure", "l1", "--condition", "C0", "--samples", "2", *bad, "--out", str(out)]

@@ -1,0 +1,109 @@
+"""The argument gates of the public API, fuzzed with junk values.
+
+Every numeric or flag parameter of a function in cohkit.__all__ has a row
+in GATED: a call that passes the value under test to that parameter and
+small valid values to every other one. A junk value must make the call
+raise a CohkitError subclass or return; it must never raise a bare
+TypeError, ValueError or AttributeError, and never emit a numpy warning.
+"""
+
+import inspect
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cohkit
+from cohkit.errors import CohkitError, InvalidArgumentsError, InvalidDimensionError, require_count, require_real
+
+_RHO = cohkit.random_density(2, seed=5)
+
+JUNK = st.sampled_from([
+    None, "", "3", "nan", True, False, np.True_, math.nan, math.inf, -math.inf, -1, -7, -0.5, 2.5,
+    np.array(3), np.zeros(3), np.ones((2, 2)), np.array([]), [1],
+])
+# dimensions and counts with no upper bound: a value that passes the gate allocates, so stay small
+UNBOUNDED = st.one_of(JUNK, st.integers(-3, 300))
+BOUNDED = st.one_of(JUNK, st.integers(-3, 300), st.just(2**70))
+
+# (function, parameter) -> (call with the value under test, values to try)
+GATED = {
+    ("audit_conditions", "d"): (lambda v: cohkit.audit_conditions("l1", "C0", d=v, samples=1), BOUNDED),
+    ("audit_conditions", "samples"): (lambda v: cohkit.audit_conditions("l1", "C0", samples=v), BOUNDED),
+    ("audit_conditions", "seed"): (lambda v: cohkit.audit_conditions("l1", "C0", samples=1, seed=v), BOUNDED),
+    ("audit_conditions", "tol"): (lambda v: cohkit.audit_conditions("l1", "C0", samples=1, tol=v), JUNK),
+    ("audit_conditions", "probe_eigenbasis"): (
+        lambda v: cohkit.audit_conditions("ibiqc", "C2_selective", "unital_mixture", samples=1, probe_eigenbasis=v),
+        JUNK),
+    ("glauber_truncated", "a"): (lambda v: cohkit.glauber_truncated(v, 3), JUNK),
+    ("glauber_truncated", "d"): (lambda v: cohkit.glauber_truncated(1.0, v), UNBOUNDED),
+    ("haar_unitary", "d"): (lambda v: cohkit.haar_unitary(v, 0), UNBOUNDED),
+    ("haar_unitary", "seed"): (lambda v: cohkit.haar_unitary(2, v), BOUNDED),
+    ("maximally_mixed", "d"): (cohkit.maximally_mixed, UNBOUNDED),
+    ("min_distance_coherence", "budget"): (lambda v: cohkit.min_distance_coherence(_RHO, "trace", budget=v), JUNK),
+    ("qubit_pair", "alpha"): (cohkit.qubit_pair, JUNK),
+    ("random_channel", "d"): (lambda v: cohkit.random_channel("general_tp", v), UNBOUNDED),
+    ("random_channel", "k"): (lambda v: cohkit.random_channel("general_tp", 2, k=v), UNBOUNDED),
+    ("random_channel", "seed"): (lambda v: cohkit.random_channel("general_tp", 2, seed=v), BOUNDED),
+    ("random_density", "d"): (lambda v: cohkit.random_density(v, 0), UNBOUNDED),
+    ("random_density", "seed"): (lambda v: cohkit.random_density(2, v), BOUNDED),
+}
+
+# every other parameter of a public function: states, matrices, Kraus sets, reports and names
+NOT_NUMERIC = {
+    "apply_channel": {"kraus", "rho"}, "apply_unitary": {"rho", "u"},
+    "audit_conditions": {"measure", "condition", "op_class"}, "classify_kraus": {"kraus"},
+    "coherence_report": {"rho", "basis_label"}, "hermitian_eig": {"m"}, "ibiqc_coherence": {"rho"},
+    "l1_coherence": {"rho"}, "make_density": {"entries"}, "min_distance_coherence": {"rho", "metric", "search_set"},
+    "random_channel": {"kind"}, "rel_ent_coherence": {"rho"}, "relative_entropy": {"rho", "sigma"},
+    "replay_violation": {"report"}, "selective_counterexample": {"rho"}, "selective_outcomes": {"kraus", "rho"},
+    "shannon_entropy": {"probs"}, "trace_distance": {"a", "b"}, "von_neumann_entropy": {"rho"},
+}
+
+
+def test_the_table_names_every_parameter_of_every_public_function():
+    functions = {name: getattr(cohkit, name) for name in cohkit.__all__
+                 if inspect.isfunction(getattr(cohkit, name))}
+    listed = {(name, p) for name in functions for p in NOT_NUMERIC.get(name, ())} | set(GATED)
+    assert listed == {(name, p) for name, fn in functions.items() for p in inspect.signature(fn).parameters}
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_property_junk_arguments_raise_cohkit_errors_or_return(data):
+    key = data.draw(st.sampled_from(sorted(GATED)), label="parameter")
+    call, values = GATED[key]
+    value = data.draw(values, label="value")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(value)
+        except CohkitError:
+            pass
+
+
+@pytest.mark.parametrize("v, lo, hi, expected", [(3, 1, math.inf, 3), (np.int64(2), 2, 2, 2), (2**70, 0, math.inf, 2**70)])
+def test_require_count_accepts_integers_in_range(v, lo, hi, expected):
+    out = require_count("n", v, lo, hi)
+    assert out == expected and type(out) is int
+
+
+@pytest.mark.parametrize("v", [True, np.True_, 2.0, "2", None, 0, 5, np.zeros(1)])
+def test_require_count_rejects_with_the_given_error(v):
+    with pytest.raises(InvalidDimensionError, match=r"^n must be an integer from 1 to 4, got "):
+        require_count("n", v, 1, 4, error=InvalidDimensionError)
+
+
+@pytest.mark.parametrize("v", [0, -2.5, np.float64(1e308), 2**1023, 10**308])
+def test_require_real_accepts_finite_reals(v):
+    out = require_real("x", v)
+    assert out == float(v) and type(out) is float
+
+
+@pytest.mark.parametrize("v", [True, math.nan, math.inf, -math.inf, 2**1024, "1", None, 1j, np.zeros(1), -1e-300])
+def test_require_real_rejects_with_its_lower_bound(v):
+    with pytest.raises(InvalidArgumentsError, match=r"^x must be a finite number >= 0, got "):
+        require_real("x", v, lo=0)

@@ -1,0 +1,42 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
+identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(identity)
+
+
+def _rows(**digests):
+    return [{"group": key.split("__")[0], "row": key.split("__")[1], "sha256": sha, "stderr": err}
+            for key, (sha, err) in digests.items()]
+
+
+PARENT = _rows(audit__a=("01", ""), audit__b=("02", ""), gates__d1=("03", "error: old\n"), search__x=("04", ""))
+
+
+def test_identical_trees_report_every_group_equal():
+    lines, ok = identity.compare(PARENT, PARENT)
+    assert ok and len(lines) == 4
+    assert all(line.endswith(", equal") for line in lines[:3])
+    assert lines[-1] == "identical apart from the declared changes"
+
+
+def test_a_changed_row_is_named_and_fails_unless_declared():
+    change = _rows(audit__a=("01", ""), audit__b=("02", ""), gates__d1=("0f", "error: new\n"), search__x=("04", ""))
+    lines, ok = identity.compare(PARENT, change)
+    assert not ok
+    assert "  gates:d1 differs (NOT EXPECTED)" in lines
+    assert "    parent stderr: error: old" in lines and "    change stderr: error: new" in lines
+    for declared in ({"gates"}, {"gates:d1"}):
+        lines, ok = identity.compare(PARENT, change, declared)
+        assert ok and "  gates:d1 differs (expected)" in lines, declared
+    lines, ok = identity.compare(PARENT, change, {"gates:d1", "audit:a"})
+    assert ok and "declared but unchanged: audit:a" in lines
+
+
+def test_a_row_on_one_side_only_is_a_difference():
+    lines, ok = identity.compare(PARENT, PARENT[:-1])
+    assert not ok
+    assert lines[lines.index("  search:x differs (NOT EXPECTED)") + 1] == "    change: absent"
+    assert lines[-4].startswith("search: 1 parent rows ") and ", 0 change rows " in lines[-4]

@@ -306,6 +306,13 @@ def test_min_distance_invalid_arguments():
         min_distance_coherence(rho, "trace", "pure_states")
 
 
+@pytest.mark.parametrize("budget", [True, -5, math.inf, math.nan, 1, 2.0, "100"])
+def test_min_distance_budget_must_be_an_integer_of_at_least_2(budget):
+    # inf and nan used to run, and return a value that is not the minimum
+    with pytest.raises(InvalidArgumentsError):
+        min_distance_coherence(random_density(3, seed=1), "trace", budget=budget)
+
+
 def test_min_distance_budget_exhaustion():
     rho = random_density(3, seed=19)
     with pytest.raises(OptimizerFailure):

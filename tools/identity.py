@@ -1,0 +1,286 @@
+"""Byte-identity battery: one fixed set of cohkit calls, run on a parent
+revision and on this checkout, with every row whose bytes differ named.
+
+Usage, from the root of a checkout:
+
+    python3 tools/identity.py --parent <rev> [--expect-change GROUP[:ROW]]...
+
+The parent revision is exported with `git archive` into a temporary
+directory, which is removed afterwards; the change is this checkout as it
+stands. Each tree runs the battery in a fresh Python process, with that
+tree's src/ first on PYTHONPATH and a temporary working directory. A row
+is one call; its digest is the SHA-256 of everything the call produced.
+The groups:
+
+  audit         every EXPECTED_VERDICTS row at d = 2, 3 and 5 (100 samples)
+                and five rows at d = 32 (10 samples), at seeds 0, 11 and
+                2**33 + 1, through cli.main: exit code, stdout, stderr and
+                the report text
+  measure       cohkit measure over generated state files (d = 1 to 8, with
+                and without a label, to stdout and to --out) and over bad
+                or missing files
+  sweep         cohkit sweep over four grids
+  glauber       cohkit demo glauber over amplitudes and dimension lists
+  interference  cohkit demo interference over natural-light, linear and
+                inline-state configs
+  search        min_distance_coherence value and probs bytes, all three
+                metrics, on generated states at d = 2, 3 and 4, and the
+                trace search at budgets 2 to 40 (an OptimizerFailure
+                message is the row's result)
+  gates         rejected command lines: exit code, stdout and stderr
+
+The tool prints one digest per group, then every row that differs or is
+present on one side only, with the stderr of both sides on gates rows.
+--expect-change GROUP or GROUP:ROW declares differences that the change
+makes on purpose (repeatable). It exits 1 when any other row differs.
+On rows that hold, an audit's witness index can move with the LAPACK
+build, so compare trees on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+AUDIT_SEEDS = (0, 11, 2**33 + 1)
+AUDIT_D32_ROWS = (
+    ("ibiqc", "C0", None, False),
+    ("re", "C3", None, False),
+    ("ibiqc", "C2_selective", "unital_mixture", True),
+    ("l1", "C2_average", "diagonal_incoherent", False),
+    ("ibiqc", "C2_average", "general_tp", False),
+)
+
+
+# ---------------------------------------------------------------- battery
+
+
+def _state(rng, d: int):
+    """A random density matrix from numpy alone, so both trees read the same inputs."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conj().T
+    return m / m.trace().real
+
+
+def _entries(m) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def battery(tree: Path) -> list[dict]:
+    """Every row of the battery as {"group", "row", "sha256", "stderr"}, run in the current directory."""
+    import numpy as np
+
+    import cohkit
+    from cohkit import cli, errors, measures, states
+
+    if not Path(cohkit.__file__).resolve().is_relative_to(tree.resolve()):
+        raise SystemExit(f"cohkit was imported from {cohkit.__file__}, not from {tree}")
+    rows = []
+
+    def add(group: str, row: str, payload: bytes, stderr: str = "") -> None:
+        rows.append({"group": group, "row": row, "sha256": hashlib.sha256(payload).hexdigest(), "stderr": stderr})
+
+    def run(group: str, row: str, argv: list[str], *outputs: str) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        for path in outputs:
+            Path(path).unlink(missing_ok=True)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        files = [Path(p).read_bytes() if Path(p).exists() else b"<absent>" for p in outputs]
+        payload = json.dumps([code, out.getvalue(), err.getvalue()]).encode() + b"\0" + b"\0".join(files)
+        add(group, row, payload, err.getvalue())
+
+    flags = {v: k for k, v in cli.CONDITION_BY_FLAG.items()}
+    classes = {v: k for k, v in cli.CLASS_BY_FLAG.items()}
+    table = [(row, d, 100) for d in (2, 3, 5) for row in cli.EXPECTED_VERDICTS]
+    table += [(row, 32, 10) for row in AUDIT_D32_ROWS]
+    for (measure, condition, op_class, probe), d, samples in table:
+        for seed in AUDIT_SEEDS:
+            argv = ["audit", "--measure", measure, "--condition", flags[condition], "--d", str(d),
+                    "--samples", str(samples), "--seed", str(seed), "--out", "report.json"]
+            argv += ["--class", classes[op_class]] if op_class else []
+            argv += ["--probe-eigenbasis"] if probe else []
+            name = f"{measure}-{flags[condition]}-{classes.get(op_class, 'none')}{'-probe' if probe else ''}"
+            run("audit", f"{name}-d{d}-s{seed}", argv, "report.json")
+
+    rng = np.random.default_rng(2024)
+    for d in range(1, 9):
+        for n in range(4):
+            doc = {"dim": d, "entries": _entries(_state(rng, d))}
+            if n % 2:
+                doc["label"] = f"state {d}.{n}"
+            Path(f"s{d}_{n}.json").write_text(json.dumps(doc))
+            run("measure", f"d{d}-{n}", ["measure", f"s{d}_{n}.json"])
+            run("measure", f"d{d}-{n}-out", ["measure", f"s{d}_{n}.json", "--out", "m.json"], "m.json")
+    bad = {
+        "not-json": "{",
+        "not-object": "[]",
+        "dim-bool": '{"dim": true, "entries": [[[1, 0]]]}',
+        "short-rows": '{"dim": 2, "entries": [[[1, 0], [0, 0]]]}',
+        "label-int": '{"dim": 1, "label": 3, "entries": [[[1, 0]]]}',
+        "cell-bool": '{"dim": 1, "entries": [[[true, 0]]]}',
+        "cell-huge": '{"dim": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}',
+        "not-hermitian": json.dumps({"dim": 2, "entries": [[[0.5, 0], [0.5, 0]], [[0, 0], [0.5, 0]]]}),
+        "not-positive": json.dumps({"dim": 2, "entries": [[[1.2, 0], [0, 0]], [[0, 0], [-0.2, 0]]]}),
+        "trace-2": json.dumps({"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+    }
+    for name, text in bad.items():
+        Path(f"bad_{name}.json").write_text(text)
+        run("measure", f"bad-{name}", ["measure", f"bad_{name}.json"])
+    run("measure", "missing-file", ["measure", "no_such_file.json"])
+
+    for name, argv in {"default": [], "short": ["--from", "0.1", "--to", "2", "--points", "5"],
+                       "one-point": ["--points", "1"], "wide": ["--from", "-3", "--to", "3", "--points", "17"]}.items():
+        run("sweep", name, ["sweep", *argv, "--out", "sweep.csv"], "sweep.csv")
+
+    for re_part, im_part in ((1.0, 0.0), (0.0, 0.0), (0.3, -1.7), (2.5, 0.5), (1e200, 0.0), (30.0, 0.0)):
+        for dims in ("2,3,4,8", "1,2,17,40"):
+            argv = ["demo", "glauber", f"--alpha-re={re_part!r}", f"--alpha-im={im_part!r}", "--dims", dims,
+                    "--out", "g.csv"]
+            run("glauber", f"{re_part!r}{im_part:+}j-{dims}", argv, "g.csv")
+
+    inputs = {"natural": "natural_light", "linear": {"linear": 0.7853981633974483},
+              "linear-odd": {"linear": 0.3}, "state": {"dim": 2, "entries": _entries(_state(rng, 2))}}
+    for name, source in inputs.items():
+        for plate, polarizer in ((0.0, 0.7853981633974483), (0.4, 1.1)):
+            cfg = {"input": source, "plate_angle": plate, "polarizer_angle": polarizer,
+                   "gamma_grid": [0.1 * k for k in range(33)]}
+            Path("cfg.json").write_text(json.dumps(cfg))
+            run("interference", f"{name}-{plate}-{polarizer}",
+                ["demo", "interference", "--config", "cfg.json", "--out", "curve.csv"], "curve.csv")
+
+    def search(row: str, rho, metric: str, **kwargs) -> None:
+        try:
+            value, argmin = measures.min_distance_coherence(rho, metric, **kwargs)
+            add("search", row, np.float64(value).tobytes() + argmin.probs.tobytes())
+        except errors.OptimizerFailure as exc:
+            add("search", row, str(exc).encode())
+
+    for d, count in ((2, 40), (3, 40), (4, 10)):
+        for n in range(count):
+            rho = states.make_density(_state(rng, d))
+            for metric in measures.METRICS:
+                search(f"{metric}-d{d}-{n}", rho, metric)
+    rho = states.make_density(_state(rng, 3))
+    for budget in range(2, 41):
+        search(f"trace-budget{budget}", rho, "trace", budget=budget)
+
+    gates = {
+        "audit-d0": ["audit", "--measure", "l1", "--condition", "C0", "--d", "0"],
+        "audit-d1": ["audit", "--measure", "ibiqc", "--condition", "C1", "--d", "1"],
+        "audit-d257": ["audit", "--measure", "l1", "--condition", "C0", "--d", "257", "--samples", "1"],
+        "audit-samples0": ["audit", "--measure", "l1", "--condition", "C0", "--samples", "0"],
+        "audit-samples-2**32+1": ["audit", "--measure", "l1", "--condition", "C0", "--samples", str(2**32 + 1)],
+        "audit-seed-1": ["audit", "--measure", "l1", "--condition", "C0", "--seed", "-1"],
+        "audit-tol-nan": ["audit", "--measure", "l1", "--condition", "C0", "--tol", "nan"],
+        "audit-tol-neg": ["audit", "--measure", "l1", "--condition", "C0", "--tol=-1e-9"],
+        "audit-tol-inf": ["audit", "--measure", "l1", "--condition", "C0", "--tol", "inf"],
+        "audit-no-class": ["audit", "--measure", "l1", "--condition", "C2avg"],
+        "sweep-from-nan": ["sweep", "--from", "nan"],
+        "sweep-to-inf": ["sweep", "--to", "inf"],
+        "sweep-points0": ["sweep", "--points", "0"],
+        "sweep-points-x": ["sweep", "--points", "x"],
+        "glauber-re-nan": ["demo", "glauber", "--alpha-re", "nan"],
+        "glauber-im-inf": ["demo", "glauber", "--alpha-im", "inf"],
+        "glauber-dims0": ["demo", "glauber", "--dims", "0"],
+    }
+    for name, argv in gates.items():
+        run("gates", name, argv + ["--out", "gate.json"], "gate.json")
+    return rows
+
+
+# ---------------------------------------------------------------- compare
+
+
+def _digest(rows: dict) -> str:
+    return hashlib.sha256("".join(f"{k}\t{v['sha256']}\n" for k, v in sorted(rows.items())).encode()).hexdigest()
+
+
+def _by_group(rows: list[dict]) -> dict:
+    groups = {}
+    for r in rows:
+        groups.setdefault(r["group"], {})[r["row"]] = r
+    return groups
+
+
+def compare(parent_rows: list[dict], change_rows: list[dict], expected=()) -> tuple[list[str], bool]:
+    """Report lines and whether every difference is expected.
+
+    expected holds GROUP or GROUP:ROW entries. A row present on one side
+    only counts as a difference.
+    """
+    parent, change = _by_group(parent_rows), _by_group(change_rows)
+    lines, ok, used = [], True, set()
+    for group in sorted(set(parent) | set(change)):
+        p, c = parent.get(group, {}), change.get(group, {})
+        differing = [row for row in sorted(set(p) | set(c))
+                     if p.get(row, {}).get("sha256") != c.get(row, {}).get("sha256")]
+        state = "equal" if not differing else f"{len(differing)} rows differ"
+        lines.append(f"{group}: {len(p)} parent rows {_digest(p)[:16]}, {len(c)} change rows {_digest(c)[:16]}, {state}")
+        for row in differing:
+            declared = {group, f"{group}:{row}"} & set(expected)
+            used |= declared
+            ok = ok and bool(declared)
+            lines.append(f"  {group}:{row} differs ({'expected' if declared else 'NOT EXPECTED'})")
+            for side, rows in (("parent", p), ("change", c)):
+                if row not in rows:
+                    lines.append(f"    {side}: absent")
+                elif rows[row]["stderr"]:
+                    lines.append(f"    {side} stderr: {rows[row]['stderr'].rstrip()}")
+    if set(expected) - used:
+        lines.append(f"declared but unchanged: {', '.join(sorted(set(expected) - used))}")
+    lines.append("identical apart from the declared changes" if ok else "UNEXPECTED DIFFERENCES")
+    return lines, ok
+
+
+# ---------------------------------------------------------------- driver
+
+
+def _run_battery(tree: Path) -> list[dict]:
+    with tempfile.TemporaryDirectory(prefix="identity-run-") as cwd:
+        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+        proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--battery", str(tree)],
+                              cwd=cwd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the battery failed on {tree}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="byte-identity battery: parent revision against this checkout")
+    parser.add_argument("--parent", help="git revision of the parent")
+    parser.add_argument("--expect-change", action="append", default=[], metavar="GROUP[:ROW]",
+                        help="a difference the change makes on purpose (repeatable)")
+    parser.add_argument("--battery", metavar="TREE", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.battery:
+        json.dump(battery(Path(args.battery)), sys.stdout)
+        return 0
+    if not args.parent:
+        parser.error("--parent is required")
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory(prefix="identity-parent-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        parent_rows = _run_battery(Path(tmp))
+    change_rows = _run_battery(ROOT)
+    lines, ok = compare(parent_rows, change_rows, set(args.expect_change))
+    print(f"parent {sha}, change {ROOT}")
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

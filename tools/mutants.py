@@ -39,8 +39,8 @@ class Mutant(NamedTuple):
     why: str
 
 
-CHANNELS, LINALG, MEASURES, STATES, CLI = (f"src/cohkit/{name}.py" for name in
-                                            ("channels", "linalg", "measures", "states", "cli"))
+CHANNELS, LINALG, MEASURES, STATES, CLI, ERRORS = (f"src/cohkit/{name}.py" for name in
+                                                    ("channels", "linalg", "measures", "states", "cli", "errors"))
 T_CHANNELS, T_CLI, T_LINALG, T_MEASURES, T_STATES = (f"tests/test_{name}.py" for name in
                                                       ("channels", "cli", "linalg", "measures", "states"))
 
@@ -62,24 +62,36 @@ MUTANTS = (
     Mutant(CHANNELS, "probs = states.require_probabilities(states.dirichlet_stack(rngs, np.full(len(rngs), d), d))",
            "probs = states.dirichlet_stack(rngs, np.full(len(rngs), d), d)", (T_CHANNELS,),
            "C1's incoherent states no longer gated as probability vectors"),
-    # argument gates
-    Mutant(STATES, "isinstance(d, bool) or d < 1", "d < 1", (T_CHANNELS, T_STATES),
-           "states accept True as the dimension 1"),
-    Mutant(CHANNELS, "if isinstance(tol, bool) or not (0.0 <= tol < math.inf):", "if not (0.0 <= tol < math.inf):",
-           (T_CHANNELS,), "audits accept True as the tolerance 1.0"),
-    Mutant(CHANNELS, "isinstance(d, bool) or d < 2", "isinstance(d, bool) or d < 1", (T_CHANNELS, T_CLI),
-           "audits accept d = 1, a space with no coherence to audit"),
-    Mutant(STATES, "if not cmath.isfinite(a):", "if False:", (T_STATES, T_CLI),
+    # argument gates: errors.require_count and errors.require_real, and where they are called
+    Mutant(ERRORS, "or isinstance(v, bool) or not lo <= v <= hi", "or not lo <= v <= hi", (T_CHANNELS, T_STATES),
+           "the integer gate accepts True as 1: states and audits take True as a dimension, sample count or seed"),
+    Mutant(CHANNELS, 'require_real("tol", tol, lo=0)', 'require_real("tol", tol)', (T_CHANNELS,),
+           "audits accept a negative tolerance"),
+    Mutant(CHANNELS, 'require_count("d", d, 2, MAX_AUDIT_DIM)', 'require_count("d", d, 1, MAX_AUDIT_DIM)',
+           (T_CHANNELS, T_CLI), "audits accept d = 1, a space with no coherence to audit"),
+    Mutant(CHANNELS, 'require_count("d", d, 2, MAX_AUDIT_DIM)', 'require_count("d", d, 2)', (T_CHANNELS, T_CLI),
+           "audits accept any d above MAX_AUDIT_DIM"),
+    Mutant(CHANNELS, "if not isinstance(probe_eigenbasis, (bool, np.bool_)):", "if False:", (T_CHANNELS,),
+           "audits run the probe for any truthy probe_eigenbasis, such as the string 'no'"),
+    Mutant(MEASURES, 'require_count("budget", budget, 2)', 'require_count("budget", budget, 0)', (T_MEASURES,),
+           "the search accepts a budget of 0 or 1, which leaves no evaluation to either run"),
+    Mutant(STATES, 'np.random.default_rng(require_count("seed", seed, 0))', "np.random.default_rng(seed)",
+           (T_CHANNELS,), "the samplers pass any seed to default_rng: None draws an unreproducible state"),
+    Mutant(STATES, 'alpha = require_real("alpha", alpha)', "pass", (T_CHANNELS,),
+           "qubit_pair accepts a non-finite angle and returns a NaN matrix"),
+    Mutant(STATES, 'a = complex(require_real("amplitude real part", a.real), '
+                   'require_real("amplitude imag part", a.imag))', "a = complex(a)", (T_STATES, T_CLI),
            "glauber_truncated accepts a non-finite amplitude"),
-    Mutant(LINALG, "a = require_hermitian(m, tol)", "a = as_complex_stack(m)", (T_LINALG,),
+    Mutant(LINALG, "a = require_hermitian(m)", "a = as_complex_stack(m)", (T_LINALG,),
            "the eigensolvers skip their Hermiticity gate"),
     Mutant(LINALG, "a = a.copy()", "a = a.view()", (T_STATES, T_CHANNELS),
            "DensityMatrix and KrausSet share the caller's array"),
-    # state files and configs
-    Mutant(CLI, "and not isinstance(v, bool) and abs(v)", "and abs(v)", (T_CLI,),
-           "JSON true and false read as the numbers 1 and 0"),
-    Mutant(CLI, "abs(v) <= sys.float_info.max", "True", (T_CLI,),
-           "integer literals beyond the double range accepted"),
+    # errors.finite_real: state files, configs and the real-number gate
+    Mutant(ERRORS, "and not isinstance(v, bool) and abs(v)", "and abs(v)", (T_CLI, T_CHANNELS),
+           "the real-number gate accepts True: JSON true and false read as 1 and 0, True as the audit tolerance"),
+    Mutant(ERRORS, "abs(v) <= sys.float_info.max", "True", (T_CLI, T_CHANNELS),
+           "the real-number gate accepts nan, inf and integer literals beyond the double range"),
+    # state files
     Mutant(CLI, "return states.make_density(m), label", "return states.make_density(m), None", (T_CLI,),
            "load_state drops the state file's label"),
     # seeded sampling: bitwise default_rng([seed, i]) and Generator.dirichlet
