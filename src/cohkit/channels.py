@@ -21,6 +21,7 @@ Reports serialize to stable JSON.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 import pickle
@@ -64,7 +65,14 @@ CONDITIONS = ("C0", "C1", "C2_average", "C2_selective", "C3")
 OPERATION_CLASSES = ("unital_mixture", "diagonal_incoherent", "general_tp")
 VERDICT_HOLDS = "holds_within_tol"
 VERDICT_VIOLATED = "violated"
-REPORT_FORMAT = 2
+REPORT_FORMAT = 3
+# A later C2 candidate wins a sample from the class channel only by more than this much.
+WIN_MARGIN = 1e-12
+# diagnostics["violation_decades"] counts violations v <= 0, in (0, 1e-15], in each
+# (10^k, 10^(k+1)] for k = -15 ... -1, and v > 1: one bin per gap between these edges.
+_DECADE_EDGES = np.concatenate(([0.0], 10.0 ** np.arange(-15, 1)))
+# ndim of each matrix entry a witness may hold: one matrix, or a stack of them
+_WITNESS_NDIM = {"state": 2, "unitary": 2, "eigenvectors": 2, "kraus_operators": 3, "states": 3}
 
 _CLASSIFY_CHECK_SEED = 1060
 
@@ -213,17 +221,17 @@ class AuditReport:
         return pickle.loads(pickle.dumps(vars(self)))
 
     def to_json(self) -> str:
-        """Report format 2: one line per top-level key, "format" among them,
+        """Report format 3: one line per top-level key, "format" among them,
         in sorted order, each value written by json.dumps(value, sort_keys=True)."""
         fields = sorted({**vars(self), "format": REPORT_FORMAT}.items())
         lines = (f"  {json.dumps(key)}: {json.dumps(value, sort_keys=True)}" for key, value in fields)
         return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def _matrix_json(m) -> list:
-    """A complex matrix, or a stack of them, as nested lists of [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+def _matrix_json(m) -> dict:
+    """A complex matrix, or a stack of them, exactly: its little-endian complex128 bytes in base64."""
+    a = np.ascontiguousarray(m, dtype="<c16")
+    return {"base64": binascii.b2a_base64(a, newline=False).decode("ascii"), "dtype": "<c16", "shape": list(a.shape)}
 
 
 def _projectors(vecs: np.ndarray) -> np.ndarray:
@@ -299,9 +307,10 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
             columns["dropped_outcomes"] = columns.get("dropped_outcomes", 0) + (outcomes & ~kept).sum(axis=1)
     afters = np.stack(afters)
     violations = afters - before
-    # argmax keeps the first of equal candidates, as a strict > update would
-    winner = np.argmax(violations, axis=0)
     pick = np.arange(len(rho))
+    # the first candidate keeps a sample unless another beats it by more than WIN_MARGIN
+    winner = np.argmax(violations, axis=0)
+    winner = np.where(violations[winner, pick] > violations[0] + WIN_MARGIN, winner, 0)
     columns.update(class_channel=(winner == 0) & (op_class is not None), measure_before=before,
                    measure_after=afters[winner, pick])
     return violations[winner, pick], columns
@@ -358,7 +367,8 @@ def audit_conditions(
 
     For C2 conditions the channel pool is op_class samples, plus the
     projective measurement onto each state's eigenbasis when
-    probe_eigenbasis is set; each sample takes the worst candidate.
+    probe_eigenbasis is set; each sample takes the worst candidate, but
+    the probe must beat the class channel by more than WIN_MARGIN.
     verdict is "holds_within_tol" iff the maximum violation is at most tol.
 
     Sample i draws its inputs from its own generator, bitwise
@@ -377,15 +387,17 @@ def audit_conditions(
     operators are the projectors |v_j><v_j|.
 
     diagnostics holds counters over every sample, not kept per sample:
-    min_violation and samples_above_tol; for C2, class_channel_wins and
-    probe_wins; for C2_selective, dropped_outcomes, the outcomes of every
-    candidate that fell below SELECTIVE_P_FLOOR.
+    min_violation, samples_above_tol, violation_decades (see _DECADE_EDGES);
+    for C2, class_channel_wins and probe_wins; for C2_selective,
+    dropped_outcomes, the outcomes of every candidate that fell below
+    SELECTIVE_P_FLOOR.
     """
     op_class = validate_audit_arguments(measure, condition, op_class, d, samples, seed, tol, probe_eigenbasis)
     samples = int(samples)
     block = max(1, _BLOCK_BYTES // (16 * max(_MAX_PARTS, d) * d * d))
     best = None
     diagnostics = {"min_violation": math.inf}
+    decades = np.zeros(len(_DECADE_EDGES) + 1, dtype=int)
     for start in range(0, samples, block):
         indices = range(start, min(start + block, samples))
         violation, columns = _audit_block(measure, condition, op_class, probe_eigenbasis, d, seed, indices)
@@ -393,6 +405,7 @@ def audit_conditions(
         if best is None or violation[j] > best[0]:
             best = (violation[j], start + j, {k: v[j] for k, v in columns.items()})
         diagnostics["min_violation"] = min(diagnostics["min_violation"], float(violation.min()))
+        decades += np.bincount(np.searchsorted(_DECADE_EDGES, violation), minlength=len(decades))
         counts = {"samples_above_tol": violation > tol}
         if "class_channel" in columns:
             counts.update(class_channel_wins=columns["class_channel"], probe_wins=~columns["class_channel"])
@@ -401,6 +414,7 @@ def audit_conditions(
         for name, per_sample in counts.items():
             diagnostics[name] = diagnostics.get(name, 0) + int(per_sample.sum())
     max_violation, index, row = best
+    diagnostics["violation_decades"] = decades.tolist()
     witness = _witness(condition, op_class, index, row)
 
     return AuditReport(
@@ -444,13 +458,26 @@ def validate_audit_arguments(measure: str, condition: str, op_class: str | None,
     return op_class
 
 
-def _witness_matrices(entries, ndim: int) -> np.ndarray:
-    """The complex matrix (ndim 2) or stack of matrices (ndim 3) that
-    _matrix_json wrote as nested [re, im] pairs; ParseError if it is none."""
-    a = np.ascontiguousarray(entries, dtype=float)
-    if a.ndim != ndim + 1 or a.shape[-1] != 2 or a.shape[-3] != a.shape[-2]:
-        raise ParseError(f"expected {ndim}-dimensional square [re, im] entries, got shape {a.shape}")
-    return a.view(complex)[..., 0]
+def _witness_matrices(entry, ndim: int) -> np.ndarray:
+    """The matrix (ndim 2) or stack (ndim 3) that _matrix_json wrote as entry; ParseError if it is none."""
+    if not isinstance(entry, dict) or set(entry) != {"base64", "dtype", "shape"} or entry["dtype"] != "<c16":
+        raise ParseError(f"expected a matrix entry {{base64, dtype: '<c16', shape}}, got {entry!r:.80}")
+    shape = entry["shape"]
+    if not isinstance(shape, list) or len(shape) != ndim or shape[-1] != shape[-2]:
+        raise ParseError(f"expected a shape of {ndim} integers, the last two equal, got {shape!r}")
+    size = 16 * math.prod(require_count("a shape entry", n, 0, error=ParseError) for n in shape)
+    try:
+        data = binascii.a2b_base64(entry["base64"], strict_mode=True)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"matrix data is not base64: {exc}") from exc
+    if len(data) != size:
+        raise ParseError(f"expected {size} bytes of matrix data for shape {shape}, got {len(data)}")
+    return np.frombuffer(data, dtype="<c16").reshape(shape)
+
+
+def witness_arrays(witness) -> dict:
+    """Every matrix entry of a witness dict, decoded, by name; ParseError if one cannot be read."""
+    return {key: _witness_matrices(witness[key], ndim) for key, ndim in _WITNESS_NDIM.items() if key in witness}
 
 
 def replay_violation(report: dict) -> float:
@@ -469,23 +496,20 @@ def replay_violation(report: dict) -> float:
     try:
         fn = MEASURE_FUNCTIONS[report["measure_name"]]
         condition, w = report["condition"], report["witness"]
+        m = witness_arrays(w)
         if condition == "C3":
             weights = np.asarray(w["weights"], dtype=float)
-            members = _witness_matrices(w["states"], 3)
-            mixture = states.DensityMatrix(np.einsum("m,mij->ij", weights, members))
-            return fn(mixture) - sum(p * fn(states.DensityMatrix(m)) for p, m in zip(weights, members))
-        rho = states.DensityMatrix(_witness_matrices(w["state"], 2))
+            mixture = states.DensityMatrix(np.einsum("m,mij->ij", weights, m["states"]))
+            return fn(mixture) - sum(p * fn(states.DensityMatrix(s)) for p, s in zip(weights, m["states"]))
+        rho = states.DensityMatrix(m["state"])
         if condition == "C0":
-            return abs(fn(states.apply_unitary(rho, _witness_matrices(w["unitary"], 2))) - fn(rho))
+            return abs(fn(states.apply_unitary(rho, m["unitary"])) - fn(rho))
         if condition == "C1" and w["kind"] == "nonzero_on_incoherent":
             return fn(rho)
         if condition == "C1" and w["kind"] == "below_floor_on_random":
             return C1_POSITIVITY_FLOOR - fn(rho)
         if condition in ("C2_average", "C2_selective"):
-            if "kraus_operators" in w:
-                kraus = KrausSet(_witness_matrices(w["kraus_operators"], 3))
-            else:
-                kraus = KrausSet(_projectors(_witness_matrices(w["eigenvectors"], 2)))
+            kraus = KrausSet(m["kraus_operators"] if "kraus_operators" in m else _projectors(m["eigenvectors"]))
             if condition == "C2_average":
                 return fn(apply_channel(kraus, rho)) - fn(rho)
             return sum(p * fn(out) for p, out in selective_outcomes(kraus, rho)) - fn(rho)

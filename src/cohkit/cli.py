@@ -7,6 +7,7 @@ Subcommands:
   audit                   randomized condition audits with JSON reports
   demo glauber            truncated coherent-amplitude states per dimension
   demo interference       wave-plate fringe curve and visibility
+  replay REPORT.json...   recompute each audit report's violation from its witness
 
 State files are JSON: {"dim": d, "entries": d x d rows of [re, im]
 pairs, "label": optional}; they are read, never written, and any JSON
@@ -15,9 +16,9 @@ row, comma separators, '.' decimals, LF line endings, and numbers with
 17 significant digits, enough to reproduce each double exactly. All
 angles are radians; degree input is not accepted anywhere.
 
-Exit codes: 0 success (audit verdicts match expectations), 1 audit
-verdict mismatch, 2 usage error (an output path that cannot be written
-among them), 3 invalid input file or state.
+Exit codes: 0 success (audit verdicts match expectations, replays agree),
+1 audit verdict mismatch or replay disagreement, 2 usage error (an output
+path that cannot be written among them), 3 invalid input file or state.
 """
 
 from __future__ import annotations
@@ -158,9 +159,7 @@ def _write_text(text: str, path=None) -> None:
 
 
 def _write_table(columns, rows, out_path=None) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
     _write_text("\n".join(lines) + "\n", out_path)
 
 
@@ -309,15 +308,8 @@ def run_audit_cli(args) -> int:
     condition_flags = _split_flags(args.condition, CONDITION_BY_FLAG, "--condition")
     class_flags = _split_flags(args.op_class, CLASS_BY_FLAG, "--class") if args.op_class else []
 
-    combos = []
-    for m in measure_flags:
-        for cond_flag in condition_flags:
-            condition = CONDITION_BY_FLAG[cond_flag]
-            if condition in ("C2_average", "C2_selective"):
-                for cls_flag in class_flags or [None]:
-                    combos.append((m, cond_flag, cls_flag))
-            else:
-                combos.append((m, cond_flag, None))
+    combos = [(m, cond_flag, cls_flag) for m in measure_flags for cond_flag in condition_flags
+              for cls_flag in (class_flags or [None] if cond_flag.startswith("C2") else [None])]
     # every combination is checked before --out is created, so a rejected run leaves nothing behind
     for m, cond_flag, cls_flag in combos:
         channels.validate_audit_arguments(m, CONDITION_BY_FLAG[cond_flag], CLASS_BY_FLAG.get(cls_flag), args.d,
@@ -335,16 +327,8 @@ def run_audit_cli(args) -> int:
     for m, cond_flag, cls_flag in combos:
         condition = CONDITION_BY_FLAG[cond_flag]
         op_class = CLASS_BY_FLAG[cls_flag] if cls_flag else None
-        report = channels.audit_conditions(
-            m,
-            condition,
-            op_class,
-            d=args.d,
-            samples=args.samples,
-            seed=args.seed,
-            tol=args.tol,
-            probe_eigenbasis=args.probe_eigenbasis,
-        )
+        report = channels.audit_conditions(m, condition, op_class, d=args.d, samples=args.samples, seed=args.seed,
+                                           tol=args.tol, probe_eigenbasis=args.probe_eigenbasis)
         if single_file:
             path = out
         else:
@@ -411,6 +395,26 @@ def _cmd_demo_interference(args) -> int:
     return EXIT_OK
 
 
+def _cmd_replay(args) -> int:
+    disagreements = 0
+    for path in args.reports:
+        report = _load_json(path, "report")
+        try:
+            replayed = channels.replay_violation(report)
+            recorded = require_real("max_violation", report.get("max_violation"), error=ParseError)
+            tol = require_real("tol", report.get("tol"), lo=0, error=ParseError)
+            matrices = channels.witness_arrays(report["witness"]) if args.show else {}
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        agrees = abs(replayed - recorded) <= tol
+        disagreements += not agrees
+        print(f"{path}: max_violation {recorded!r}, replayed {float(replayed)!r}: "
+              f"{'agrees' if agrees else 'DISAGREES'} within tol {tol!r}")
+        for key, m in matrices.items():
+            print(f"  {key} {list(m.shape)}: {json.dumps(np.stack([m.real, m.imag], axis=-1).tolist())}")
+    return EXIT_VERDICT_MISMATCH if disagreements else EXIT_OK
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The cohkit argument parser, built on the first call and shared after
@@ -452,6 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=".", help="report directory, or a .json path for a single audit")
     p.set_defaults(func=run_audit_cli)
+
+    p = sub.add_parser("replay", help="recompute each audit report's violation from its witness matrices")
+    p.add_argument("reports", nargs="+", metavar="REPORT.json")
+    p.add_argument("--show", action="store_true", help="also print each witness matrix as [re, im] pairs")
+    p.set_defaults(func=_cmd_replay)
 
     demo = sub.add_parser("demo", help="worked demonstrations")
     demo_sub = demo.add_subparsers(dest="demo_command", required=True)

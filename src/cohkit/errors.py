@@ -4,6 +4,8 @@ import math
 import numbers
 import sys
 
+import numpy as np
+
 
 class CohkitError(Exception):
     """Base class for every error raised by this package."""
@@ -80,3 +82,11 @@ def require_real(name: str, v, lo=-math.inf, error=InvalidArgumentsError) -> flo
         bound = "" if lo == -math.inf else f" >= {lo}"
         raise error(f"{name} must be a finite number{bound}, got {v!r}")
     return float(v)
+
+
+def require_array(name: str, v, dtype) -> np.ndarray:
+    """v as a numpy array of dtype; InvalidArgumentsError when numpy cannot read it as one."""
+    try:
+        return np.asarray(v, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentsError(f"{name} must be numbers, got {type(v).__name__}: {exc}") from exc

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, InvalidArgumentsError, OptimizerFailure, require_count
+from .errors import DimensionMismatchError, InvalidArgumentsError, OptimizerFailure, require_array, require_count
 from .states import DensityMatrix, DiagonalState
 
 SUPPORT_EIGENVALUE_TOL = 1e-12
@@ -71,23 +71,33 @@ def c_ibiqc(m) -> np.ndarray:
 
 
 def shannon_entropy(probs) -> float:
-    """Base-2 entropy of one probability vector; see entropy_bits."""
-    return float(entropy_bits(probs))
+    """Base-2 entropy of one finite vector of probabilities; see entropy_bits."""
+    p = require_array("probs", probs, float)
+    if p.ndim != 1 or not np.isfinite(p).all():
+        raise InvalidArgumentsError(f"probs must be one vector of finite numbers, got {probs!r:.80}")
+    return float(entropy_bits(p))
+
+
+def _matrix_of(rho) -> np.ndarray:
+    """rho.matrix; InvalidArgumentsError unless rho is a DensityMatrix."""
+    if not isinstance(rho, DensityMatrix):
+        raise InvalidArgumentsError(f"expected a DensityMatrix, got {type(rho).__name__}")
+    return rho.matrix
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the eigenvalue distribution, in bits."""
-    return float(spectral_entropy(rho.matrix))
+    return float(spectral_entropy(_matrix_of(rho)))
 
 
 def l1_coherence(rho: DensityMatrix) -> float:
     """Sum of absolute off-diagonal entries."""
-    return float(c_l1(rho.matrix))
+    return float(c_l1(_matrix_of(rho)))
 
 
 def rel_ent_coherence(rho: DensityMatrix) -> float:
     """Entropy gained by erasing off-diagonal entries: S(rho_diag) - S(rho)."""
-    return float(c_re(rho.matrix))
+    return float(c_re(_matrix_of(rho)))
 
 
 def ibiqc_coherence(rho: DensityMatrix) -> float:
@@ -96,7 +106,7 @@ def ibiqc_coherence(rho: DensityMatrix) -> float:
     Basis independent; zero exactly when rho is maximally mixed, and
     log2(d) for any pure state.
     """
-    return float(c_ibiqc(rho.matrix))
+    return float(c_ibiqc(_matrix_of(rho)))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

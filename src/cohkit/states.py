@@ -26,6 +26,7 @@ from .errors import (
     NotPositiveError,
     NotUnitTraceError,
     NotUnitaryError,
+    require_array,
     require_count,
     require_real,
 )
@@ -90,7 +91,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
+        a = require_array("amplitudes", self.amplitudes, complex)
         if a.ndim != 1 or a.shape[0] < 1:
             raise DimensionMismatchError(f"expected an amplitude vector, got shape {a.shape}")
         norm = float(np.linalg.norm(a))
@@ -125,7 +126,7 @@ def make_density(entries) -> DensityMatrix:
     eigenvalues below -DENSITY_TOL are rejected, eigenvalues in
     [-DENSITY_TOL, 0) are clamped to zero and the spectrum renormalized.
     """
-    m = linalg.as_complex_matrix(entries)
+    m = linalg.as_complex_matrix(require_array("entries", entries, complex))
     # hermitian_eig gates Hermiticity and decomposes the Hermitian part
     eigenvalues, vecs = linalg.hermitian_eig(m)
     trace = complex(m.trace())

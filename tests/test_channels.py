@@ -1,3 +1,4 @@
+import binascii
 import dataclasses
 import json
 import math
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cohkit import channels, linalg, states
 from cohkit.channels import (
@@ -492,7 +494,7 @@ def test_audit_uses_neither_seed_sequence_nor_dirichlet(monkeypatch):
 
 @pytest.mark.parametrize("d, samples", [(2, 20), (3, 20), (32, 1)])
 def test_report_json_is_one_sorted_key_per_line_on_every_expected_row(monkeypatch, d, samples):
-    # json's indent encoder is its pure-Python one; format 2 never needs it
+    # json's indent encoder is its pure-Python one; format 3 never needs it
     def indent_encoder(*args, **kwargs):
         raise AssertionError("to_json called json's indent encoder")
 
@@ -503,7 +505,7 @@ def test_report_json_is_one_sorted_key_per_line_on_every_expected_row(monkeypatc
                                   probe_eigenbasis=probe)
         text = report.to_json()
         doc = json.loads(text)
-        assert doc == {**report.to_dict(), "format": 2}, row
+        assert doc == {**report.to_dict(), "format": 3}, row
         lines = text.split("\n")
         assert lines[0] == "{" and lines[-2:] == ["}", ""], row
         keys = [list(json.loads("{" + line.removesuffix(",") + "}")) for line in lines[1:-2]]
@@ -630,9 +632,8 @@ AUDIT_PIN = {
 }
 
 
-def _witness_matrix(entries):
-    a = np.asarray(entries, dtype=float)
-    return a[..., 0] + 1j * a[..., 1]
+def _witness_matrix(entry):
+    return channels._witness_matrices(entry, 2)
 
 
 def test_audit_pin_covers_expected_verdicts():
@@ -666,6 +667,7 @@ def test_property_witness_replays_and_holding_rows_hold(row, d, seed, samples):
     diagnostics = report.diagnostics
     assert diagnostics["min_violation"] <= report.max_violation
     assert (diagnostics["samples_above_tol"] > 0) == (report.verdict == VERDICT_VIOLATED)
+    assert len(diagnostics["violation_decades"]) == 18 and sum(diagnostics["violation_decades"]) == samples
     if condition.startswith("C2"):
         assert diagnostics["class_channel_wins"] + diagnostics["probe_wins"] == samples
         assert diagnostics["probe_wins"] == 0 or probe
@@ -683,15 +685,23 @@ def test_property_audit_max_violation_is_monotone_in_samples(row, d, seed, n, m)
     assert prefix.max_violation <= longer.max_violation
 
 
-# Diagnostics of three AUDIT_PIN rows whose counts stand clear of round-off
+# Diagnostics of three AUDIT_PIN rows whose counts stand clear of round-off. The general_tp
+# row's one-operator channels are unitaries whose violations are round-off: they fill part of
+# its first two violation_decades bins, whose split may move with the LAPACK build.
 DIAGNOSTICS_PIN = {
-    ("l1", "C0", None, False): {"min_violation": 0.002398614516751718, "samples_above_tol": 100},
+    ("l1", "C0", None, False): {"min_violation": 0.002398614516751718, "samples_above_tol": 100,
+                                "violation_decades": [0] * 14 + [3, 40, 57, 0]},
     ("ibiqc", "C2_average", "general_tp", False): {
-        "min_violation": -0.8100943897732005, "samples_above_tol": 5, "class_channel_wins": 100, "probe_wins": 0},
+        "min_violation": -0.8100943897732005, "samples_above_tol": 5, "class_channel_wins": 100, "probe_wins": 0,
+        "violation_decades": [83, 12] + [0] * 12 + [1, 3, 1, 0]},
     ("ibiqc", "C2_selective", "general_tp", True): {
         "min_violation": 0.35841212904714626, "samples_above_tol": 100, "class_channel_wins": 0, "probe_wins": 100,
-        "dropped_outcomes": 0},
+        "dropped_outcomes": 0, "violation_decades": [0] * 16 + [53, 47]},
 }
+# Win counts of a probe row where both candidates often sit at round-off: the probe wins a
+# sample only by more than WIN_MARGIN, so the class channel keeps its one-operator (unitary)
+# draws, and the counts no longer follow last-bit rounding (they read 13 and 87 before the margin).
+WINS_PIN = {("ibiqc", "C2_average", "unital_mixture", True): {"class_channel_wins": 23, "probe_wins": 77}}
 
 
 @pytest.mark.parametrize("row", list(DIAGNOSTICS_PIN), ids=lambda row: "-".join(map(str, row)))
@@ -702,6 +712,64 @@ def test_audit_diagnostics_match_pin(row):
     assert report.diagnostics == pytest.approx(DIAGNOSTICS_PIN[row], abs=1e-12)
 
 
+@pytest.mark.parametrize("row", list(WINS_PIN), ids=lambda row: "-".join(map(str, row)))
+def test_audit_win_counts_match_pin(row):
+    measure, condition, op_class, probe = row
+    report = audit_conditions(measure, condition, op_class=op_class, d=PIN_D, samples=PIN_SAMPLES,
+                              seed=PIN_SEED, probe_eigenbasis=probe)
+    assert {k: report.diagnostics[k] for k in WINS_PIN[row]} == WINS_PIN[row]
+
+
+_ENTRY = channels._matrix_json(np.eye(2) / 2)
+# Each breaks one rule of the format-3 entry of a 2 x 2 matrix
+MALFORMED_ENTRIES = {
+    "format-2 list": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+    "not a dict": "not a matrix",
+    "no dtype": {k: v for k, v in _ENTRY.items() if k != "dtype"},
+    "extra key": {**_ENTRY, "order": "C"},
+    "dtype <f8": {**_ENTRY, "dtype": "<f8"},
+    "dtype >c16": {**_ENTRY, "dtype": ">c16"},
+    "shape of one int": {**_ENTRY, "shape": [4]},
+    "shape of three ints": {**_ENTRY, "shape": [1, 2, 2]},
+    "shape not square": {**_ENTRY, "shape": [1, 4]},
+    "shape negative": {**_ENTRY, "shape": [-2, -2]},
+    "shape of floats": {**_ENTRY, "shape": [2.0, 2.0]},
+    "shape of bools": {**_ENTRY, "shape": [True, True]},
+    "shape a string": {**_ENTRY, "shape": "22"},
+    "too few bytes": {**_ENTRY, "base64": binascii.b2a_base64(bytes(48), newline=False).decode()},
+    "too many bytes": {**_ENTRY, "base64": binascii.b2a_base64(bytes(80), newline=False).decode()},
+    "invalid character": {**_ENTRY, "base64": _ENTRY["base64"][:4] + "!" + _ENTRY["base64"][4:]},
+    "newline inside": {**_ENTRY, "base64": _ENTRY["base64"][:4] + "\n" + _ENTRY["base64"][4:]},
+    "excess after padding": {**_ENTRY, "base64": _ENTRY["base64"] + "="},
+    "base64 not a string": {**_ENTRY, "base64": None},
+    "base64 not ascii": {**_ENTRY, "base64": "é" + _ENTRY["base64"]},
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_ENTRIES))
+def test_witness_matrices_reject_malformed_entries(name):
+    with pytest.raises(ParseError):
+        channels._witness_matrices(MALFORMED_ENTRIES[name], 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ndim=st.sampled_from([2, 3]), k=st.integers(0, 3), d=st.integers(0, 4), data=st.data())
+def test_property_matrix_entries_round_trip_bitwise(ndim, k, d, data):
+    shape = (k, d, d, 2)[3 - ndim:]
+    parts = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_subnormal=True)),
+                      label="parts")
+    m = parts.view(complex)[..., 0]
+    entry = json.loads(json.dumps(channels._matrix_json(m)))
+    out = channels._witness_matrices(entry, ndim)
+    assert out.shape == m.shape and out.tobytes() == m.tobytes()
+
+
+def test_matrix_entries_keep_signed_zeros_and_subnormals():
+    m = np.array([[-0.0 + 5e-324j, 0.0 - 0.0j], [2.2250738585072014e-308 - 1e-310j, -math.inf + 1j]])
+    out = channels._witness_matrices(json.loads(json.dumps(channels._matrix_json(m))), 2)
+    assert out.view(np.uint64).tolist() == m.view(np.uint64).tolist()
+
+
 def test_replay_violation_rejects_unreadable_witness():
     report = audit_conditions("ibiqc", "C2_selective", d=2, samples=5, seed=1, probe_eigenbasis=True).to_dict()
     witness = report["witness"]
@@ -710,9 +778,9 @@ def test_replay_violation_rejects_unreadable_witness():
         {**report, "witness": None},
         {**report, "measure_name": "fidelity"},
         {**report, "condition": "C9"},
-        {**report, "witness": {**witness, "state": "not a matrix"}},
-        {**report, "witness": {**witness, "eigenvectors": [[1.0, 0.0], [0.0, 1.0]]}},
         {**report, "witness": {k: v for k, v in witness.items() if k != "eigenvectors"}},
+        *({**report, "witness": {**witness, key: entry}}
+          for entry in MALFORMED_ENTRIES.values() for key in ("state", "eigenvectors")),
     ):
         with pytest.raises(ParseError):
             replay_violation(broken)

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import cohkit
+from cohkit import channels
 from cohkit.channels import audit_conditions
 from cohkit.cli import (
+    EXPECTED_VERDICTS,
     build_parser,
     default_alpha_grid,
     demo_glauber,
@@ -589,6 +591,67 @@ def _run_main(argv, out, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+_REPLAY_LINE = re.compile(r"^(.+): max_violation (\S+), replayed (\S+): (agrees|DISAGREES) within tol (\S+)$")
+
+
+@pytest.mark.parametrize("d, samples", [(2, 20), (3, 20), (32, 1)])
+def test_replay_agrees_with_every_expected_row(tmp_path, capsys, d, samples):
+    audit = ["audit", "--measure", "l1,re,ibiqc", "--d", str(d), "--samples", str(samples), "--seed", "3",
+             "--out", str(tmp_path)]
+    every = ["--condition", "C0,C1,C2avg,C2sel,C3", "--class", "unital,diagonal,general"]
+    for probe in ([], ["--probe-eigenbasis"]):
+        assert main(audit + every + probe) in (0, 1)
+    assert main(audit + ["--condition", "C2sel", "--probe-eigenbasis"]) == 0
+    paths = sorted(str(p) for p in tmp_path.glob("*.json"))
+    capsys.readouterr()
+    assert main(["replay", *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(paths) == 57
+    covered = set()
+    for path, line in zip(paths, lines):
+        match = _REPLAY_LINE.match(line)
+        assert match and match[1] == path and match[4] == "agrees", line
+        assert abs(float(match[2]) - float(match[3])) <= 1e-12, line
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+        assert float(match[2]) == report["max_violation"] and float(match[5]) == report["tol"]
+        covered.add((report["measure_name"], report["condition"], report["operation_class"],
+                     report["probe_eigenbasis"]))
+    assert set(EXPECTED_VERDICTS) <= covered
+
+
+def test_replay_exit_codes_and_show(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["audit", "--measure", "ibiqc", "--condition", "C2sel", "--class", "unital", "--probe-eigenbasis",
+                 "--d", "2", "--samples", "10", "--seed", "4", "--out", str(good)]) == 0
+    report = json.loads(good.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    assert main(["replay", "--show", str(good)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    shown = {line.split()[0]: json.loads(line.split(": ", 1)[1]) for line in lines[1:]}
+    assert set(shown) == {"state", "eigenvectors"} and all(line.startswith("  ") for line in lines[1:])
+    rho = np.array(shown["state"])
+    assert rho.shape == (2, 2, 2)
+    state = channels._witness_matrices(report["witness"]["state"], 2)
+    assert (rho[..., 0] + 1j * rho[..., 1]).tolist() == state.tolist()
+
+    off = tmp_path / "off.json"
+    write_json(off, {**report, "max_violation": report["max_violation"] + 10 * report["tol"]})
+    assert main(["replay", str(good), str(off)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(f"agrees within tol {report['tol']!r}") and "DISAGREES" in out[1]
+
+    for bad in ({**report, "witness": {**report["witness"], "state": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}},
+                {**report, "tol": "1e-9"}, {**report, "max_violation": None}, [report]):
+        write_json(tmp_path / "bad.json", bad)
+        assert main(["replay", str(good), str(tmp_path / "bad.json")]) == 3
+        assert "bad.json" in capsys.readouterr().err
+    (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+    assert main(["replay", str(tmp_path / "bad.json")]) == 3
+    assert main(["replay", str(tmp_path / "missing.json")]) == 3
+    assert main(["replay"]) == 2
+    capsys.readouterr()
 
 
 def test_reused_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys):

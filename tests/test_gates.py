@@ -1,6 +1,7 @@
 """The argument gates of the public API, fuzzed with junk values.
 
-Every numeric or flag parameter of a function in cohkit.__all__ has a row
+Every numeric or flag parameter of a function in cohkit.__all__, and the
+state, matrix and vector parameters of the scalar entry points, has a row
 in GATED: a call that passes the value under test to that parameter and
 small valid values to every other one. A junk value must make the call
 raise a CohkitError subclass or return; it must never raise a bare
@@ -28,6 +29,11 @@ JUNK = st.sampled_from([
 # dimensions and counts with no upper bound: a value that passes the gate allocates, so stay small
 UNBOUNDED = st.one_of(JUNK, st.integers(-3, 300))
 BOUNDED = st.one_of(JUNK, st.integers(-3, 300), st.just(2**70))
+# matrices, vectors and states: junk of every shape, and a matrix where a DensityMatrix belongs
+ARRAYS = st.one_of(JUNK, st.sampled_from([
+    "x", {}, object(), 10**400, [math.nan], [math.inf, 0.0], [[math.nan]], [1, "x"], [[1, 0], [0]], [0.5, 0.5],
+    [[0.5, 0.0], [0.0, 0.5]], np.eye(2) / 2, [1j], np.array(["a"]),
+]))
 
 # (function, parameter) -> (call with the value under test, values to try)
 GATED = {
@@ -42,31 +48,38 @@ GATED = {
     ("glauber_truncated", "d"): (lambda v: cohkit.glauber_truncated(1.0, v), UNBOUNDED),
     ("haar_unitary", "d"): (lambda v: cohkit.haar_unitary(v, 0), UNBOUNDED),
     ("haar_unitary", "seed"): (lambda v: cohkit.haar_unitary(2, v), BOUNDED),
+    ("ibiqc_coherence", "rho"): (cohkit.ibiqc_coherence, ARRAYS),
+    ("l1_coherence", "rho"): (cohkit.l1_coherence, ARRAYS),
+    ("make_density", "entries"): (cohkit.make_density, ARRAYS),
     ("maximally_mixed", "d"): (cohkit.maximally_mixed, UNBOUNDED),
     ("min_distance_coherence", "budget"): (lambda v: cohkit.min_distance_coherence(_RHO, "trace", budget=v), JUNK),
+    ("PureState", "amplitudes"): (cohkit.PureState, ARRAYS),
     ("qubit_pair", "alpha"): (cohkit.qubit_pair, JUNK),
     ("random_channel", "d"): (lambda v: cohkit.random_channel("general_tp", v), UNBOUNDED),
     ("random_channel", "k"): (lambda v: cohkit.random_channel("general_tp", 2, k=v), UNBOUNDED),
     ("random_channel", "seed"): (lambda v: cohkit.random_channel("general_tp", 2, seed=v), BOUNDED),
     ("random_density", "d"): (lambda v: cohkit.random_density(v, 0), UNBOUNDED),
     ("random_density", "seed"): (lambda v: cohkit.random_density(2, v), BOUNDED),
+    ("rel_ent_coherence", "rho"): (cohkit.rel_ent_coherence, ARRAYS),
+    ("shannon_entropy", "probs"): (cohkit.shannon_entropy, ARRAYS),
+    ("von_neumann_entropy", "rho"): (cohkit.von_neumann_entropy, ARRAYS),
 }
 
 # every other parameter of a public function: states, matrices, Kraus sets, reports and names
 NOT_NUMERIC = {
     "apply_channel": {"kraus", "rho"}, "apply_unitary": {"rho", "u"},
     "audit_conditions": {"measure", "condition", "op_class"}, "classify_kraus": {"kraus"},
-    "coherence_report": {"rho", "basis_label"}, "hermitian_eig": {"m"}, "ibiqc_coherence": {"rho"},
-    "l1_coherence": {"rho"}, "make_density": {"entries"}, "min_distance_coherence": {"rho", "metric", "search_set"},
-    "random_channel": {"kind"}, "rel_ent_coherence": {"rho"}, "relative_entropy": {"rho", "sigma"},
-    "replay_violation": {"report"}, "selective_counterexample": {"rho"}, "selective_outcomes": {"kraus", "rho"},
-    "shannon_entropy": {"probs"}, "trace_distance": {"a", "b"}, "von_neumann_entropy": {"rho"},
+    "coherence_report": {"rho", "basis_label"}, "hermitian_eig": {"m"},
+    "min_distance_coherence": {"rho", "metric", "search_set"}, "random_channel": {"kind"},
+    "relative_entropy": {"rho", "sigma"}, "replay_violation": {"report"}, "selective_counterexample": {"rho"},
+    "selective_outcomes": {"kraus", "rho"}, "trace_distance": {"a", "b"},
 }
 
 
 def test_the_table_names_every_parameter_of_every_public_function():
+    # PureState is the one gated constructor: the other dataclasses wrap values their callers made
     functions = {name: getattr(cohkit, name) for name in cohkit.__all__
-                 if inspect.isfunction(getattr(cohkit, name))}
+                 if inspect.isfunction(getattr(cohkit, name)) or name == "PureState"}
     listed = {(name, p) for name in functions for p in NOT_NUMERIC.get(name, ())} | set(GATED)
     assert listed == {(name, p) for name, fn in functions.items() for p in inspect.signature(fn).parameters}
 
@@ -83,6 +96,16 @@ def test_property_junk_arguments_raise_cohkit_errors_or_return(data):
             call(value)
         except CohkitError:
             pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cohkit.make_density("x"), lambda: cohkit.PureState("x"), lambda: cohkit.shannon_entropy("x"),
+    lambda: cohkit.shannon_entropy(None), lambda: cohkit.shannon_entropy([math.nan]),
+    lambda: cohkit.l1_coherence(None), lambda: cohkit.von_neumann_entropy(np.eye(2) / 2),
+])
+def test_matrix_and_vector_junk_raises_invalid_arguments(call):
+    with pytest.raises(InvalidArgumentsError):
+        call()
 
 
 @pytest.mark.parametrize("v, lo, hi, expected", [(3, 1, math.inf, 3), (np.int64(2), 2, 2, 2), (2**70, 0, math.inf, 2**70)])

@@ -5,12 +5,12 @@ Usage, from the root of a checkout:
     python3 tools/bench_pairs.py --parent <rev> --pairs 10 --first-seed 1001 --out BENCH_<n>.json \
         [--claim audit-table:ops_per_s] [--change "what the change does"]
 
-The parent revision is checked out into a temporary git worktree, which is
-removed afterwards; the change is this checkout as it stands. For every
-workload of BENCHMARK.json, pair p runs BENCHMARK.json's command with
---workload W --seed <first-seed + p> --seconds <run_seconds> --trace 0 once
-on each side, one run at a time: the parent runs first in even pairs and
-second in odd ones. The file holds every run's environment line and final
+The parent revision is exported with `git archive` into a temporary
+directory, which is removed afterwards; the change is this checkout as it
+stands. For every workload of BENCHMARK.json, pair p runs BENCHMARK.json's
+command with --workload W --seed <first-seed + p> --seconds <run_seconds>
+--trace 0 once on each side, one run at a time: the parent runs first in
+even pairs and second in odd ones. The file holds every run's environment line and final
 JSON line, and per workload and end-to-end metric the medians, quartiles
 (statistics.quantiles, method='inclusive'), the ratio of the medians and in
 how many pairs the change was better.
@@ -19,10 +19,12 @@ how many pairs the change was better.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -98,22 +100,22 @@ def main(argv=None) -> int:
         claim = {"workload": workload, "metric": metric}
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_dir = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent_dir), parent_sha)
-        try:
-            for workload in (w["name"] for w in bench["workloads"]):
-                for p in range(args.pairs):
-                    seed = args.first_seed + p
-                    order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
-                    for position, side in enumerate(order, start=1):
-                        checkout = parent_dir if side == "parent" else ROOT
-                        run = {"workload": workload, "seed": seed, "side": side, "position_in_pair": position}
-                        run.update(run_once(checkout, command, workload, seed, seconds))
-                        runs.append(run)
-                        print(f"{workload} seed {seed} {side}: {_metric(run, 'ops_per_s')} ops/s",
-                              file=sys.stderr, flush=True)
-        finally:
-            _git("worktree", "remove", "--force", str(parent_dir))
+        parent_dir = Path(tmp)
+        archive = subprocess.run(["git", "archive", "--format=tar", parent_sha], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent_dir, filter="data")
+        for workload in (w["name"] for w in bench["workloads"]):
+            for p in range(args.pairs):
+                seed = args.first_seed + p
+                order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
+                for position, side in enumerate(order, start=1):
+                    checkout = parent_dir if side == "parent" else ROOT
+                    run = {"workload": workload, "seed": seed, "side": side, "position_in_pair": position}
+                    run.update(run_once(checkout, command, workload, seed, seconds))
+                    runs.append(run)
+                    print(f"{workload} seed {seed} {side}: {_metric(run, 'ops_per_s')} ops/s",
+                          file=sys.stderr, flush=True)
 
     doc = {
         "what": (f"{args.pairs} alternating parent/change pairs per workload of the cohkit benchmark "

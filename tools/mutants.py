@@ -41,8 +41,8 @@ class Mutant(NamedTuple):
 
 CHANNELS, LINALG, MEASURES, STATES, CLI, ERRORS = (f"src/cohkit/{name}.py" for name in
                                                     ("channels", "linalg", "measures", "states", "cli", "errors"))
-T_CHANNELS, T_CLI, T_LINALG, T_MEASURES, T_STATES = (f"tests/test_{name}.py" for name in
-                                                      ("channels", "cli", "linalg", "measures", "states"))
+T_CHANNELS, T_CLI, T_GATES, T_LINALG, T_MEASURES, T_STATES = (
+    f"tests/test_{name}.py" for name in ("channels", "cli", "gates", "linalg", "measures", "states"))
 
 MUTANTS = (
     # witnesses: each must replay to the recorded violation
@@ -59,6 +59,21 @@ MUTANTS = (
            "to_dict a shallow copy that shares witness lists with the report"),
     Mutant(CHANNELS, "measure_after=afters[winner, pick]", "measure_after=afters[0]", (T_CHANNELS,),
            "a C2 witness's measure_after taken from the first candidate, not the winner"),
+    Mutant(CHANNELS, "> violations[0] + WIN_MARGIN, winner, 0)", "> violations[0], winner, 0)", (T_CHANNELS,),
+           "the probe wins a C2 sample from the class channel by round-off"),
+    # format-3 matrix entries: _witness_matrices must reject each malformed entry with ParseError
+    Mutant(CHANNELS, ' or entry["dtype"] != "<c16":', ":", (T_CHANNELS,),
+           "the reader decodes an entry of any dtype as complex128"),
+    Mutant(CHANNELS, "or len(shape) != ndim or shape[-1] != shape[-2]:", "or len(shape) != ndim:", (T_CHANNELS,),
+           "the reader accepts a shape whose last two sizes differ"),
+    Mutant(CHANNELS, 'require_count("a shape entry", n, 0, error=ParseError)', "int(n)", (T_CHANNELS,),
+           "the reader takes floats and negative sizes in a shape"),
+    Mutant(CHANNELS, "if len(data) != size:", "if False:", (T_CHANNELS,),
+           "the reader skips its byte count, so numpy's reshape error escapes as ValueError"),
+    Mutant(CHANNELS, "strict_mode=True", "strict_mode=False", (T_CHANNELS,),
+           "the reader skips characters that are not base64"),
+    Mutant(CHANNELS, "10.0 ** np.arange(-15, 1)", "10.0 ** np.arange(-16, 1)", (T_CHANNELS,),
+           "violation_decades gains a bin for (0, 1e-16]"),
     Mutant(CHANNELS, "probs = states.require_probabilities(states.dirichlet_stack(rngs, np.full(len(rngs), d), d))",
            "probs = states.dirichlet_stack(rngs, np.full(len(rngs), d), d)", (T_CHANNELS,),
            "C1's incoherent states no longer gated as probability vectors"),
@@ -73,6 +88,12 @@ MUTANTS = (
            "audits accept any d above MAX_AUDIT_DIM"),
     Mutant(CHANNELS, "if not isinstance(probe_eigenbasis, (bool, np.bool_)):", "if False:", (T_CHANNELS,),
            "audits run the probe for any truthy probe_eigenbasis, such as the string 'no'"),
+    Mutant(MEASURES, "if p.ndim != 1 or not np.isfinite(p).all():", "if p.ndim != 1:", (T_GATES,),
+           "shannon_entropy returns nan for a vector holding nan"),
+    Mutant(MEASURES, "if not isinstance(rho, DensityMatrix):", "if False:", (T_GATES,),
+           "the scalar measures read .matrix of whatever they are given"),
+    Mutant(ERRORS, "except (TypeError, ValueError, OverflowError) as exc:", "except OverflowError as exc:",
+           (T_GATES,), "make_density, PureState and shannon_entropy raise numpy's ValueError on a string"),
     Mutant(MEASURES, 'require_count("budget", budget, 2)', 'require_count("budget", budget, 0)', (T_MEASURES,),
            "the search accepts a budget of 0 or 1, which leaves no evaluation to either run"),
     Mutant(STATES, 'np.random.default_rng(require_count("seed", seed, 0))', "np.random.default_rng(seed)",
