@@ -167,11 +167,12 @@ def apply_channel(kraus: KrausSet, rho: states.DensityMatrix) -> states.DensityM
 def selective_outcomes(kraus: KrausSet, rho: states.DensityMatrix) -> list[tuple[float, states.DensityMatrix]]:
     """Measurement-like readout: [(p_n, K_n rho K_n^dagger / p_n), ...].
 
-    Outcomes with probability below SELECTIVE_P_FLOOR are dropped; the
-    rest keep the Kraus order.
+    Outcomes with probability below SELECTIVE_P_FLOOR are dropped; the rest keep
+    the Kraus order. InvalidKrausError, as in apply_channel, unless trace preserving.
     """
     if kraus.dim != rho.dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
+    _require_trace_preserving(kraus.operators)
     p, kept, normalized = _selective_readout(kraus.operators, rho.matrix)
     return [(float(p[n]), states.DensityMatrix(normalized[n])) for n in np.flatnonzero(kept)]
 
@@ -241,9 +242,10 @@ def _projectors(vecs: np.ndarray) -> np.ndarray:
 
 def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool, d: int, seed: int,
                  indices: range):
-    """Violation of every sample in indices, and the per-sample columns its
-    witness reads: the inputs, the measure_* values and the C1 or C2 branch;
-    and for C2_selective, each sample's count of dropped outcomes.
+    """(violations, counts, witness) of the samples in indices: counts holds the
+    per-sample arrays the audit sums (class_channel_wins and probe_wins for C2,
+    dropped_outcomes for C2_selective); witness(j) builds the witness fields of
+    block sample j: its matrices, kind (C1), channel_label (C2) and measure_* values.
 
     Sample i draws on its own generator from states.sample_generators,
     bitwise default_rng([seed, i]), in a fixed order: the state, then the
@@ -256,12 +258,12 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     kernel = _MEASURE_KERNELS[measure]
     rngs = states.sample_generators(seed, indices)
     rho = states.density_stack(np.stack([rng.standard_normal((2, d, d)) for rng in rngs]))
-    columns = {"state": rho}
     if condition == "C0":
-        u = columns["unitary"] = states.isometry_stack(np.stack([rng.standard_normal((2, d, d)) for rng in rngs]))
+        u = states.isometry_stack(np.stack([rng.standard_normal((2, d, d)) for rng in rngs]))
         states.require_unitary(u)
         rotated = linalg.hermitian_part(_kraus_outputs(u[:, None], rho)[:, 0])
-        return np.abs(kernel(rotated) - kernel(rho)), columns
+        return (np.abs(kernel(rotated) - kernel(rho)), {},
+                lambda j: {"state": _matrix_json(rho[j]), "unitary": _matrix_json(u[j])})
     if condition == "C1":
         if measure == "ibiqc":
             incoherent = np.broadcast_to(states.maximally_mixed(d).matrix, rho.shape)
@@ -272,31 +274,39 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         zero_side = kernel(incoherent)
         positive_side = C1_POSITIVITY_FLOOR - random_value
         on_incoherent = zero_side >= positive_side
-        columns.update(incoherent=incoherent, on_incoherent=on_incoherent,
-                       measure_value=np.where(on_incoherent, zero_side, random_value))
-        return np.where(on_incoherent, zero_side, positive_side), columns
+
+        def witness(j):
+            kind, state, value = (("nonzero_on_incoherent", incoherent, zero_side) if on_incoherent[j]
+                                  else ("below_floor_on_random", rho, random_value))
+            return {"kind": kind, "state": _matrix_json(state[j]), "measure_value": float(value[j])}
+        return np.where(on_incoherent, zero_side, positive_side), {}, witness
     if condition == "C3":
-        parts = columns["parts"] = np.array([rng.integers(2, _MAX_PARTS + 1) for rng in rngs])
-        weights = columns["weights"] = states.dirichlet_stack(rngs, parts, _MAX_PARTS)
+        parts = np.array([rng.integers(2, _MAX_PARTS + 1) for rng in rngs])
+        weights = states.dirichlet_stack(rngs, parts, _MAX_PARTS)
         normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, parts)])
-        members = columns["members"] = states.pad_parts(parts, _MAX_PARTS, states.density_stack(normals))
+        members = states.pad_parts(parts, _MAX_PARTS, states.density_stack(normals))
         mixture = kernel(np.einsum("nm,nmij->nij", weights, members))
         average = (weights * kernel(members)).sum(axis=1)
-        columns.update(measure_mixture=mixture, measure_average=average)
-        return mixture - average, columns
+
+        def witness(j):
+            k = parts[j]
+            return {"weights": weights[j, :k].tolist(), "states": _matrix_json(members[j, :k]),
+                    "measure_mixture": float(mixture[j]), "measure_average": float(average[j])}
+        return mixture - average, {}, witness
     # C2: the candidate channels in pool order, the class channel first, each
     # with the mask of its real outcomes (Kraus sets are zero-padded)
     candidates = []
     if op_class is not None:
-        parts = columns["parts"] = np.array([rng.integers(1, _MAX_PARTS + 1) for rng in rngs])
-        columns["kraus"] = states.kraus_stack(op_class, d, parts, rngs, _MAX_PARTS)
-        candidates.append((columns["kraus"], np.arange(_MAX_PARTS) < parts[:, None]))
+        parts = np.array([rng.integers(1, _MAX_PARTS + 1) for rng in rngs])
+        kraus = states.kraus_stack(op_class, d, parts, rngs, _MAX_PARTS)
+        candidates.append((kraus, np.arange(_MAX_PARTS) < parts[:, None]))
     if probe_eigenbasis:
         # kept per sample, so a winning probe's witness needs no second eigh
-        columns["eigenvectors"] = linalg.hermitian_eig_stack(rho).eigenvectors
-        candidates.append((_projectors(columns["eigenvectors"]), True))
+        vecs = linalg.hermitian_eig_stack(rho).eigenvectors
+        candidates.append((_projectors(vecs), True))
     before = kernel(rho)
     afters = []
+    counts = {}
     for ops, outcomes in candidates:
         _require_trace_preserving(ops)
         if condition == "C2_average":
@@ -304,41 +314,24 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         else:
             p, kept, normalized = _selective_readout(ops, rho)
             afters.append(np.where(kept, p * kernel(normalized), 0.0).sum(axis=1))
-            columns["dropped_outcomes"] = columns.get("dropped_outcomes", 0) + (outcomes & ~kept).sum(axis=1)
+            counts["dropped_outcomes"] = counts.get("dropped_outcomes", 0) + (outcomes & ~kept).sum(axis=1)
     afters = np.stack(afters)
     violations = afters - before
     pick = np.arange(len(rho))
     # the first candidate keeps a sample unless another beats it by more than WIN_MARGIN
     winner = np.argmax(violations, axis=0)
     winner = np.where(violations[winner, pick] > violations[0] + WIN_MARGIN, winner, 0)
-    columns.update(class_channel=(winner == 0) & (op_class is not None), measure_before=before,
-                   measure_after=afters[winner, pick])
-    return violations[winner, pick], columns
+    class_channel = (winner == 0) & (op_class is not None)
 
-
-def _witness(condition: str, op_class, i: int, sample: dict) -> dict:
-    """Witness of sample i, built from its row of the block columns."""
-    witness = {"sample_index": i}
-    witness.update((k, float(v)) for k, v in sample.items() if k.startswith("measure_"))
-    rho = sample["state"]
-    if condition == "C0":
-        witness.update(state=_matrix_json(rho), unitary=_matrix_json(sample["unitary"]))
-    elif condition == "C1":
-        if sample["on_incoherent"]:
-            witness.update(kind="nonzero_on_incoherent", state=_matrix_json(sample["incoherent"]))
-        else:
-            witness.update(kind="below_floor_on_random", state=_matrix_json(rho))
-    elif condition == "C3":
-        parts = sample["parts"]
-        witness.update(weights=sample["weights"][:parts].tolist(), states=_matrix_json(sample["members"][:parts]))
-    elif sample["class_channel"]:
-        k = int(sample["parts"])
-        witness.update(state=_matrix_json(rho), channel_label=f"{op_class}(d={len(rho)}, k={k})",
-                       kraus_operators=_matrix_json(sample["kraus"][:k]))
-    else:
-        witness.update(state=_matrix_json(rho), channel_label="eigenbasis_projection",
-                       eigenvectors=_matrix_json(sample["eigenvectors"]))
-    return witness
+    def witness(j):
+        w = {"state": _matrix_json(rho[j]), "measure_before": float(before[j]),
+             "measure_after": float(afters[winner[j], j])}
+        if class_channel[j]:
+            k = parts[j]
+            return {**w, "channel_label": f"{op_class}(d={d}, k={k})", "kraus_operators": _matrix_json(kraus[j, :k])}
+        return {**w, "channel_label": "eigenbasis_projection", "eigenvectors": _matrix_json(vecs[j])}
+    return (violations[winner, pick], {"class_channel_wins": class_channel, "probe_wins": ~class_channel, **counts},
+            witness)
 
 
 def audit_conditions(
@@ -400,22 +393,16 @@ def audit_conditions(
     decades = np.zeros(len(_DECADE_EDGES) + 1, dtype=int)
     for start in range(0, samples, block):
         indices = range(start, min(start + block, samples))
-        violation, columns = _audit_block(measure, condition, op_class, probe_eigenbasis, d, seed, indices)
+        violation, counts, witness = _audit_block(measure, condition, op_class, probe_eigenbasis, d, seed, indices)
         j = int(np.argmax(violation))
         if best is None or violation[j] > best[0]:
-            best = (violation[j], start + j, {k: v[j] for k, v in columns.items()})
+            best = (violation[j], start + j, witness, j)
         diagnostics["min_violation"] = min(diagnostics["min_violation"], float(violation.min()))
         decades += np.bincount(np.searchsorted(_DECADE_EDGES, violation), minlength=len(decades))
-        counts = {"samples_above_tol": violation > tol}
-        if "class_channel" in columns:
-            counts.update(class_channel_wins=columns["class_channel"], probe_wins=~columns["class_channel"])
-        if "dropped_outcomes" in columns:
-            counts["dropped_outcomes"] = columns["dropped_outcomes"]
-        for name, per_sample in counts.items():
+        for name, per_sample in {"samples_above_tol": violation > tol, **counts}.items():
             diagnostics[name] = diagnostics.get(name, 0) + int(per_sample.sum())
-    max_violation, index, row = best
+    max_violation, index, witness, j = best
     diagnostics["violation_decades"] = decades.tolist()
-    witness = _witness(condition, op_class, index, row)
 
     return AuditReport(
         measure_name=measure,
@@ -427,7 +414,7 @@ def audit_conditions(
         tol=float(tol),
         probe_eigenbasis=bool(probe_eigenbasis),
         max_violation=float(max_violation),
-        witness=witness,
+        witness={"sample_index": index, **witness(j)},
         verdict=VERDICT_HOLDS if max_violation <= tol else VERDICT_VIOLATED,
         diagnostics=diagnostics,
     )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, InvalidArgumentsError, OptimizerFailure, require_array, require_count
-from .states import DensityMatrix, DiagonalState
+from .states import DensityMatrix, DiagonalState, require_probabilities
 
 SUPPORT_EIGENVALUE_TOL = 1e-12
 SUPPORT_WEIGHT_TOL = 1e-10
@@ -71,11 +71,11 @@ def c_ibiqc(m) -> np.ndarray:
 
 
 def shannon_entropy(probs) -> float:
-    """Base-2 entropy of one finite vector of probabilities; see entropy_bits."""
+    """Base-2 entropy of one non-empty probability vector (require_probabilities); see entropy_bits."""
     p = require_array("probs", probs, float)
-    if p.ndim != 1 or not np.isfinite(p).all():
-        raise InvalidArgumentsError(f"probs must be one vector of finite numbers, got {probs!r:.80}")
-    return float(entropy_bits(p))
+    if p.ndim != 1 or not p.size or not np.isfinite(p).all():
+        raise InvalidArgumentsError(f"probs must be one non-empty vector of finite numbers, got {probs!r:.80}")
+    return float(entropy_bits(require_probabilities(p)))
 
 
 def _matrix_of(rho) -> np.ndarray:
@@ -252,7 +252,8 @@ class CoherenceReport:
 def coherence_report(rho: DensityMatrix, basis_label: str = "computational") -> CoherenceReport:
     """Bundle every measure of rho, computing the spectrum once."""
     s_rho = von_neumann_entropy(rho)
-    s_diag = shannon_entropy(rho.diagonal_probs())
+    # a valid state's diagonal may sum to 1 only within DENSITY_TOL, so no probability gate
+    s_diag = float(entropy_bits(rho.diagonal_probs()))
     return CoherenceReport(
         dim=rho.dim,
         s_rho=s_rho,

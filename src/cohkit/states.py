@@ -71,7 +71,7 @@ class DiagonalState:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = require_array("probs", self.probs, float)
         if p.ndim != 1 or p.shape[0] < 1:
             raise DimensionMismatchError(f"expected a probability vector, got shape {p.shape}")
         object.__setattr__(self, "probs", require_probabilities(p))
@@ -94,6 +94,9 @@ class PureState:
         a = require_array("amplitudes", self.amplitudes, complex)
         if a.ndim != 1 or a.shape[0] < 1:
             raise DimensionMismatchError(f"expected an amplitude vector, got shape {a.shape}")
+        # an amplitude of modulus above 1 is rejected before its norm can overflow
+        if not (np.abs(a).max() <= 1.0 + NORM_TOL):
+            raise NotUnitTraceError(f"amplitude of modulus {np.abs(a).max():.6e} above 1 beyond {NORM_TOL:.1e}")
         norm = float(np.linalg.norm(a))
         if not (abs(norm - 1.0) <= NORM_TOL):
             raise NotUnitTraceError(f"amplitude norm {norm!r} differs from 1 beyond {NORM_TOL:.1e}")
@@ -108,10 +111,13 @@ class PureState:
 
 
 def require_probabilities(p: np.ndarray) -> np.ndarray:
-    """p, a probability vector or a stack of them along the last axis,
-    clamped at zero; NotPositiveError or NotUnitTraceError beyond PROB_TOL."""
+    """p, a probability vector or a stack of them along the last axis, clamped at
+    zero; NotPositiveError below -PROB_TOL, NotUnitTraceError for an entry above
+    1 + PROB_TOL (before the sum, which then cannot overflow) or a sum off 1."""
     if not (p.min() >= -PROB_TOL):
         raise NotPositiveError(f"probability {p.min():.6e} below zero tolerance {PROB_TOL:.1e}")
+    if not (p.max() <= 1.0 + PROB_TOL):
+        raise NotUnitTraceError(f"probability {p.max():.6e} above 1 beyond {PROB_TOL:.1e}")
     totals = p.sum(axis=-1)
     total = float(np.ravel(totals)[np.argmax(np.abs(totals - 1.0))])
     if not (abs(total - 1.0) <= PROB_TOL):

@@ -88,6 +88,15 @@ def test_apply_channel_rejects_incomplete_kraus():
         apply_channel(ks, maximally_mixed(2))
 
 
+def test_replay_rejects_a_tampered_selective_witness():
+    # 2 K is no channel: without selective_outcomes' gate its outcomes would carry probability 4
+    report = audit_conditions("ibiqc", "C2_selective", "unital_mixture", d=2, samples=5, seed=1).to_dict()
+    ops = channels._witness_matrices(report["witness"]["kraus_operators"], 3)
+    report["witness"]["kraus_operators"] = channels._matrix_json(2 * ops)
+    with pytest.raises(InvalidKrausError):
+        replay_violation(report)
+
+
 def test_apply_channel_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         apply_channel(dephasing(), maximally_mixed(3))
@@ -452,8 +461,13 @@ def test_audit_bytes_do_not_depend_on_block_size(monkeypatch, row):
     measure, condition, op_class, probe = row
     d, samples, seed = 3, 20, 5
     if op_class == "general_tp":
-        ks = channels._audit_block(measure, condition, op_class, probe, d, seed, range(samples))[1]["parts"]
-        assert len(set(ks)) > 1
+        # replay each sample's draws up to its Kraus count: the state's normals, then integers(1, 5)
+        ks = set()
+        for i in range(samples):
+            rng = np.random.default_rng([seed, i])
+            rng.standard_normal((2, d, d))
+            ks.add(int(rng.integers(1, channels._MAX_PARTS + 1)))
+        assert len(ks) > 1
     default = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=seed,
                                probe_eigenbasis=probe).to_json()
     for size in (1, 7):
@@ -524,6 +538,35 @@ def test_probe_witness_reuses_the_probe_decomposition(monkeypatch):
     rho = DensityMatrix(_witness_matrix(w["state"]))
     after = sum(p * ibiqc_coherence(out) for p, out in selective_outcomes(kraus, rho))
     assert after == pytest.approx(w["measure_after"], abs=1e-12)
+
+
+_ZERO_L1 = {"l1": lambda m: np.zeros(np.shape(m)[:-2])}
+_C2_FIELDS = {"state", "channel_label", "measure_before", "measure_after"}
+# Each kind of witness: (row, kernels patched in, prefix of its kind or channel_label, its fields
+# beside sample_index). Replay reads only the matrices, so only this sees a dropped measure_* field.
+WITNESS_FIELDS = {
+    "C0": (("l1", "C0", None, False), {}, "", {"state", "unitary"}),
+    "C1-incoherent": (("l1", "C1", None, False), {}, "nonzero_on_incoherent", {"kind", "state", "measure_value"}),
+    # a kernel that reads zero everywhere puts every random state below the positivity floor
+    "C1-random": (("l1", "C1", None, False), _ZERO_L1, "below_floor_on_random", {"kind", "state", "measure_value"}),
+    "C3": (("re", "C3", None, False), {}, "", {"weights", "states", "measure_mixture", "measure_average"}),
+    "C2-class": (("ibiqc", "C2_average", "general_tp", False), {}, "general_tp(d=3, k=",
+                 {*_C2_FIELDS, "kraus_operators"}),
+    "C2-probe": (("ibiqc", "C2_selective", "general_tp", True), {}, "eigenbasis_projection",
+                 {*_C2_FIELDS, "eigenvectors"}),
+}
+
+
+@pytest.mark.parametrize("name", list(WITNESS_FIELDS))
+def test_each_witness_holds_exactly_its_fields(monkeypatch, name):
+    (measure, condition, op_class, probe), kernels, tag, fields = WITNESS_FIELDS[name]
+    for key, kernel in kernels.items():
+        monkeypatch.setitem(channels._MEASURE_KERNELS, key, kernel)
+    witness = audit_conditions(measure, condition, op_class, d=3, samples=10, seed=11,
+                               probe_eigenbasis=probe).witness
+    assert set(witness) == {"sample_index", *fields}
+    assert witness.get("kind", witness.get("channel_label", "")).startswith(tag)
+    assert all(type(witness[k]) is float for k in fields if k.startswith("measure_"))
 
 
 @settings(max_examples=40, deadline=None)

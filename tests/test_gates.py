@@ -18,7 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cohkit
-from cohkit.errors import CohkitError, InvalidArgumentsError, InvalidDimensionError, require_count, require_real
+from cohkit.errors import (
+    CohkitError,
+    InvalidArgumentsError,
+    InvalidDimensionError,
+    InvalidKrausError,
+    NotPositiveError,
+    NotUnitTraceError,
+    require_count,
+    require_real,
+)
 
 _RHO = cohkit.random_density(2, seed=5)
 
@@ -33,6 +42,8 @@ BOUNDED = st.one_of(JUNK, st.integers(-3, 300), st.just(2**70))
 ARRAYS = st.one_of(JUNK, st.sampled_from([
     "x", {}, object(), 10**400, [math.nan], [math.inf, 0.0], [[math.nan]], [1, "x"], [[1, 0], [0]], [0.5, 0.5],
     [[0.5, 0.0], [0.0, 0.5]], np.eye(2) / 2, [1j], np.array(["a"]),
+    # entries beyond a probability or an amplitude, some whose sums or norms overflow
+    [1e200], [-1e308, 2.0], [1e308, 1e308], [1e300, 1e300],
 ]))
 
 # (function, parameter) -> (call with the value under test, values to try)
@@ -106,6 +117,24 @@ def test_property_junk_arguments_raise_cohkit_errors_or_return(data):
 def test_matrix_and_vector_junk_raises_invalid_arguments(call):
     with pytest.raises(InvalidArgumentsError):
         call()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: cohkit.shannon_entropy([1e200]), NotUnitTraceError),
+    (lambda: cohkit.shannon_entropy([-1e308, 2.0]), NotPositiveError),
+    (lambda: cohkit.shannon_entropy([1e308, 1e308]), NotUnitTraceError),
+    (lambda: cohkit.shannon_entropy([]), InvalidArgumentsError),
+    (lambda: cohkit.DiagonalState([1e308, 1e308]), NotUnitTraceError),
+    (lambda: cohkit.DiagonalState("x"), InvalidArgumentsError),
+    (lambda: cohkit.PureState([1e300, 1e300]), NotUnitTraceError),
+    (lambda: cohkit.selective_outcomes(cohkit.KrausSet([2 * np.eye(2)]), _RHO), InvalidKrausError),
+], ids=["entropy-1e200", "entropy-negative", "entropy-overflow", "entropy-empty", "diagonal-overflow",
+        "diagonal-string", "pure-overflow", "selective-not-trace-preserving"])
+def test_probability_amplitude_and_channel_gates_raise_before_numpy_warns(call, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
 
 
 @pytest.mark.parametrize("v, lo, hi, expected", [(3, 1, math.inf, 3), (np.int64(2), 2, 2, 2), (2**70, 0, math.inf, 2**70)])

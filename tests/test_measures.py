@@ -489,7 +489,9 @@ def test_property_stacked_kernels_match_per_state_functions(d, n, seed):
         for value, m in zip(values, stack):
             assert value == pytest.approx(fn(DensityMatrix(m)), abs=1e-12)
     probs = rng.dirichlet(np.ones(d), size=(2, n))
+    # a zero entry, with the last entry keeping the vector's sum at 1 (at d = 1 it is the same entry)
     probs[0, 0, 0] = 0.0
+    probs[0, 0, -1] = 1.0 - probs[0, 0, :-1].sum()
     assert entropy_bits(probs).shape == (2, n)
     for value, p in zip(entropy_bits(probs).ravel(), probs.reshape(-1, d)):
         assert value == pytest.approx(shannon_entropy(p), abs=1e-12)

@@ -16,6 +16,8 @@ The groups:
                 and five rows at d = 32 (10 samples), at seeds 0, 11 and
                 2**33 + 1, through cli.main: exit code, stdout, stderr and
                 the report text
+  replay        cohkit replay --show on the report of every audit row: exit
+                code, stdout and stderr
   measure       cohkit measure over generated state files (d = 1 to 8, with
                 and without a label, to stdout and to --out) and over bad
                 or missing files
@@ -112,6 +114,7 @@ def battery(tree: Path) -> list[dict]:
             argv += ["--probe-eigenbasis"] if probe else []
             name = f"{measure}-{flags[condition]}-{classes.get(op_class, 'none')}{'-probe' if probe else ''}"
             run("audit", f"{name}-d{d}-s{seed}", argv, "report.json")
+            run("replay", f"{name}-d{d}-s{seed}", ["replay", "--show", "report.json"])
 
     rng = np.random.default_rng(2024)
     for d in range(1, 9):

@@ -46,19 +46,19 @@ T_CHANNELS, T_CLI, T_GATES, T_LINALG, T_MEASURES, T_STATES = (
 
 MUTANTS = (
     # witnesses: each must replay to the recorded violation
-    Mutant(CHANNELS, 'kraus_operators=_matrix_json(sample["kraus"][:k])',
-           'kraus_operators=_matrix_json(sample["kraus"][:k].conj())', (T_CHANNELS,),
+    Mutant(CHANNELS, '"kraus_operators": _matrix_json(kraus[j, :k])',
+           '"kraus_operators": _matrix_json(kraus[j, :k].conj())', (T_CHANNELS,),
            "a C2 class-channel witness written with conjugated Kraus operators"),
-    Mutant(CHANNELS, 'weights=sample["weights"][:parts].tolist()',
-           'weights=sample["weights"][:parts][::-1].tolist()', (T_CHANNELS,),
+    Mutant(CHANNELS, '"weights": weights[j, :k].tolist()', '"weights": weights[j, :k][::-1].tolist()', (T_CHANNELS,),
            "a C3 witness written with its weights reversed"),
-    Mutant(CHANNELS, 'eigenvectors=_matrix_json(sample["eigenvectors"])',
-           'eigenvectors=_matrix_json(sample["eigenvectors"].T)', (T_CHANNELS,),
-           "a probe witness written with its eigenvectors transposed"),
+    Mutant(CHANNELS, '"eigenvectors": _matrix_json(vecs[j])', '"eigenvectors": _matrix_json(vecs[j].T)',
+           (T_CHANNELS,), "a probe witness written with its eigenvectors transposed"),
+    Mutant(CHANNELS, ', "measure_value": float(value[j])}', "}", (T_CHANNELS,),
+           "a C1 witness that drops its measure_value"),
     Mutant(CHANNELS, "return pickle.loads(pickle.dumps(vars(self)))", "return dict(vars(self))", (T_CHANNELS,),
            "to_dict a shallow copy that shares witness lists with the report"),
-    Mutant(CHANNELS, "measure_after=afters[winner, pick]", "measure_after=afters[0]", (T_CHANNELS,),
-           "a C2 witness's measure_after taken from the first candidate, not the winner"),
+    Mutant(CHANNELS, '"measure_after": float(afters[winner[j], j])', '"measure_after": float(afters[0, j])',
+           (T_CHANNELS,), "a C2 witness's measure_after taken from the first candidate, not the winner"),
     Mutant(CHANNELS, "> violations[0] + WIN_MARGIN, winner, 0)", "> violations[0], winner, 0)", (T_CHANNELS,),
            "the probe wins a C2 sample from the class channel by round-off"),
     # format-3 matrix entries: _witness_matrices must reject each malformed entry with ParseError
@@ -88,8 +88,21 @@ MUTANTS = (
            "audits accept any d above MAX_AUDIT_DIM"),
     Mutant(CHANNELS, "if not isinstance(probe_eigenbasis, (bool, np.bool_)):", "if False:", (T_CHANNELS,),
            "audits run the probe for any truthy probe_eigenbasis, such as the string 'no'"),
-    Mutant(MEASURES, "if p.ndim != 1 or not np.isfinite(p).all():", "if p.ndim != 1:", (T_GATES,),
-           "shannon_entropy returns nan for a vector holding nan"),
+    Mutant(MEASURES, "if p.ndim != 1 or not p.size or not np.isfinite(p).all():", "if p.ndim != 1 or not p.size:",
+           (T_GATES,), "shannon_entropy raises NotPositiveError, not InvalidArgumentsError, for a vector holding nan"),
+    Mutant(MEASURES, "if p.ndim != 1 or not p.size or", "if p.ndim != 1 or", (T_GATES,),
+           "shannon_entropy raises numpy's ValueError on an empty vector"),
+    # probability vectors, amplitudes and channels: each gate rejects before numpy can overflow or misread
+    Mutant(STATES, "if not (p.max() <= 1.0 + PROB_TOL):", "if False:", (T_GATES, T_STATES),
+           "the probability gate sums entries of any size: shannon_entropy([1e308, 1e308]) overflows"),
+    Mutant(STATES, "if not (np.abs(a).max() <= 1.0 + NORM_TOL):", "if False:", (T_GATES, T_STATES),
+           "PureState takes the norm of any amplitudes: PureState([1e300, 1e300]) overflows"),
+    Mutant(STATES, 'p = require_array("probs", self.probs, float)', "p = np.asarray(self.probs, dtype=float)",
+           (T_GATES, T_STATES), "DiagonalState raises numpy's ValueError on a string"),
+    Mutant(CHANNELS, "    _require_trace_preserving(kraus.operators)\n    p, kept, normalized",
+           "    p, kept, normalized", (T_CHANNELS, T_GATES),
+           "selective_outcomes reads out a Kraus set that is not trace preserving, so replay takes a "
+           "tampered C2_selective witness"),
     Mutant(MEASURES, "if not isinstance(rho, DensityMatrix):", "if False:", (T_GATES,),
            "the scalar measures read .matrix of whatever they are given"),
     Mutant(ERRORS, "except (TypeError, ValueError, OverflowError) as exc:", "except OverflowError as exc:",
