@@ -43,7 +43,9 @@ from .errors import (
 KRAUS_TP_TOL = 1e-10
 STRUCTURAL_ENTRY_TOL = 1e-12
 DEFAULT_AUDIT_TOL = 1e-9
-# The eigenbasis probe builds a (d, d, d) complex array per sample: 268 MB at d = 256.
+# One audit sample holds _MAX_PARTS complex d x d operators, 4 MB at d = 256, and its
+# products and eigensolves cost O(d^3); replaying a probe witness builds its d
+# projectors, a (d, d, d) complex array of 268 MB at d = 256.
 MAX_AUDIT_DIM = 256
 SELECTIVE_P_FLOOR = 1e-12
 
@@ -61,6 +63,13 @@ MEASURE_FUNCTIONS = {
 }
 # The same measures as stacked kernels, (..., d, d) -> (...); audits use these.
 _MEASURE_KERNELS = {"l1": measures.c_l1, "re": measures.c_re, "ibiqc": measures.c_ibiqc}
+# The same measures on the pure states |v_j><v_j| of the columns v_j of a (..., d, d)
+# stack, -> (..., d): their exact values, since a pure state's spectral entropy is 0.
+_PURE_KERNELS = {
+    "l1": lambda v: np.abs(v).sum(axis=-2) ** 2 - (np.abs(v) ** 2).sum(axis=-2),
+    "re": lambda v: np.maximum(0.0, measures.entropy_bits(np.abs(v.swapaxes(-1, -2)) ** 2)),
+    "ibiqc": lambda v: np.full(v.shape[:-2] + v.shape[-1:], math.log2(v.shape[-1])),
+}
 CONDITIONS = ("C0", "C1", "C2_average", "C2_selective", "C3")
 OPERATION_CLASSES = ("unital_mixture", "diagonal_incoherent", "general_tp")
 VERDICT_HOLDS = "holds_within_tol"
@@ -81,9 +90,10 @@ _CLASSIFY_CHECK_SEED = 1060
 _MAX_PARTS = 4
 
 # Size in bytes of the largest stacked array of one audit block: a block
-# holds up to max(_MAX_PARTS, d) complex d x d operators per sample (the
-# eigenbasis probe has d). A block's working arrays are a small multiple
-# of this, so an audit's memory does not grow with its sample count.
+# holds up to _MAX_PARTS complex d x d operators per sample (the eigenbasis
+# probe needs only the state's eigenvectors, one d x d matrix). A block's
+# working arrays are a small multiple of this, so an audit's memory does not
+# grow with its sample count.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -293,28 +303,33 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
             return {"weights": weights[j, :k].tolist(), "states": _matrix_json(members[j, :k]),
                     "measure_mixture": float(mixture[j]), "measure_average": float(average[j])}
         return mixture - average, {}, witness
-    # C2: the candidate channels in pool order, the class channel first, each
-    # with the mask of its real outcomes (Kraus sets are zero-padded)
-    candidates = []
+    # C2: one value per candidate in pool order, the class channel first
+    before = kernel(rho)
+    afters, counts = [], {}
     if op_class is not None:
         parts = np.array([rng.integers(1, _MAX_PARTS + 1) for rng in rngs])
         kraus = states.kraus_stack(op_class, d, parts, rngs, _MAX_PARTS)
-        candidates.append((kraus, np.arange(_MAX_PARTS) < parts[:, None]))
+        _require_trace_preserving(kraus)
+        if condition == "C2_average":
+            afters.append(kernel(_average_output(kraus, rho)))
+        else:
+            p, kept, normalized = _selective_readout(kraus, rho)
+            afters.append(np.where(kept, p * kernel(normalized), 0.0).sum(axis=1))
+            # zero-padded operators are no outcomes
+            counts["dropped_outcomes"] = ((np.arange(_MAX_PARTS) < parts[:, None]) & ~kept).sum(axis=1)
     if probe_eigenbasis:
         # kept per sample, so a winning probe's witness needs no second eigh
         vecs = linalg.hermitian_eig_stack(rho).eigenvectors
-        candidates.append((_projectors(vecs), True))
-    before = kernel(rho)
-    afters = []
-    counts = {}
-    for ops, outcomes in candidates:
-        _require_trace_preserving(ops)
+        # the projectors P_j = |v_j><v_j| have sum P_j^dagger P_j = V V^dagger
+        states.require_unitary(vecs)
+        # outcome j leaves the pure state |v_j><v_j| with probability <v_j|rho|v_j>
+        p = (vecs.conj() * (rho @ vecs)).sum(axis=-2).real
         if condition == "C2_average":
-            afters.append(kernel(_average_output(ops, rho)))
+            afters.append(kernel(linalg.hermitian_part((vecs * p[:, None, :]) @ linalg.adjoint(vecs))))
         else:
-            p, kept, normalized = _selective_readout(ops, rho)
-            afters.append(np.where(kept, p * kernel(normalized), 0.0).sum(axis=1))
-            counts["dropped_outcomes"] = counts.get("dropped_outcomes", 0) + (outcomes & ~kept).sum(axis=1)
+            kept = p >= SELECTIVE_P_FLOOR
+            afters.append(np.where(kept, p * _PURE_KERNELS[measure](vecs), 0.0).sum(axis=1))
+            counts["dropped_outcomes"] = counts.get("dropped_outcomes", 0) + (~kept).sum(axis=1)
     afters = np.stack(afters)
     violations = afters - before
     pick = np.arange(len(rho))
@@ -361,7 +376,12 @@ def audit_conditions(
     For C2 conditions the channel pool is op_class samples, plus the
     projective measurement onto each state's eigenbasis when
     probe_eigenbasis is set; each sample takes the worst candidate, but
-    the probe must beat the class channel by more than WIN_MARGIN.
+    the probe must beat the class channel by more than WIN_MARGIN. The
+    probe is evaluated in closed form from the state's eigenvectors v_j
+    (one stacked eigh per block): outcome j has probability
+    p_j = <v_j|rho|v_j> and leaves the pure state |v_j><v_j|, whose measure
+    values _PURE_KERNELS gives exactly, and the averaged output is
+    sum_j p_j |v_j><v_j|. No projector is built and no outcome decomposed.
     verdict is "holds_within_tol" iff the maximum violation is at most tol.
 
     Sample i draws its inputs from its own generator, bitwise
@@ -387,7 +407,7 @@ def audit_conditions(
     """
     op_class = validate_audit_arguments(measure, condition, op_class, d, samples, seed, tol, probe_eigenbasis)
     samples = int(samples)
-    block = max(1, _BLOCK_BYTES // (16 * max(_MAX_PARTS, d) * d * d))
+    block = max(1, _BLOCK_BYTES // (16 * _MAX_PARTS * d * d))
     best = None
     diagnostics = {"min_violation": math.inf}
     decades = np.zeros(len(_DECADE_EDGES) + 1, dtype=int)
@@ -477,18 +497,20 @@ def replay_violation(report: dict) -> float:
     probe witness gives as the projectors |v_j><v_j| of its eigenvectors;
     and the weighted mixture of the witness states (C3). It equals the
     report's max_violation to round-off. A witness that cannot be read
-    raises ParseError; readable matrices that are not a valid unitary or
-    channel raise that check's error.
+    raises ParseError; readable matrices that are not a valid state (read
+    through make_density), unitary or channel, and C3 weights that are not
+    probabilities (require_probabilities), raise that check's error.
     """
     try:
         fn = MEASURE_FUNCTIONS[report["measure_name"]]
         condition, w = report["condition"], report["witness"]
         m = witness_arrays(w)
         if condition == "C3":
-            weights = np.asarray(w["weights"], dtype=float)
+            weights = states.require_probabilities(np.asarray(w["weights"], dtype=float))
+            members = [states.make_density(s) for s in m["states"]]
             mixture = states.DensityMatrix(np.einsum("m,mij->ij", weights, m["states"]))
-            return fn(mixture) - sum(p * fn(states.DensityMatrix(s)) for p, s in zip(weights, m["states"]))
-        rho = states.DensityMatrix(m["state"])
+            return fn(mixture) - sum(p * fn(s) for p, s in zip(weights, members))
+        rho = states.make_density(m["state"])
         if condition == "C0":
             return abs(fn(states.apply_unitary(rho, m["unitary"])) - fn(rho))
         if condition == "C1" and w["kind"] == "nonzero_on_incoherent":

@@ -97,6 +97,28 @@ def test_replay_rejects_a_tampered_selective_witness():
         replay_violation(report)
 
 
+def test_replay_rejects_invalid_witness_states():
+    # no density matrix, so no value: a trace-2 state, a non-positive one, and C3 weights that are no probabilities
+    report = audit_conditions("ibiqc", "C2_average", "general_tp", d=2, samples=5, seed=1).to_dict()
+    report["witness"]["state"] = channels._matrix_json(2 * _witness_matrix(report["witness"]["state"]))
+    with pytest.raises(NotUnitTraceError):
+        replay_violation(report)
+    report = audit_conditions("l1", "C0", d=2, samples=5, seed=1).to_dict()
+    report["witness"]["state"] = channels._matrix_json(np.diag([2.0, -1.0]))
+    with pytest.raises(NotPositiveError):
+        replay_violation(report)
+    report = audit_conditions("re", "C3", d=2, samples=5, seed=1).to_dict()
+    witness = report["witness"]
+    members = channels._witness_matrices(witness["states"], 3).copy()
+    members[0] = np.diag([2.0, -1.0])
+    weights = [-witness["weights"][0], *witness["weights"][1:]]
+    for broken, error in (({"states": channels._matrix_json(members)}, NotPositiveError),
+                          ({"weights": weights}, NotPositiveError),
+                          ({"weights": [2 * w for w in witness["weights"]]}, NotUnitTraceError)):
+        with pytest.raises(error):
+            replay_violation({**report, "witness": {**witness, **broken}})
+
+
 def test_apply_channel_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         apply_channel(dephasing(), maximally_mixed(3))
@@ -538,6 +560,47 @@ def test_probe_witness_reuses_the_probe_decomposition(monkeypatch):
     rho = DensityMatrix(_witness_matrix(w["state"]))
     after = sum(p * ibiqc_coherence(out) for p, out in selective_outcomes(kraus, rho))
     assert after == pytest.approx(w["measure_after"], abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), n=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_property_pure_kernels_match_the_projector_stack(d, n, seed):
+    rng = np.random.default_rng(seed)
+    vecs = np.stack([haar_unitary(d, seed=rng) for _ in range(n)])
+    for measure, pure in channels._PURE_KERNELS.items():
+        expected = channels._MEASURE_KERNELS[measure](channels._projectors(vecs))
+        assert pure(vecs).shape == (n, d)
+        np.testing.assert_allclose(pure(vecs), expected, rtol=0, atol=1e-12, err_msg=measure)
+
+
+@pytest.mark.parametrize("measure", ["re", "ibiqc"])
+@pytest.mark.parametrize("condition", ["C2_average", "C2_selective"])
+def test_probe_audit_builds_no_projectors_and_solves_only_state_stacks(monkeypatch, measure, condition):
+    def no_projectors(vecs):
+        raise AssertionError("the probe built its projector stack")
+
+    solved = []
+
+    def eigvals(m):
+        solved.append(np.ndim(m))
+        return hermitian_eigvals(m)
+
+    monkeypatch.setattr(channels, "_projectors", no_projectors)
+    monkeypatch.setattr(linalg, "hermitian_eigvals", eigvals)
+    report = audit_conditions(measure, condition, d=4, samples=20, seed=7, probe_eigenbasis=True)
+    assert report.diagnostics["probe_wins"] == 20
+    assert solved and set(solved) == {3}
+
+
+def test_probe_rejects_eigenvectors_that_are_not_unitary(monkeypatch):
+    def doubled(m):
+        values, vecs = np.linalg.eigh(m)
+        return linalg.Spectrum(values, 2 * vecs)
+
+    monkeypatch.setattr(linalg, "hermitian_eig_stack", doubled)
+    for condition in ("C2_average", "C2_selective"):
+        with pytest.raises(NotUnitaryError):
+            audit_conditions("l1", condition, d=3, samples=5, seed=1, probe_eigenbasis=True)
 
 
 _ZERO_L1 = {"l1": lambda m: np.zeros(np.shape(m)[:-2])}

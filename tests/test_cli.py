@@ -647,6 +647,13 @@ def test_replay_exit_codes_and_show(tmp_path, capsys):
         write_json(tmp_path / "bad.json", bad)
         assert main(["replay", str(good), str(tmp_path / "bad.json")]) == 3
         assert "bad.json" in capsys.readouterr().err
+    # a witness state that is no density matrix is invalid input, not a disagreement
+    for state, message in ((2 * channels._witness_matrices(report["witness"]["state"], 2), "error: trace"),
+                           (np.diag([2.0, -1.0]), "error: smallest eigenvalue")):
+        write_json(tmp_path / "bad.json", {**report, "witness": {**report["witness"],
+                                                                 "state": channels._matrix_json(state)}})
+        assert main(["replay", str(tmp_path / "bad.json")]) == 3
+        assert capsys.readouterr().err.startswith(message)
     (tmp_path / "bad.json").write_text("{", encoding="utf-8")
     assert main(["replay", str(tmp_path / "bad.json")]) == 3
     assert main(["replay", str(tmp_path / "missing.json")]) == 3

@@ -40,3 +40,19 @@ def test_a_row_on_one_side_only_is_a_difference():
     assert not ok
     assert lines[lines.index("  search:x differs (NOT EXPECTED)") + 1] == "    change: absent"
     assert lines[-4].startswith("search: 1 parent rows ") and ", 0 change rows " in lines[-4]
+
+
+def test_a_pattern_declares_every_row_it_matches_and_no_other():
+    names = ["ibiqc-C2sel-unital-probe-d2-s0", "ibiqc-C2sel-unital-d2-s0", "l1-C2avg-none-probe-d32-s11",
+             "re-C3-none-probe-d2-s0"]
+    parent = [{"group": g, "row": r, "sha256": "01", "stderr": ""} for g in ("audit", "replay") for r in names]
+    change = [{**row, "sha256": "02"} if row["group"] == "audit" and "probe" in row["row"] else row
+              for row in parent]
+    lines, ok = identity.compare(parent, change, {"audit:*-C2*-probe-*", "replay:*-C2*-probe-*"})
+    assert not ok
+    assert "  audit:ibiqc-C2sel-unital-probe-d2-s0 differs (expected)" in lines
+    assert "  audit:l1-C2avg-none-probe-d32-s11 differs (expected)" in lines
+    assert "  audit:re-C3-none-probe-d2-s0 differs (NOT EXPECTED)" in lines
+    assert "declared but unchanged: replay:*-C2*-probe-*" in lines
+    lines, ok = identity.compare(parent, change, {"audit:*-C2*-probe-*", "audit:re-C3-*"})
+    assert ok and not any("declared but unchanged" in line for line in lines)

@@ -34,7 +34,9 @@ The groups:
 The tool prints one digest per group, then every row that differs or is
 present on one side only, with the stderr of both sides on gates rows.
 --expect-change GROUP or GROUP:ROW declares differences that the change
-makes on purpose (repeatable). It exits 1 when any other row differs.
+makes on purpose (repeatable). ROW may be an fnmatch pattern, such as
+'audit:*-C2*-probe-*', which declares every row of the group it matches.
+It exits 1 when any other row differs.
 On rows that hold, an audit's witness index can move with the LAPACK
 build, so compare trees on one machine.
 """
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import hashlib
 import io
 import json
@@ -219,8 +222,8 @@ def _by_group(rows: list[dict]) -> dict:
 def compare(parent_rows: list[dict], change_rows: list[dict], expected=()) -> tuple[list[str], bool]:
     """Report lines and whether every difference is expected.
 
-    expected holds GROUP or GROUP:ROW entries. A row present on one side
-    only counts as a difference.
+    expected holds GROUP or GROUP:ROW entries, ROW an fnmatch pattern. A
+    row present on one side only counts as a difference.
     """
     parent, change = _by_group(parent_rows), _by_group(change_rows)
     lines, ok, used = [], True, set()
@@ -231,7 +234,7 @@ def compare(parent_rows: list[dict], change_rows: list[dict], expected=()) -> tu
         state = "equal" if not differing else f"{len(differing)} rows differ"
         lines.append(f"{group}: {len(p)} parent rows {_digest(p)[:16]}, {len(c)} change rows {_digest(c)[:16]}, {state}")
         for row in differing:
-            declared = {group, f"{group}:{row}"} & set(expected)
+            declared = {e for e in expected if e == group or fnmatch.fnmatchcase(f"{group}:{row}", e)}
             used |= declared
             ok = ok and bool(declared)
             lines.append(f"  {group}:{row} differs ({'expected' if declared else 'NOT EXPECTED'})")
@@ -263,7 +266,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="byte-identity battery: parent revision against this checkout")
     parser.add_argument("--parent", help="git revision of the parent")
     parser.add_argument("--expect-change", action="append", default=[], metavar="GROUP[:ROW]",
-                        help="a difference the change makes on purpose (repeatable)")
+                        help="a difference the change makes on purpose, ROW an fnmatch pattern (repeatable)")
     parser.add_argument("--battery", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.battery:

@@ -61,6 +61,17 @@ MUTANTS = (
            (T_CHANNELS,), "a C2 witness's measure_after taken from the first candidate, not the winner"),
     Mutant(CHANNELS, "> violations[0] + WIN_MARGIN, winner, 0)", "> violations[0], winner, 0)", (T_CHANNELS,),
            "the probe wins a C2 sample from the class channel by round-off"),
+    # the eigenbasis probe in closed form: its pure-state values, probabilities and unitarity gate
+    Mutant(CHANNELS, "np.abs(v).sum(axis=-2) ** 2 - (np.abs(v) ** 2).sum(axis=-2)", "np.abs(v).sum(axis=-2) ** 2",
+           (T_CHANNELS,), "the pure-state l1 value keeps the diagonal's sum of |v_ij|^2"),
+    Mutant(CHANNELS, "measures.entropy_bits(np.abs(v.swapaxes(-1, -2)) ** 2)", "measures.entropy_bits(np.abs(v) ** 2)",
+           (T_CHANNELS,), "the pure-state re value takes the entropy over rows, not over each eigenvector"),
+    Mutant(CHANNELS, "p = (vecs.conj() * (rho @ vecs))", "p = (vecs * (rho @ vecs))", (T_CHANNELS,),
+           "the probe's outcome probabilities read v^T rho v, not v^dagger rho v"),
+    Mutant(CHANNELS, "        states.require_unitary(vecs)\n", "", (T_CHANNELS,),
+           "the probe uses its eigenvectors without checking that they form a unitary"),
+    Mutant(CHANNELS, 'rho = states.make_density(m["state"])', 'rho = states.DensityMatrix(m["state"])',
+           (T_CHANNELS, T_CLI), "replay takes a witness state that is no density matrix"),
     # format-3 matrix entries: _witness_matrices must reject each malformed entry with ParseError
     Mutant(CHANNELS, ' or entry["dtype"] != "<c16":', ":", (T_CHANNELS,),
            "the reader decodes an entry of any dtype as complex128"),
