@@ -24,8 +24,7 @@ from __future__ import annotations
 import binascii
 import json
 import math
-import pickle
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -228,8 +227,7 @@ class AuditReport:
     diagnostics: dict
 
     def to_dict(self) -> dict:
-        # equals dataclasses.asdict (no field holds a dataclass) without its element-by-element deep copy
-        return pickle.loads(pickle.dumps(vars(self)))
+        return asdict(self)
 
     def to_json(self) -> str:
         """Report format 3: one line per top-level key, "format" among them,

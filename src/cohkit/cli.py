@@ -105,9 +105,7 @@ def _fmt(x: float) -> str:
 def _parse_state_document(doc, context: str) -> tuple[states.DensityMatrix, str | None]:
     if not isinstance(doc, dict):
         raise ParseError(f"{context}: expected a JSON object")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError(f"{context}: \"dim\" must be a positive integer, got {dim!r}")
+    dim = require_count(f'{context}: "dim"', doc.get("dim"), 1, error=ParseError)
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise ParseError(f"{context}: \"label\" must be a string")
@@ -199,10 +197,8 @@ def demo_glauber(a, dims) -> list[tuple]:
     """
     rows = []
     for d in dims:
-        rho = states.glauber_truncated(a, d).to_density()
-        c_l1 = measures.l1_coherence(rho)
-        ratio = c_l1 / (d - 1) if d > 1 else math.nan
-        rows.append((d, c_l1, measures.rel_ent_coherence(rho), measures.ibiqc_coherence(rho), ratio))
+        r = measures.coherence_report(states.glauber_truncated(a, d).to_density())
+        rows.append((d, r.c_l1, r.c_re, r.c_ibiqc, r.c_l1 / (d - 1) if d > 1 else math.nan))
     return rows
 
 
@@ -226,9 +222,7 @@ def parse_interference_config(doc, context: str = "interference config") -> Inte
     if source == "natural_light":
         rho = states.maximally_mixed(2)
     elif isinstance(source, dict) and set(source) == {"linear"}:
-        psi = source["linear"]
-        if not finite_real(psi):
-            raise ParseError(f"{context}: linear polarization angle must be a finite number")
+        psi = require_real(f'{context}: "linear" polarization angle', source["linear"], error=ParseError)
         rho = states.PureState(np.array([math.cos(psi), math.sin(psi)], dtype=complex)).to_density()
     elif isinstance(source, dict) and "entries" in source:
         rho, _ = _parse_state_document(source, context=f"{context}: input")
@@ -238,12 +232,8 @@ def parse_interference_config(doc, context: str = "interference config") -> Inte
         raise ParseError(
             f"{context}: \"input\" must be \"natural_light\", {{\"linear\": psi}}, or a state object"
         )
-    angles = {}
-    for key in ("plate_angle", "polarizer_angle"):
-        value = doc.get(key)
-        if not finite_real(value):
-            raise ParseError(f"{context}: \"{key}\" must be a finite number in radians")
-        angles[key] = float(value)
+    angles = {key: require_real(f'{context}: "{key}" in radians', doc.get(key), error=ParseError)
+              for key in ("plate_angle", "polarizer_angle")}
     grid = doc.get("gamma_grid")
     if not isinstance(grid, list) or not grid or not all(map(finite_real, grid)):
         raise ParseError(f"{context}: \"gamma_grid\" must be a non-empty list of finite numbers")
@@ -404,8 +394,8 @@ def _cmd_replay(args) -> int:
             recorded = require_real("max_violation", report.get("max_violation"), error=ParseError)
             tol = require_real("tol", report.get("tol"), lo=0, error=ParseError)
             matrices = channels.witness_arrays(report["witness"]) if args.show else {}
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+        except CohkitError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         agrees = abs(replayed - recorded) <= tol
         disagreements += not agrees
         print(f"{path}: max_violation {recorded!r}, replayed {float(replayed)!r}: "

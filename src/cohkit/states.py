@@ -354,10 +354,7 @@ def dirichlet_stack(rngs, ks, width: int) -> np.ndarray:
     1 / sum.
     """
     draws = pad_parts(ks, width, np.concatenate([rng.standard_exponential(k) for rng, k in zip(rngs, ks)]))
-    acc = draws[:, 0].copy()
-    for column in draws.T[1:]:
-        acc += column
-    return draws * (1.0 / acc)[:, None]
+    return draws * (1.0 / draws.cumsum(axis=1)[:, -1])[:, None]
 
 
 def pad_parts(counts, width: int, parts: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from cohkit.errors import (
     PureStateError,
 )
 from cohkit.linalg import hermitian_eig, hermitian_eigvals, require_hermitian
-from cohkit.measures import ibiqc_coherence, von_neumann_entropy
+from cohkit.measures import ibiqc_coherence, l1_coherence, von_neumann_entropy
 from cohkit.states import (
     DensityMatrix,
     DiagonalState,
@@ -122,6 +122,8 @@ def test_replay_rejects_invalid_witness_states():
 def test_apply_channel_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         apply_channel(dephasing(), maximally_mixed(3))
+    with pytest.raises(DimensionMismatchError):
+        selective_outcomes(dephasing(), maximally_mixed(3))
 
 
 def test_apply_channel_output_is_valid_state():
@@ -387,6 +389,8 @@ def test_audit_invalid_arguments():
     with pytest.raises(InvalidArgumentsError):
         audit_conditions("ibiqc", "C2_average", d=2, samples=10, seed=0)
     with pytest.raises(InvalidArgumentsError):
+        audit_conditions("ibiqc", "C2_average", "unitary", d=2, samples=10, seed=0)
+    with pytest.raises(InvalidArgumentsError):
         audit_conditions("ibiqc", "C0", d=2, samples=10, seed=-3)
     for d in (0, 1):
         with pytest.raises(InvalidArgumentsError):
@@ -630,6 +634,18 @@ def test_each_witness_holds_exactly_its_fields(monkeypatch, name):
     assert set(witness) == {"sample_index", *fields}
     assert witness.get("kind", witness.get("channel_label", "")).startswith(tag)
     assert all(type(witness[k]) is float for k in fields if k.startswith("measure_"))
+
+
+def test_replay_of_a_below_floor_witness(monkeypatch):
+    monkeypatch.setitem(channels._MEASURE_KERNELS, "l1", _ZERO_L1["l1"])
+    report = audit_conditions("l1", "C1", d=3, samples=10, seed=11).to_dict()
+    assert report["witness"]["kind"] == "below_floor_on_random"
+    assert report["max_violation"] == channels.C1_POSITIVITY_FLOOR
+    rho = make_density(channels.witness_arrays(report["witness"])["state"])
+    # replay reads the unpatched measure, which is positive on this random state
+    assert replay_violation(report) == channels.C1_POSITIVITY_FLOOR - l1_coherence(rho) < 0
+    monkeypatch.setitem(channels.MEASURE_FUNCTIONS, "l1", lambda rho: 0.0)
+    assert replay_violation(report) == report["max_violation"]
 
 
 @settings(max_examples=40, deadline=None)

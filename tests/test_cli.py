@@ -26,7 +26,7 @@ from cohkit.cli import (
 )
 from cohkit.errors import InvalidArgumentsError, NotPositiveError, ParseError
 from cohkit.measures import coherence_report, ibiqc_coherence, l1_coherence, rel_ent_coherence
-from cohkit.states import make_density, qubit_pair, random_density
+from cohkit.states import glauber_truncated, make_density, qubit_pair, random_density
 
 
 def write_json(path, doc):
@@ -177,6 +177,17 @@ def test_demo_glauber_rows():
     assert d3[1] == pytest.approx(1.931370849898476, abs=1e-12)
     assert d3[3] == pytest.approx(math.log2(3), abs=1e-10)
     assert d3[4] < 1.0
+
+
+@pytest.mark.parametrize("a", [1.0, 0.3 - 0.8j, 0.0, 2.5j])
+def test_demo_glauber_rows_equal_the_scalar_measures_bitwise(a):
+    dims = [*range(1, 9), 17, 40]
+    expected = []
+    for d in dims:
+        rho = glauber_truncated(a, d).to_density()
+        c = l1_coherence(rho)
+        expected.append((d, c, rel_ent_coherence(rho), ibiqc_coherence(rho), c / (d - 1) if d > 1 else math.nan))
+    assert _bits(demo_glauber(a, dims)) == _bits(expected)
 
 
 def test_demo_glauber_vacuum():
@@ -499,7 +510,7 @@ def test_unwritable_output_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("bad", [["--samples", "0"], ["--d", "1"], ["--seed", "-1"], ["--tol", "nan"],
-                                 ["--condition", "C0,C2avg"], ["--d", "257"]])
+                                 ["--condition", "C0,C2avg"], ["--d", "257"], ["--measure", "l1,fidelity"]])
 def test_rejected_audit_creates_no_out_directory(tmp_path, capsys, bad):
     out = tmp_path / "newdir"
     argv = ["audit", "--measure", "l1", "--condition", "C0", "--samples", "2", *bad, "--out", str(out)]
@@ -536,24 +547,9 @@ _BIG = "1" + "0" * 400
 _CONFIG = '{"input": %s, "plate_angle": %s, "polarizer_angle": 0.5, "gamma_grid": %s}'
 
 
-@pytest.mark.parametrize(
-    "command, text",
-    [
-        ("measure", '{"dim": true, "entries": [[[1, 0]]]}'),
-        ("measure", '{"dim": 1, "entries": [[[%s, 0]]]}' % _BIG),
-        ("measure", '{"dim": 1, "entries": [[[1, true]]]}'),
-        ("interference", _CONFIG % ('{"linear": %s}' % _BIG, "0", "[0]")),
-        ("interference", _CONFIG % ('{"linear": true}', "0", "[0]")),
-        ("interference", _CONFIG % ('"natural_light"', _BIG, "[0]")),
-        ("interference", _CONFIG % ('"natural_light"', "false", "[0]")),
-        ("interference", _CONFIG % ('"natural_light"', "0", "[0, %s]" % _BIG)),
-        ("interference", _CONFIG % ('"natural_light"', "0", "[0, true]")),
-        ("interference", _CONFIG % ('{"dim": 2, "entries": [[[%s, 0], [0, 0]], [[0, 0], [0, 0]]]}' % _BIG, "0", "[0]")),
-    ],
-    ids=["dim-bool", "cell-big", "cell-bool", "linear-big", "linear-bool", "angle-big", "angle-bool",
-         "grid-big", "grid-bool", "input-state-big"],
-)
-def test_bad_numbers_in_json_input_exit_3(tmp_path, capsys, command, text):
+def _assert_parse_error_exit_3(tmp_path, capsys, command, text, names):
+    """text, read as a state file or an interference config, raises ParseError naming each of names, and
+    main exits 3 on it, printing the same message."""
     path = tmp_path / "in.json"
     path.write_text(text, encoding="utf-8")
     if command == "measure":
@@ -561,11 +557,63 @@ def test_bad_numbers_in_json_input_exit_3(tmp_path, capsys, command, text):
     else:
         load, argv = load_interference_config, ["demo", "interference", "--config", str(path),
                                                 "--out", str(tmp_path / "out.csv")]
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         load(path)
+    assert all(name in str(err.value) for name in names), str(err.value)
     assert main(argv) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.out == "" and captured.err == f"error: {err.value}\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, names",
+    [
+        ("measure", '{"dim": true, "entries": [[[1, 0]]]}', ('"dim"', "got True")),
+        ("measure", '{"dim": 1, "entries": [[[%s, 0]]]}' % _BIG, ("entries[0][0]", _BIG)),
+        ("measure", '{"dim": 1, "entries": [[[1, true]]]}', ("entries[0][0]", "True")),
+        ("interference", _CONFIG % ('{"linear": %s}' % _BIG, "0", "[0]"), ('"linear"', _BIG)),
+        ("interference", _CONFIG % ('{"linear": true}', "0", "[0]"), ('"linear"', "got True")),
+        ("interference", _CONFIG % ('"natural_light"', _BIG, "[0]"), ('"plate_angle"', _BIG)),
+        ("interference", _CONFIG % ('"natural_light"', "false", "[0]"), ('"plate_angle"', "got False")),
+        ("interference", _CONFIG % ('"natural_light"', "0", "[0, %s]" % _BIG), ('"gamma_grid"',)),
+        ("interference", _CONFIG % ('"natural_light"', "0", "[0, true]"), ('"gamma_grid"',)),
+        ("interference", _CONFIG % ('{"dim": 2, "entries": [[[%s, 0], [0, 0]], [[0, 0], [0, 0]]]}' % _BIG, "0", "[0]"),
+         ("input: entries[0][0]", _BIG)),
+        ("measure", '{"dim": 0, "entries": []}', ('"dim"', "got 0")),
+        ("measure", '{"dim": null, "entries": []}', ('"dim"', "got None")),
+        # no document holds 10**400 rows, so this dim fails at "entries", whose message names it
+        ("measure", '{"dim": %s, "entries": [[[1, 0]]]}' % _BIG, ('"entries"', _BIG)),
+        ("interference", _CONFIG % ('{"linear": null}', "0", "[0]"), ('"linear"', "got None")),
+        ("interference", _CONFIG % ('"natural_light"', "null", "[0]"), ('"plate_angle"', "got None")),
+        # json reads 1e400 as inf
+        ("interference", _CONFIG % ('"natural_light"', "1e400", "[0]"), ('"plate_angle"', "got inf")),
+        ("interference", '{"input": "natural_light", "plate_angle": 0, "polarizer_angle": true, "gamma_grid": [0]}',
+         ('"polarizer_angle"', "got True")),
+        ("interference", '{"input": "natural_light", "plate_angle": 0, "gamma_grid": [0]}',
+         ('"polarizer_angle"', "got None")),
+    ],
+    ids=["dim-bool", "cell-big", "cell-bool", "linear-big", "linear-bool", "angle-big", "angle-bool",
+         "grid-big", "grid-bool", "input-state-big", "dim-zero", "dim-null", "dim-big", "linear-null", "angle-null",
+         "angle-inf", "polarizer-bool", "polarizer-missing"],
+)
+def test_bad_numbers_in_json_input_exit_3(tmp_path, capsys, command, text, names):
+    _assert_parse_error_exit_3(tmp_path, capsys, command, text, names)
+
+
+@pytest.mark.parametrize(
+    "command, text, names",
+    [
+        ("measure", json.dumps([delta0_doc()]), ("expected a JSON object",)),
+        ("measure", json.dumps({**delta0_doc(), "label": 7}), ('"label" must be a string',)),
+        ("measure", '{"dim": 2, "entries": [[[0.5, 0]], [[0, 0], [0.5, 0]]]}', ("entries[0]", "2 cells")),
+        ("interference", "[]", ("expected a JSON object",)),
+        ("interference", _CONFIG % (json.dumps({"dim": 1, "entries": [[[1, 0]]]}), "0", "[0]"),
+         ("must have dim 2, got 1",)),
+    ],
+    ids=["state-not-object", "label-not-string", "row-short", "config-not-object", "input-state-dim-1"],
+)
+def test_malformed_json_input_exit_3(tmp_path, capsys, command, text, names):
+    _assert_parse_error_exit_3(tmp_path, capsys, command, text, names)
 
 
 @pytest.mark.parametrize(
@@ -648,12 +696,14 @@ def test_replay_exit_codes_and_show(tmp_path, capsys):
         assert main(["replay", str(good), str(tmp_path / "bad.json")]) == 3
         assert "bad.json" in capsys.readouterr().err
     # a witness state that is no density matrix is invalid input, not a disagreement
-    for state, message in ((2 * channels._witness_matrices(report["witness"]["state"], 2), "error: trace"),
-                           (np.diag([2.0, -1.0]), "error: smallest eigenvalue")):
+    for state, message in ((2 * channels._witness_matrices(report["witness"]["state"], 2), "trace"),
+                           (np.diag([2.0, -1.0]), "smallest eigenvalue")):
         write_json(tmp_path / "bad.json", {**report, "witness": {**report["witness"],
                                                                  "state": channels._matrix_json(state)}})
-        assert main(["replay", str(tmp_path / "bad.json")]) == 3
-        assert capsys.readouterr().err.startswith(message)
+        assert main(["replay", str(good), str(tmp_path / "bad.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"{good}: ") and len(captured.out.splitlines()) == 1
+        assert captured.err.startswith(f"error: {tmp_path / 'bad.json'}: {message}")
     (tmp_path / "bad.json").write_text("{", encoding="utf-8")
     assert main(["replay", str(tmp_path / "bad.json")]) == 3
     assert main(["replay", str(tmp_path / "missing.json")]) == 3

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import cohkit
 from cohkit.errors import (
     CohkitError,
+    DimensionMismatchError,
     InvalidArgumentsError,
     InvalidDimensionError,
     InvalidKrausError,
@@ -128,8 +129,12 @@ def test_matrix_and_vector_junk_raises_invalid_arguments(call):
     (lambda: cohkit.DiagonalState("x"), InvalidArgumentsError),
     (lambda: cohkit.PureState([1e300, 1e300]), NotUnitTraceError),
     (lambda: cohkit.selective_outcomes(cohkit.KrausSet([2 * np.eye(2)]), _RHO), InvalidKrausError),
+    (lambda: cohkit.DiagonalState(np.eye(2) / 2), DimensionMismatchError),
+    (lambda: cohkit.DiagonalState([]), DimensionMismatchError),
+    (lambda: cohkit.PureState([0.6, 0.6]), NotUnitTraceError),
 ], ids=["entropy-1e200", "entropy-negative", "entropy-overflow", "entropy-empty", "diagonal-overflow",
-        "diagonal-string", "pure-overflow", "selective-not-trace-preserving"])
+        "diagonal-string", "pure-overflow", "selective-not-trace-preserving", "diagonal-matrix", "diagonal-empty",
+        "pure-norm"])
 def test_probability_amplitude_and_channel_gates_raise_before_numpy_warns(call, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -398,6 +398,17 @@ def test_relative_entropy_objective_equals_masked_form_bitwise():
     pure = PureState(np.full(2, 2 ** -0.5)).to_density()  # rho weighs both entries, probs vanishes on one
     probs = np.array([1.0, 0.0])
     assert _diagonal_distance_fn(pure, "relative_entropy")(probs) == math.inf == _masked_relative_entropy_fn(pure)(probs)
+    # rho has no weight on its last entry, so a probability that vanishes there is masked out, not infinite
+    for d in (2, 3, 4):
+        m = np.zeros((d, d), dtype=complex)
+        m[:-1, :-1] = random_density(d - 1, seed=int(rng.integers(0, 2**31))).matrix
+        rho = make_density(m)
+        fn, masked = _diagonal_distance_fn(rho, "relative_entropy"), _masked_relative_entropy_fn(rho)
+        for tiny in (0.0, 1e-13):
+            probs = np.append(rng.dirichlet(np.ones(d - 1)) * (1.0 - tiny), tiny)
+            value = fn(probs)
+            assert value == masked(probs), (d, tiny)
+            assert value == pytest.approx(relative_entropy(rho, DiagonalState(probs).to_density()), abs=1e-12)
 
 
 def test_min_distance_restarts_only_after_a_moving_run(monkeypatch):
@@ -516,3 +527,12 @@ def test_property_rel_ent_is_distance_to_dephased(rho):
 @given(rho=density_matrices())
 def test_property_ibiqc_is_distance_to_maximally_mixed(rho):
     assert ibiqc_coherence(rho) == pytest.approx(relative_entropy(rho, maximally_mixed(rho.dim)), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=density_matrices(max_dim=8))
+def test_property_coherence_report_equals_the_scalar_measures(rho):
+    rep = coherence_report(rho)
+    assert (rep.dim, rep.s_rho, rep.s_diag, rep.c_l1, rep.c_re, rep.c_ibiqc) == (
+        rho.dim, von_neumann_entropy(rho), shannon_entropy(rho.diagonal_probs()), l1_coherence(rho),
+        rel_ent_coherence(rho), ibiqc_coherence(rho))

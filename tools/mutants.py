@@ -55,8 +55,8 @@ MUTANTS = (
            (T_CHANNELS,), "a probe witness written with its eigenvectors transposed"),
     Mutant(CHANNELS, ', "measure_value": float(value[j])}', "}", (T_CHANNELS,),
            "a C1 witness that drops its measure_value"),
-    Mutant(CHANNELS, "return pickle.loads(pickle.dumps(vars(self)))", "return dict(vars(self))", (T_CHANNELS,),
-           "to_dict a shallow copy that shares witness lists with the report"),
+    Mutant(CHANNELS, "return asdict(self)\n\n    def to_json", "return dict(vars(self))\n\n    def to_json",
+           (T_CHANNELS,), "to_dict a shallow copy that shares witness lists with the report"),
     Mutant(CHANNELS, '"measure_after": float(afters[winner[j], j])', '"measure_after": float(afters[0, j])',
            (T_CHANNELS,), "a C2 witness's measure_after taken from the first candidate, not the winner"),
     Mutant(CHANNELS, "> violations[0] + WIN_MARGIN, winner, 0)", "> violations[0], winner, 0)", (T_CHANNELS,),
@@ -72,6 +72,11 @@ MUTANTS = (
            "the probe uses its eigenvectors without checking that they form a unitary"),
     Mutant(CHANNELS, 'rho = states.make_density(m["state"])', 'rho = states.DensityMatrix(m["state"])',
            (T_CHANNELS, T_CLI), "replay takes a witness state that is no density matrix"),
+    Mutant(CHANNELS, "return C1_POSITIVITY_FLOOR - fn(rho)", "return fn(rho)", (T_CHANNELS,),
+           "replay of a below-floor C1 witness returns the measure, not the floor less the measure"),
+    Mutant(CLI, 'except CohkitError as exc:\n            raise type(exc)(f"{path}: {exc}")',
+           'except ParseError as exc:\n            raise ParseError(f"{path}: {exc}")', (T_CLI,),
+           "replay names the report's file only on a ParseError, not on an invalid witness state"),
     # format-3 matrix entries: _witness_matrices must reject each malformed entry with ParseError
     Mutant(CHANNELS, ' or entry["dtype"] != "<c16":', ":", (T_CHANNELS,),
            "the reader decodes an entry of any dtype as complex128"),
@@ -139,11 +144,17 @@ MUTANTS = (
     # state files
     Mutant(CLI, "return states.make_density(m), label", "return states.make_density(m), None", (T_CLI,),
            "load_state drops the state file's label"),
+    Mutant(CLI, 'doc.get("dim"), 1, error=ParseError)', 'doc.get("dim"), 0, error=ParseError)', (T_CLI,),
+           "a state file of dim 0 passes the dim gate and fails later, in make_density"),
+    Mutant(CLI, "psi = require_real(f'{context}: \"linear\" polarization angle', source[\"linear\"], error=ParseError)",
+           'psi = float(source["linear"])', (T_CLI,),
+           "a linear polarization angle of true reads as 1 radian"),
+    Mutant(CLI, "doc.get(key), error=ParseError)", "doc.get(key))", (T_CLI,),
+           "a bad plate or polarizer angle raises InvalidArgumentsError, so the CLI exits 2, not 3"),
     # seeded sampling: bitwise default_rng([seed, i]) and Generator.dirichlet
     Mutant(STATES, "pool = _mix(pool, _hashmix(word, h[step:step + _POOL_SIZE + 1]))", "pass", (T_STATES,),
            "sample_generators skips the mixing rounds of seed words beyond the pool"),
-    Mutant(STATES, "acc = draws[:, 0].copy()\n    for column in draws.T[1:]:\n        acc += column",
-           "acc = draws.sum(axis=1)", (T_STATES,),
+    Mutant(STATES, "draws.cumsum(axis=1)[:, -1]", "draws.sum(axis=1)", (T_STATES,),
            "Dirichlet weights scaled by numpy's pairwise sum, not the left-to-right one"),
     Mutant(STATES, "probs = dirichlet_stack(rngs, ks, width)\n"
                    "        normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])",
@@ -161,6 +172,9 @@ MUTANTS = (
     Mutant(MEASURES, "if not tiny.any():", "if True:", (T_MEASURES,),
            "the relative-entropy objective never takes its masked path, even with a probability below "
            "the support tolerance"),
+    Mutant(MEASURES, "            keep = ~tiny\n", "            return math.inf\n", (T_MEASURES,),
+           "the relative-entropy objective is infinite wherever a probability vanishes, even where rho has "
+           "no weight"),
 )
 
 
