@@ -5,7 +5,6 @@ angles are radians.
 
 from . import errors
 from .linalg import (
-    Spectrum,
     hermitian_eig,
     trace_distance,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "KrausFlags",
     "KrausSet",
     "PureState",
-    "Spectrum",
     "apply_channel",
     "apply_unitary",
     "audit_conditions",

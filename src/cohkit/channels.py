@@ -44,7 +44,8 @@ STRUCTURAL_ENTRY_TOL = 1e-12
 DEFAULT_AUDIT_TOL = 1e-9
 # One audit sample holds _MAX_PARTS complex d x d operators, 4 MB at d = 256, and its
 # products and eigensolves cost O(d^3); replaying a probe witness builds its d
-# projectors, a (d, d, d) complex array of 268 MB at d = 256.
+# projectors, a (d, d, d) complex array of 268 MB at d = 256, so a witness matrix
+# is read only up to this dimension.
 MAX_AUDIT_DIM = 256
 SELECTIVE_P_FLOOR = 1e-12
 
@@ -121,14 +122,6 @@ class KrausSet:
     def dim(self) -> int:
         return self.operators.shape[-1]
 
-    def completeness_defect(self) -> float:
-        """Frobenius distance of sum(K^dagger K) from the identity."""
-        return linalg.gram_defect(self.operators)
-
-    def unitality_defect(self) -> float:
-        """Frobenius distance of sum(K K^dagger) from the identity."""
-        return linalg.gram_defect(linalg.adjoint(self.operators))
-
 
 @dataclass(frozen=True)
 class KrausFlags:
@@ -203,8 +196,8 @@ def classify_kraus(kraus: KrausSet) -> KrausFlags:
         out = _kraus_outputs(ops, diag).sum(axis=-3)
         structural = bool(np.abs(out - out * eye).max() < 1e-10)
     return KrausFlags(
-        trace_preserving=kraus.completeness_defect() < KRAUS_TP_TOL,
-        unital=kraus.unitality_defect() < KRAUS_TP_TOL,
+        trace_preserving=linalg.gram_defect(ops) < KRAUS_TP_TOL,
+        unital=linalg.gram_defect(linalg.adjoint(ops)) < KRAUS_TP_TOL,
         diagonal_incoherent=structural,
     )
 
@@ -471,6 +464,8 @@ def _witness_matrices(entry, ndim: int) -> np.ndarray:
     if not isinstance(shape, list) or len(shape) != ndim or shape[-1] != shape[-2]:
         raise ParseError(f"expected a shape of {ndim} integers, the last two equal, got {shape!r}")
     size = 16 * math.prod(require_count("a shape entry", n, 0, error=ParseError) for n in shape)
+    if shape[-1] > MAX_AUDIT_DIM:
+        raise ParseError(f"expected matrices of dimension at most MAX_AUDIT_DIM = {MAX_AUDIT_DIM}, got shape {shape}")
     try:
         data = binascii.a2b_base64(entry["base64"], strict_mode=True)
     except (TypeError, ValueError) as exc:

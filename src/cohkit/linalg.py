@@ -12,24 +12,12 @@ takes a stack works on arrays of shape (..., d, d).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
 
 HERMITIAN_TOL = 1e-10
-
-
-class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    eigenvalues: real, ascending.
-    eigenvectors: unitary matrix whose column i pairs with eigenvalues[i].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_complex_stack(m) -> np.ndarray:
@@ -67,20 +55,12 @@ def hermitian_part(m) -> np.ndarray:
     return 0.5 * (m + adjoint(m))
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of m, or of any matrix in a stack, from
-    its conjugate transpose; inf when an entry is not finite."""
-    a = np.asarray(m)
-    if not np.isfinite(a).all():
-        return math.inf
-    return float(np.abs(a - adjoint(a)).max())
-
-
 def require_hermitian(m) -> np.ndarray:
-    """Coerce m, a matrix or a stack of them, and check every one is
-    Hermitian within HERMITIAN_TOL; raises NotHermitianError otherwise."""
+    """Coerce m, a matrix or a stack of them, and check that every one is
+    Hermitian: no entry deviates from its conjugate transpose by more than
+    HERMITIAN_TOL (a non-finite entry always fails); NotHermitianError otherwise."""
     a = as_complex_stack(m)
-    defect = hermiticity_defect(a)
+    defect = float(np.abs(a - adjoint(a)).max()) if np.isfinite(a).all() else math.inf
     if not (defect <= HERMITIAN_TOL):
         raise NotHermitianError(
             f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITIAN_TOL:.1e}"
@@ -104,7 +84,7 @@ def gram_defect(ops) -> float:
     return float(np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(-2, -1)).max()))
 
 
-def hermitian_eig(m) -> Spectrum:
+def hermitian_eig(m):
     """Eigenvalues and eigenvectors of one Hermitian matrix; the
     one-matrix call of hermitian_eig_stack, with the same gate and errors."""
     return hermitian_eig_stack(as_complex_matrix(m))
@@ -122,15 +102,15 @@ def _lapack_hermitian(solver, m):
         raise NoConvergenceError(f"Hermitian eigendecomposition failed: {exc}") from exc
 
 
-def hermitian_eig_stack(m) -> Spectrum:
-    """Eigenvalues and eigenvectors of a Hermitian matrix, or of each matrix
-    in a (..., d, d) stack.
+def hermitian_eig_stack(m):
+    """numpy's EighResult (eigenvalues ascending, eigenvectors in columns) of a
+    Hermitian matrix, or of each matrix in a (..., d, d) stack.
 
     Raises NotHermitianError if any matrix fails the Hermiticity check at
     HERMITIAN_TOL (non-finite entries always fail it), and NoConvergenceError
     if LAPACK reports that the decomposition did not converge.
     """
-    return Spectrum(*_lapack_hermitian(np.linalg.eigh, m))
+    return _lapack_hermitian(np.linalg.eigh, m)
 
 
 def hermitian_eigvals(m) -> np.ndarray:

@@ -235,7 +235,7 @@ def min_distance_coherence(
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """All measures of one state in one matrix basis, entropies included."""
+    """All measures of one state in the computational basis, entropies included."""
 
     dim: int
     s_rho: float
@@ -249,7 +249,7 @@ class CoherenceReport:
         return asdict(self)
 
 
-def coherence_report(rho: DensityMatrix, basis_label: str = "computational") -> CoherenceReport:
+def coherence_report(rho: DensityMatrix) -> CoherenceReport:
     """Bundle every measure of rho, computing the spectrum once."""
     s_rho = von_neumann_entropy(rho)
     # a valid state's diagonal may sum to 1 only within DENSITY_TOL, so no probability gate
@@ -261,5 +261,5 @@ def coherence_report(rho: DensityMatrix, basis_label: str = "computational") -> 
         c_l1=l1_coherence(rho),
         c_re=max(0.0, s_diag - s_rho),
         c_ibiqc=max(0.0, math.log2(rho.dim) - s_rho),
-        basis_label=basis_label,
+        basis_label="computational",
     )

@@ -2,6 +2,7 @@ import binascii
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -598,8 +599,8 @@ def test_probe_audit_builds_no_projectors_and_solves_only_state_stacks(monkeypat
 
 def test_probe_rejects_eigenvectors_that_are_not_unitary(monkeypatch):
     def doubled(m):
-        values, vecs = np.linalg.eigh(m)
-        return linalg.Spectrum(values, 2 * vecs)
+        spectrum = np.linalg.eigh(m)
+        return spectrum._replace(eigenvectors=2 * spectrum.eigenvectors)
 
     monkeypatch.setattr(linalg, "hermitian_eig_stack", doubled)
     for condition in ("C2_average", "C2_selective"):
@@ -674,7 +675,7 @@ def test_property_gates_reject_non_finite(bad, d, data):
         require_unitary(np.stack([np.eye(d), u]))
     with pytest.raises(InvalidKrausError):
         apply_channel(KrausSet((u,)), maximally_mixed(d))
-    assert KrausSet((u,)).unitality_defect() == math.inf
+    assert linalg.gram_defect(linalg.adjoint(u)[None]) == math.inf
     with pytest.raises(InvalidArgumentsError):
         audit_conditions("l1", "C0", d=d, samples=1, seed=0, tol=bad)
 
@@ -884,6 +885,19 @@ def test_property_matrix_entries_round_trip_bitwise(ndim, k, d, data):
     entry = json.loads(json.dumps(channels._matrix_json(m)))
     out = channels._witness_matrices(entry, ndim)
     assert out.shape == m.shape and out.tobytes() == m.tobytes()
+
+
+def test_witness_matrices_bound_the_matrix_dimension_by_max_audit_dim():
+    # replaying a probe witness builds a (d, d, d) stack of projectors, so d stops at MAX_AUDIT_DIM
+    assert channels.MAX_AUDIT_DIM == 256
+    for shape in ((256, 256), (2, 256, 256), (300, 1, 1)):
+        entry = json.loads(json.dumps(channels._matrix_json(np.zeros(shape, dtype=complex))))
+        assert channels._witness_matrices(entry, len(shape)).shape == shape
+    for shape in ((257, 257), (1, 257, 257)):
+        # the bytes match the shape, so only the bound rejects the entry
+        entry = json.loads(json.dumps(channels._matrix_json(np.zeros(shape, dtype=complex))))
+        with pytest.raises(ParseError, match=re.escape(f"at most MAX_AUDIT_DIM = 256, got shape {list(shape)}")):
+            channels._witness_matrices(entry, len(shape))
 
 
 def test_matrix_entries_keep_signed_zeros_and_subnormals():

@@ -14,6 +14,7 @@ from cohkit import channels
 from cohkit.channels import audit_conditions
 from cohkit.cli import (
     EXPECTED_VERDICTS,
+    MAX_SWEEP_POINTS,
     build_parser,
     default_alpha_grid,
     demo_glauber,
@@ -309,6 +310,16 @@ def test_main_sweep_rejects_bad_grid(capsys):
     capsys.readouterr()
 
 
+def test_sweep_points_above_the_bound_exit_2(capsys):
+    # a sweep holds about 1.2 KB per point, so 10**12 points would ask numpy for terabytes
+    assert MAX_SWEEP_POINTS == 100_000
+    for points in (MAX_SWEEP_POINTS + 1, 10**12):
+        assert main(["sweep", "--points", str(points)]) == 2, points
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --points must be an integer from 1 to 100000, got {points}\n"
+
+
 def test_main_audit_single_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
@@ -542,6 +553,18 @@ def test_invalid_dims_flag_exit_2(capsys):
         assert captured.out == "" and captured.err.startswith("error: "), dims
 
 
+def test_dims_entries_above_max_audit_dim_or_empty_exit_2(tmp_path, capsys):
+    # each row builds a dense d x d state and decomposes it, as one audit sample does
+    assert main(["demo", "glauber", "--dims", "1,256", "--out", str(tmp_path / "g.csv")]) == 0
+    entry = "--dims entry must be an integer from 1 to 256, got "
+    empty = "--dims must be comma-separated integers: invalid literal for int() with base 10: ''"
+    for dims, message in (("257", entry + "257"), ("2,100000000000", entry + "100000000000"),
+                          ("2,,3", empty), ("2,", empty), ("", empty)):
+        assert main(["demo", "glauber", f"--dims={dims}"]) == 2, dims
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", dims
+
+
 # An integer literal beyond the double range, which json reads as an exact int.
 _BIG = "1" + "0" * 400
 _CONFIG = '{"input": %s, "plate_angle": %s, "polarizer_angle": 0.5, "gamma_grid": %s}'
@@ -575,8 +598,8 @@ def _assert_parse_error_exit_3(tmp_path, capsys, command, text, names):
         ("interference", _CONFIG % ('{"linear": true}', "0", "[0]"), ('"linear"', "got True")),
         ("interference", _CONFIG % ('"natural_light"', _BIG, "[0]"), ('"plate_angle"', _BIG)),
         ("interference", _CONFIG % ('"natural_light"', "false", "[0]"), ('"plate_angle"', "got False")),
-        ("interference", _CONFIG % ('"natural_light"', "0", "[0, %s]" % _BIG), ('"gamma_grid"',)),
-        ("interference", _CONFIG % ('"natural_light"', "0", "[0, true]"), ('"gamma_grid"',)),
+        ("interference", _CONFIG % ('"natural_light"', "0", "[0, %s]" % _BIG), ('"gamma_grid"[1]', _BIG)),
+        ("interference", _CONFIG % ('"natural_light"', "0", "[0, true]"), ('"gamma_grid"[1]', "got True")),
         ("interference", _CONFIG % ('{"dim": 2, "entries": [[[%s, 0], [0, 0]], [[0, 0], [0, 0]]]}' % _BIG, "0", "[0]"),
          ("input: entries[0][0]", _BIG)),
         ("measure", '{"dim": 0, "entries": []}', ('"dim"', "got 0")),
@@ -591,10 +614,12 @@ def _assert_parse_error_exit_3(tmp_path, capsys, command, text, names):
          ('"polarizer_angle"', "got True")),
         ("interference", '{"input": "natural_light", "plate_angle": 0, "gamma_grid": [0]}',
          ('"polarizer_angle"', "got None")),
+        ("interference", _CONFIG % ('"natural_light"', "0", "[0, 1e400]"), ('"gamma_grid"[1]', "got inf")),
+        ("interference", _CONFIG % ('"natural_light"', "0", '[0, 1, "2"]'), ('"gamma_grid"[2]', "got '2'")),
     ],
     ids=["dim-bool", "cell-big", "cell-bool", "linear-big", "linear-bool", "angle-big", "angle-bool",
          "grid-big", "grid-bool", "input-state-big", "dim-zero", "dim-null", "dim-big", "linear-null", "angle-null",
-         "angle-inf", "polarizer-bool", "polarizer-missing"],
+         "angle-inf", "polarizer-bool", "polarizer-missing", "grid-inf", "grid-string"],
 )
 def test_bad_numbers_in_json_input_exit_3(tmp_path, capsys, command, text, names):
     _assert_parse_error_exit_3(tmp_path, capsys, command, text, names)
@@ -709,6 +734,19 @@ def test_replay_exit_codes_and_show(tmp_path, capsys):
     assert main(["replay", str(tmp_path / "missing.json")]) == 3
     assert main(["replay"]) == 2
     capsys.readouterr()
+
+
+def test_replay_of_a_witness_above_max_audit_dim_exit_3(tmp_path, capsys):
+    report = audit_conditions("ibiqc", "C2_selective", d=2, samples=5, seed=1, probe_eigenbasis=True).to_dict()
+    bad = tmp_path / "bad.json"
+    big = channels._matrix_json(np.zeros((257, 257), dtype=complex))
+    for key in ("state", "eigenvectors"):
+        write_json(bad, {**report, "witness": {**report["witness"], key: big}})
+        assert main(["replay", str(bad)]) == 3, key
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad}: expected matrices of dimension at most MAX_AUDIT_DIM = 256, "
+                                "got shape [257, 257]\n"), key
 
 
 def test_reused_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys):

@@ -81,7 +81,7 @@ GATED = {
 NOT_NUMERIC = {
     "apply_channel": {"kraus", "rho"}, "apply_unitary": {"rho", "u"},
     "audit_conditions": {"measure", "condition", "op_class"}, "classify_kraus": {"kraus"},
-    "coherence_report": {"rho", "basis_label"}, "hermitian_eig": {"m"},
+    "coherence_report": {"rho"}, "hermitian_eig": {"m"},
     "min_distance_coherence": {"rho", "metric", "search_set"}, "random_channel": {"kind"},
     "relative_entropy": {"rho", "sigma"}, "replay_violation": {"report"}, "selective_counterexample": {"rho"},
     "selective_outcomes": {"kraus", "rho"}, "trace_distance": {"a", "b"},

@@ -42,6 +42,16 @@ def test_a_row_on_one_side_only_is_a_difference():
     assert lines[-4].startswith("search: 1 parent rows ") and ", 0 change rows " in lines[-4]
 
 
+def test_a_change_row_that_raised_fails_even_when_declared():
+    raised = {**PARENT[2], "sha256": "0e", "stderr": "uncaught MemoryError: no room\n", "raised": True}
+    lines, ok = identity.compare(PARENT, [*PARENT[:2], raised, PARENT[3]], {"gates:d1"})
+    assert not ok and lines[-2:] == ["change rows that raised: gates:d1", "UNEXPECTED DIFFERENCES"]
+    assert "  gates:d1 differs (expected)" in lines and "    change stderr: uncaught MemoryError: no room" in lines
+    # the parent may raise where the change rejects the input
+    lines, ok = identity.compare([*PARENT[:2], raised, PARENT[3]], PARENT, {"gates:d1"})
+    assert ok and not any(line.startswith("change rows that raised") for line in lines)
+
+
 def test_a_pattern_declares_every_row_it_matches_and_no_other():
     names = ["ibiqc-C2sel-unital-probe-d2-s0", "ibiqc-C2sel-unital-d2-s0", "l1-C2avg-none-probe-d32-s11",
              "re-C3-none-probe-d2-s0"]

@@ -12,7 +12,7 @@ from cohkit.linalg import (
     hermitian_eig,
     hermitian_eig_stack,
     hermitian_eigvals,
-    hermiticity_defect,
+    require_hermitian,
     trace_distance,
 )
 
@@ -143,9 +143,21 @@ def test_eigenvalues_invariant_under_unitary_similarity():
 
 
 def test_hermiticity_defect():
-    assert hermiticity_defect(np.eye(2)) == 0.0
+    assert require_hermitian(np.eye(2)).tolist() == np.eye(2).tolist()
     m = np.array([[0.0, 1.0], [0.5, 0.0]])
-    assert hermiticity_defect(m) == pytest.approx(0.5)
+    with pytest.raises(NotHermitianError, match=r"defect 5\.000e-01 exceeds"):
+        require_hermitian(m)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NotHermitianError, match="defect inf exceeds"):
+            require_hermitian(np.stack([np.eye(2), np.diag([bad, 1.0])]))
+
+
+def test_hermitian_eig_returns_numpys_eigh_result():
+    m = random_hermitian(np.random.default_rng(3), 4)
+    for got in (hermitian_eig(m), hermitian_eig_stack(np.stack([m, m]))):
+        assert type(got) is type(np.linalg.eigh(m))
+        assert got._fields == ("eigenvalues", "eigenvectors")
+    assert hermitian_eig(m).eigenvalues.tolist() == np.linalg.eigh(m).eigenvalues.tolist()
 
 
 def test_trace_distance_examples():

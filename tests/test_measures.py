@@ -454,9 +454,9 @@ def test_ibiqc_zero_implies_maximally_mixed():
 
 def test_coherence_report_fields():
     rz, rx = qubit_pair(math.pi / 6)
-    rep = coherence_report(rx, basis_label="hadamard-rotated")
+    rep = coherence_report(rx)
     assert rep.dim == 2
-    assert rep.basis_label == "hadamard-rotated"
+    assert rep.basis_label == "computational"
     assert rep.s_rho == pytest.approx(ENTROPY_PI_SIXTH, abs=1e-12)
     assert rep.c_ibiqc == pytest.approx(COHERENCE_PI_SIXTH, abs=1e-12)
     assert rep.c_re == pytest.approx(COHERENCE_PI_SIXTH, abs=1e-9)

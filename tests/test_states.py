@@ -12,7 +12,7 @@ from cohkit.errors import (
     NotUnitaryError,
     NotUnitTraceError,
 )
-from cohkit.linalg import hermitian_eig
+from cohkit.linalg import gram_defect, hermitian_eig
 from cohkit.states import (
     DensityMatrix,
     DiagonalState,
@@ -242,7 +242,7 @@ def test_random_channel_completeness():
     for kind in ("unital_mixture", "diagonal_incoherent", "general_tp"):
         for seed in range(5):
             ks = random_channel(kind, d=3, k=3, seed=seed)
-            assert ks.completeness_defect() < 1e-10
+            assert gram_defect(ks.operators) < 1e-10
 
 
 def test_random_channel_unital_mixture_fixes_mixed_state():

@@ -24,19 +24,24 @@ The groups:
   sweep         cohkit sweep over four grids
   glauber       cohkit demo glauber over amplitudes and dimension lists
   interference  cohkit demo interference over natural-light, linear and
-                inline-state configs
+                inline-state configs, and a config whose gamma_grid holds
+                1e400
   search        min_distance_coherence value and probs bytes, all three
                 metrics, on generated states at d = 2, 3 and 4, and the
                 trace search at budgets 2 to 40 (an OptimizerFailure
                 message is the row's result)
   gates         rejected command lines: exit code, stdout and stderr
 
+An exception that escapes cli.main does not end the battery: its type and
+message are the row's result in place of the exit code, and its stderr
+reads "uncaught <type>: <message>".
+
 The tool prints one digest per group, then every row that differs or is
 present on one side only, with the stderr of both sides on gates rows.
 --expect-change GROUP or GROUP:ROW declares differences that the change
 makes on purpose (repeatable). ROW may be an fnmatch pattern, such as
 'audit:*-C2*-probe-*', which declares every row of the group it matches.
-It exits 1 when any other row differs.
+It exits 1 when any other row differs, or when a row of the change raised.
 On rows that hold, an audit's witness index can move with the LAPACK
 build, so compare trees on one machine.
 """
@@ -92,18 +97,25 @@ def battery(tree: Path) -> list[dict]:
         raise SystemExit(f"cohkit was imported from {cohkit.__file__}, not from {tree}")
     rows = []
 
-    def add(group: str, row: str, payload: bytes, stderr: str = "") -> None:
-        rows.append({"group": group, "row": row, "sha256": hashlib.sha256(payload).hexdigest(), "stderr": stderr})
+    def add(group: str, row: str, payload: bytes, stderr: str = "", raised: bool = False) -> None:
+        rows.append({"group": group, "row": row, "sha256": hashlib.sha256(payload).hexdigest(), "stderr": stderr,
+                     "raised": raised})
 
     def run(group: str, row: str, argv: list[str], *outputs: str) -> None:
+        """One cli.main call; an exception it lets escape is the row's result in place of an exit code."""
         out, err = io.StringIO(), io.StringIO()
         for path in outputs:
             Path(path).unlink(missing_ok=True)
+        raised = False
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except Exception as exc:
+                raised, code = True, f"{type(exc).__name__}: {exc}"
+                print(f"uncaught {code}", file=sys.stderr)
         files = [Path(p).read_bytes() if Path(p).exists() else b"<absent>" for p in outputs]
         payload = json.dumps([code, out.getvalue(), err.getvalue()]).encode() + b"\0" + b"\0".join(files)
-        add(group, row, payload, err.getvalue())
+        add(group, row, payload, err.getvalue(), raised)
 
     flags = {v: k for k, v in cli.CONDITION_BY_FLAG.items()}
     classes = {v: k for k, v in cli.CLASS_BY_FLAG.items()}
@@ -164,6 +176,10 @@ def battery(tree: Path) -> list[dict]:
             Path("cfg.json").write_text(json.dumps(cfg))
             run("interference", f"{name}-{plate}-{polarizer}",
                 ["demo", "interference", "--config", "cfg.json", "--out", "curve.csv"], "curve.csv")
+    Path("cfg.json").write_text('{"input": "natural_light", "plate_angle": 0, "polarizer_angle": 0, '
+                                '"gamma_grid": [0, 1e400]}')
+    run("interference", "bad-gamma", ["demo", "interference", "--config", "cfg.json", "--out", "curve.csv"],
+        "curve.csv")
 
     def search(row: str, rho, metric: str, **kwargs) -> None:
         try:
@@ -199,6 +215,9 @@ def battery(tree: Path) -> list[dict]:
         "glauber-re-nan": ["demo", "glauber", "--alpha-re", "nan"],
         "glauber-im-inf": ["demo", "glauber", "--alpha-im", "inf"],
         "glauber-dims0": ["demo", "glauber", "--dims", "0"],
+        "glauber-dims-huge": ["demo", "glauber", "--dims", "100000000000"],
+        "glauber-dims-empty": ["demo", "glauber", "--dims", "2,,3"],
+        "sweep-points-huge": ["sweep", "--points", "1000000000000"],
     }
     for name, argv in gates.items():
         run("gates", name, argv + ["--out", "gate.json"], "gate.json")
@@ -220,10 +239,12 @@ def _by_group(rows: list[dict]) -> dict:
 
 
 def compare(parent_rows: list[dict], change_rows: list[dict], expected=()) -> tuple[list[str], bool]:
-    """Report lines and whether every difference is expected.
+    """Report lines and whether every difference is expected and no change row raised.
 
     expected holds GROUP or GROUP:ROW entries, ROW an fnmatch pattern. A
-    row present on one side only counts as a difference.
+    row present on one side only counts as a difference. A change row that
+    recorded an exception escaping cli.main fails the comparison, declared
+    or not; a parent row may record one.
     """
     parent, change = _by_group(parent_rows), _by_group(change_rows)
     lines, ok, used = [], True, set()
@@ -245,6 +266,10 @@ def compare(parent_rows: list[dict], change_rows: list[dict], expected=()) -> tu
                     lines.append(f"    {side} stderr: {rows[row]['stderr'].rstrip()}")
     if set(expected) - used:
         lines.append(f"declared but unchanged: {', '.join(sorted(set(expected) - used))}")
+    raised = sorted(f"{r['group']}:{r['row']}" for r in change_rows if r.get("raised"))
+    if raised:
+        ok = False
+        lines.append(f"change rows that raised: {', '.join(raised)}")
     lines.append("identical apart from the declared changes" if ok else "UNEXPECTED DIFFERENCES")
     return lines, ok
 

@@ -88,6 +88,8 @@ MUTANTS = (
            "the reader skips its byte count, so numpy's reshape error escapes as ValueError"),
     Mutant(CHANNELS, "strict_mode=True", "strict_mode=False", (T_CHANNELS,),
            "the reader skips characters that are not base64"),
+    Mutant(CHANNELS, "if shape[-1] > MAX_AUDIT_DIM:", "if False:", (T_CHANNELS, T_CLI),
+           "the reader takes matrices above MAX_AUDIT_DIM, whose replay builds a (d, d, d) projector stack"),
     Mutant(CHANNELS, "10.0 ** np.arange(-15, 1)", "10.0 ** np.arange(-16, 1)", (T_CHANNELS,),
            "violation_decades gains a bin for (0, 1e-16]"),
     Mutant(CHANNELS, "probs = states.require_probabilities(states.dirichlet_stack(rngs, np.full(len(rngs), d), d))",
@@ -134,6 +136,11 @@ MUTANTS = (
            "glauber_truncated accepts a non-finite amplitude"),
     Mutant(LINALG, "a = require_hermitian(m)", "a = as_complex_stack(m)", (T_LINALG,),
            "the eigensolvers skip their Hermiticity gate"),
+    Mutant(LINALG, "if np.isfinite(a).all() else math.inf", "if np.isfinite(a).all() else 0.0", (T_LINALG,),
+           "the Hermiticity defect of a matrix with a non-finite entry reads 0, so the gate passes it"),
+    Mutant(CHANNELS, "unital=linalg.gram_defect(linalg.adjoint(ops)) < KRAUS_TP_TOL",
+           "unital=linalg.gram_defect(ops) < KRAUS_TP_TOL", (T_CHANNELS,),
+           "classify_kraus takes its unital flag from sum K^dagger K, so every trace-preserving set reads unital"),
     Mutant(LINALG, "a = a.copy()", "a = a.view()", (T_STATES, T_CHANNELS),
            "DensityMatrix and KrausSet share the caller's array"),
     # errors.finite_real: state files, configs and the real-number gate
@@ -151,6 +158,17 @@ MUTANTS = (
            "a linear polarization angle of true reads as 1 radian"),
     Mutant(CLI, "doc.get(key), error=ParseError)", "doc.get(key))", (T_CLI,),
            "a bad plate or polarizer angle raises InvalidArgumentsError, so the CLI exits 2, not 3"),
+    Mutant(CLI, """require_real(f'{context}: "gamma_grid"[{k}]', g, error=ParseError)""", "float(g)", (T_CLI,),
+           "gamma_grid reads true as 1 and an integer beyond the double range raises OverflowError"),
+    # command-line bounds: each keeps an allocation to the scale of one audit sample or a few seconds' sweep
+    Mutant(CLI, 'require_count("--points", args.points, 1, MAX_SWEEP_POINTS)',
+           'require_count("--points", args.points, 1)', (T_CLI,),
+           "sweep takes any number of points, so 10**12 asks numpy for terabytes"),
+    Mutant(CLI, 'require_count("--dims entry", int(token), 1, channels.MAX_AUDIT_DIM)',
+           'require_count("--dims entry", int(token), 1)', (T_CLI,),
+           "demo glauber takes any dimension, so 10**11 asks numpy for hundreds of GiB"),
+    Mutant(CLI, 'for token in args.dims.split(",")]', 'for token in args.dims.split(",") if token.strip()]', (T_CLI,),
+           "demo glauber skips an empty --dims entry"),
     # seeded sampling: bitwise default_rng([seed, i]) and Generator.dirichlet
     Mutant(STATES, "pool = _mix(pool, _hashmix(word, h[step:step + _POOL_SIZE + 1]))", "pass", (T_STATES,),
            "sample_generators skips the mixing rounds of seed words beyond the pool"),
