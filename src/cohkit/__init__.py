@@ -11,6 +11,7 @@ from .linalg import (
 from .states import (
     DensityMatrix,
     DiagonalState,
+    KrausSet,
     PureState,
     apply_unitary,
     glauber_truncated,
@@ -36,7 +37,6 @@ from .measures import (
 from .channels import (
     AuditReport,
     KrausFlags,
-    KrausSet,
     apply_channel,
     audit_conditions,
     classify_kraus,

@@ -38,15 +38,11 @@ from .errors import (
     require_count,
     require_real,
 )
+from .states import MAX_AUDIT_DIM, KrausSet
 
 KRAUS_TP_TOL = 1e-10
 STRUCTURAL_ENTRY_TOL = 1e-12
 DEFAULT_AUDIT_TOL = 1e-9
-# One audit sample holds _MAX_PARTS complex d x d operators, 4 MB at d = 256, and its
-# products and eigensolves cost O(d^3); replaying a probe witness builds its d
-# projectors, a (d, d, d) complex array of 268 MB at d = 256, so a witness matrix
-# is read only up to this dimension.
-MAX_AUDIT_DIM = 256
 SELECTIVE_P_FLOOR = 1e-12
 
 # A random state whose measure falls below this floor fails the
@@ -95,32 +91,6 @@ _MAX_PARTS = 4
 # working arrays are a small multiple of this, so an audit's memory does not
 # grow with its sample count.
 _BLOCK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True, eq=False)
-class KrausSet:
-    """The Kraus operators of one channel as a complex (k, d, d) array.
-
-    operators accepts any sequence of k >= 1 same-shape square matrices
-    (a tuple, a list or a (k, d, d) array) and holds a private read-only
-    copy of it; an empty set, operators of mixed shapes and a single
-    matrix raise DimensionMismatchError.
-    """
-
-    operators: np.ndarray
-
-    def __post_init__(self):
-        try:
-            ops = linalg.as_complex_stack(self.operators)
-        except ValueError as exc:
-            raise DimensionMismatchError(f"Kraus operators differ in shape: {exc}") from exc
-        if ops.ndim != 3 or len(ops) < 1:
-            raise DimensionMismatchError(f"expected k >= 1 Kraus operators as (k, d, d), got shape {ops.shape}")
-        object.__setattr__(self, "operators", linalg.read_only_copy(ops))
-
-    @property
-    def dim(self) -> int:
-        return self.operators.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -192,12 +162,12 @@ def classify_kraus(kraus: KrausSet) -> KrausFlags:
     if structural:
         eye = np.eye(kraus.dim)
         rng = np.random.default_rng(_CLASSIFY_CHECK_SEED)
-        diag = states.dirichlet_stack([rng] * 10, np.full(10, kraus.dim), kraus.dim)[:, None] * eye
+        diag = rng.dirichlet(np.ones(kraus.dim), size=10)[:, None] * eye
         out = _kraus_outputs(ops, diag).sum(axis=-3)
         structural = bool(np.abs(out - out * eye).max() < 1e-10)
     return KrausFlags(
-        trace_preserving=linalg.gram_defect(ops) < KRAUS_TP_TOL,
-        unital=linalg.gram_defect(linalg.adjoint(ops)) < KRAUS_TP_TOL,
+        trace_preserving=linalg.gram_defect(ops) <= KRAUS_TP_TOL,
+        unital=linalg.gram_defect(linalg.adjoint(ops)) <= KRAUS_TP_TOL,
         diagonal_incoherent=structural,
     )
 

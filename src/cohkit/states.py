@@ -1,10 +1,10 @@
-"""Quantum state containers, validated construction, and seeded ensembles.
+"""Quantum states and Kraus sets, validated construction, and seeded ensembles.
 
-States are dense numpy arrays wrapped in thin dataclasses. make_density
-is the validating gateway for arbitrary matrices; the named constructors
-always return valid instances. Random ensembles are reproducible: the
-same (dimension, seed) pair yields bitwise-identical output, and every
-seed argument also accepts a numpy Generator for streaming use.
+Both are dense numpy arrays wrapped in thin dataclasses. make_density is
+the validating gateway for arbitrary matrices; the named constructors return
+valid instances, of sizes up to MAX_AUDIT_DIM. Random ensembles are
+reproducible: the same (dimension, seed) pair yields bitwise-identical
+output, and every seed argument also accepts a numpy Generator.
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ DENSITY_TOL = 1e-10
 PROB_TOL = 1e-12
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
+# The largest dimension of a dense object: every sized constructor below, an
+# audit and a replayed witness matrix stop here. One audit sample holds up to
+# four complex d x d operators, 4 MB at d = 256, and its products and
+# eigensolves cost O(d^3); replaying a probe witness builds its d projectors, a
+# (d, d, d) complex array of 268 MB at d = 256, so a witness matrix is read only
+# up to this dimension.
+MAX_AUDIT_DIM = 256
 
 # Kept probability fraction below which a truncated expansion is rejected;
 # exp(-745) is roughly the smallest positive double.
@@ -65,6 +72,32 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
+class KrausSet:
+    """The Kraus operators of one channel as a complex (k, d, d) array.
+
+    operators accepts any sequence of k >= 1 same-shape square matrices
+    (a tuple, a list or a (k, d, d) array) and holds a private read-only
+    copy of it; an empty set, operators of mixed shapes and a single
+    matrix raise DimensionMismatchError.
+    """
+
+    operators: np.ndarray
+
+    def __post_init__(self):
+        try:
+            ops = linalg.as_complex_stack(self.operators)
+        except ValueError as exc:
+            raise DimensionMismatchError(f"Kraus operators differ in shape: {exc}") from exc
+        if ops.ndim != 3 or len(ops) < 1:
+            raise DimensionMismatchError(f"expected k >= 1 Kraus operators as (k, d, d), got shape {ops.shape}")
+        object.__setattr__(self, "operators", linalg.read_only_copy(ops))
+
+    @property
+    def dim(self) -> int:
+        return self.operators.shape[-1]
+
+
+@dataclass(frozen=True, eq=False)
 class DiagonalState:
     """Probability vector, i.e. a density matrix with no off-diagonal part."""
 
@@ -75,10 +108,6 @@ class DiagonalState:
         if p.ndim != 1 or p.shape[0] < 1:
             raise DimensionMismatchError(f"expected a probability vector, got shape {p.shape}")
         object.__setattr__(self, "probs", require_probabilities(p))
-
-    @property
-    def dim(self) -> int:
-        return self.probs.shape[0]
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(np.diag(self.probs).astype(complex))
@@ -101,10 +130,6 @@ class PureState:
         if not (abs(norm - 1.0) <= NORM_TOL):
             raise NotUnitTraceError(f"amplitude norm {norm!r} differs from 1 beyond {NORM_TOL:.1e}")
         object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -174,7 +199,7 @@ def hadamard() -> np.ndarray:
 
 def maximally_mixed(d: int) -> DensityMatrix:
     """Identity over d: the unique state with no preferred direction."""
-    d = require_count("d", d, 1, error=InvalidDimensionError)
+    d = require_count("d", d, 1, MAX_AUDIT_DIM, InvalidDimensionError)
     return DensityMatrix(np.eye(d, dtype=complex) / d)
 
 
@@ -202,7 +227,7 @@ def glauber_truncated(a, d: int) -> PureState:
     truncation is then meaningless; an a that is not a finite complex
     number raises InvalidArgumentsError.
     """
-    d = require_count("d", d, 1, error=InvalidDimensionError)
+    d = require_count("d", d, 1, MAX_AUDIT_DIM, InvalidDimensionError)
     if isinstance(a, bool) or not isinstance(a, numbers.Complex):
         raise InvalidArgumentsError(f"amplitude must be a complex number, got {a!r}")
     a = complex(require_real("amplitude real part", a.real), require_real("amplitude imag part", a.imag))
@@ -376,13 +401,13 @@ def random_density(d: int, seed) -> DensityMatrix:
 
     seed: integer >= 0, or a numpy Generator to draw from an existing stream.
     """
-    d = require_count("d", d, 1, error=InvalidDimensionError)
+    d = require_count("d", d, 1, MAX_AUDIT_DIM, InvalidDimensionError)
     return DensityMatrix(density_stack(_generator(seed).standard_normal((2, d, d))))
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary. seed: integer >= 0 or numpy Generator."""
-    d = require_count("d", d, 1, error=InvalidDimensionError)
+    d = require_count("d", d, 1, MAX_AUDIT_DIM, InvalidDimensionError)
     return isometry_stack(_generator(seed).standard_normal((2, d, d)))
 
 
@@ -437,11 +462,9 @@ def random_channel(kind: str, d: int, k: int = 2, seed=0):
                           k blocks; trace preserving, generically not
                           unital.
 
-    seed: integer >= 0 or numpy Generator. Returns a channels.KrausSet.
+    seed: integer >= 0 or numpy Generator. Returns a KrausSet.
     """
-    from .channels import KrausSet  # deferred: channels imports this module
-
-    d = require_count("d", d, 1, error=InvalidDimensionError)
-    k = require_count("k", k, 1, error=InvalidDimensionError)
+    d = require_count("d", d, 1, MAX_AUDIT_DIM, InvalidDimensionError)
+    k = require_count("k", k, 1, MAX_AUDIT_DIM, InvalidDimensionError)
     ops = kraus_stack(kind, d, np.array([k]), [_generator(seed)], k)[0]
     return KrausSet(ops)

@@ -252,6 +252,14 @@ def test_classify_non_finite_is_not_diagonal():
     assert classify_kraus(KrausSet((u,))) == KrausFlags(False, False, False)
 
 
+def test_classify_agrees_with_the_gate_at_a_defect_equal_to_the_tolerance(monkeypatch):
+    monkeypatch.setattr(linalg, "gram_defect", lambda ops: channels.KRAUS_TP_TOL)
+    kraus = dephasing()
+    apply_channel(kraus, maximally_mixed(2))
+    flags = classify_kraus(kraus)
+    assert flags.trace_preserving and flags.unital
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 5), k=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
 def test_property_unital_mixture_never_raises_ibiqc(d, k, seed):

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cohkit
 from cohkit.errors import (
     DegenerateTruncationError,
     InvalidArgumentsError,
@@ -14,6 +17,7 @@ from cohkit.errors import (
 )
 from cohkit.linalg import gram_defect, hermitian_eig
 from cohkit.states import (
+    MAX_AUDIT_DIM,
     DensityMatrix,
     DiagonalState,
     PureState,
@@ -193,6 +197,62 @@ def test_glauber_rejects_non_finite_amplitude(a):
 def test_glauber_invalid_dimension():
     with pytest.raises(InvalidDimensionError):
         glauber_truncated(1.0, 0)
+
+
+# Each sized constructor as a function of the size it takes. The size-257 test
+# runs before the test of sizes numpy cannot allocate, so that a dropped bound
+# fails there first and, under pytest -x, nothing large is allocated.
+SIZED = {
+    "maximally_mixed": maximally_mixed,
+    "glauber_truncated": lambda n: glauber_truncated(1.0, n),
+    "random_density": lambda n: random_density(n, 0),
+    "haar_unitary": lambda n: haar_unitary(n, 0),
+    "random_channel-d": lambda n: random_channel("general_tp", n),
+    "random_channel-k": lambda n: random_channel("general_tp", 2, k=n),
+}
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_sized_constructors_reject_a_size_above_max_audit_dim(name):
+    assert MAX_AUDIT_DIM == 256
+    with pytest.raises(InvalidDimensionError, match=r" must be an integer from 1 to 256, got 257$"):
+        SIZED[name](257)
+
+
+def test_sized_constructors_build_at_max_audit_dim():
+    assert maximally_mixed(256).dim == 256
+    assert glauber_truncated(1.0, 256).amplitudes.shape == (256,)
+    assert random_channel("general_tp", 2, k=256).operators.shape == (256, 2, 2)
+
+
+@pytest.mark.parametrize("name, n", [("maximally_mixed", 10**6), ("glauber_truncated", 10**11),
+                                     ("random_density", 10**5), ("haar_unitary", 10**5),
+                                     ("random_channel-k", 10**9)])
+def test_sized_constructors_reject_sizes_numpy_cannot_allocate(name, n):
+    # 14.6 TiB, 745 GiB, 149 GiB, 149 GiB and 59.6 GiB without the bound
+    with pytest.raises(InvalidDimensionError, match=f"got {n}$"):
+        SIZED[name](n)
+
+
+def test_states_imports_only_linalg_and_errors_of_the_package():
+    tree = ast.parse(Path(cohkit.states.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):  # nested function bodies included
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported |= {base} if node.module else {base + alias.name for alias in node.names}
+    assert {name for name in imported if name.startswith((".", "cohkit"))} == {".linalg", ".errors"}
+    assert not any("channels" in name for name in imported)
+
+
+def test_kraus_set_and_max_audit_dim_are_defined_once_in_states():
+    assert cohkit.KrausSet is cohkit.states.KrausSet is cohkit.channels.KrausSet
+    assert cohkit.channels.MAX_AUDIT_DIM == MAX_AUDIT_DIM
+    sources = {path.name: path.read_text(encoding="utf-8") for path in Path(cohkit.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "\nclass KrausSet" in text] == ["states.py"]
+    assert [name for name, text in sources.items() if "\nMAX_AUDIT_DIM = " in text] == ["states.py"]
 
 
 def test_random_density_validates():

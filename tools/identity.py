@@ -31,10 +31,15 @@ The groups:
                 trace search at budgets 2 to 40 (an OptimizerFailure
                 message is the row's result)
   gates         rejected command lines: exit code, stdout and stderr
+  library       each sized constructor of states at d = 256 and 257, and
+                random_channel of each family at k = 256 and 257: the bytes
+                of the object built, or the type and message of the error
 
 An exception that escapes cli.main does not end the battery: its type and
 message are the row's result in place of the exit code, and its stderr
-reads "uncaught <type>: <message>".
+reads "uncaught <type>: <message>". A library row records the type and
+message of the error its call raised, in its stderr too; one that is no
+CohkitError counts as raised.
 
 The tool prints one digest per group, then every row that differs or is
 present on one side only, with the stderr of both sides on gates rows.
@@ -91,7 +96,7 @@ def battery(tree: Path) -> list[dict]:
     import numpy as np
 
     import cohkit
-    from cohkit import cli, errors, measures, states
+    from cohkit import channels, cli, errors, measures, states
 
     if not Path(cohkit.__file__).resolve().is_relative_to(tree.resolve()):
         raise SystemExit(f"cohkit was imported from {cohkit.__file__}, not from {tree}")
@@ -196,6 +201,27 @@ def battery(tree: Path) -> list[dict]:
     rho = states.make_density(_state(rng, 3))
     for budget in range(2, 41):
         search(f"trace-budget{budget}", rho, "trace", budget=budget)
+
+    def library(row: str, call) -> None:
+        try:
+            result = call()
+        except Exception as exc:
+            message = f"{type(exc).__name__}: {exc}"
+            add("library", row, message.encode(), message, raised=not isinstance(exc, errors.CohkitError))
+            return
+        array = next((getattr(result, f) for f in ("matrix", "amplitudes", "operators") if hasattr(result, f)), result)
+        add("library", row, np.asarray(array).tobytes())
+
+    sized = {"maximally_mixed-d": states.maximally_mixed,
+             "glauber_truncated-d": lambda n: states.glauber_truncated(1.0, n),
+             "random_density-d": lambda n: states.random_density(n, 0),
+             "haar_unitary-d": lambda n: states.haar_unitary(n, 0)}
+    for kind in channels.OPERATION_CLASSES:
+        sized[f"random_channel-{kind}-d"] = lambda n, kind=kind: states.random_channel(kind, n)
+        sized[f"random_channel-{kind}-k"] = lambda n, kind=kind: states.random_channel(kind, 2, k=n)
+    for name, call in sized.items():
+        for n in (256, 257):
+            library(f"{name}-{n}", lambda: call(n))
 
     gates = {
         "audit-d0": ["audit", "--measure", "l1", "--condition", "C0", "--d", "0"],

@@ -138,9 +138,12 @@ MUTANTS = (
            "the eigensolvers skip their Hermiticity gate"),
     Mutant(LINALG, "if np.isfinite(a).all() else math.inf", "if np.isfinite(a).all() else 0.0", (T_LINALG,),
            "the Hermiticity defect of a matrix with a non-finite entry reads 0, so the gate passes it"),
-    Mutant(CHANNELS, "unital=linalg.gram_defect(linalg.adjoint(ops)) < KRAUS_TP_TOL",
-           "unital=linalg.gram_defect(ops) < KRAUS_TP_TOL", (T_CHANNELS,),
+    Mutant(CHANNELS, "unital=linalg.gram_defect(linalg.adjoint(ops)) <= KRAUS_TP_TOL",
+           "unital=linalg.gram_defect(ops) <= KRAUS_TP_TOL", (T_CHANNELS,),
            "classify_kraus takes its unital flag from sum K^dagger K, so every trace-preserving set reads unital"),
+    Mutant(CHANNELS, "trace_preserving=linalg.gram_defect(ops) <= KRAUS_TP_TOL",
+           "trace_preserving=linalg.gram_defect(ops) < KRAUS_TP_TOL", (T_CHANNELS,),
+           "classify_kraus calls a set incomplete at a defect equal to KRAUS_TP_TOL, which apply_channel accepts"),
     Mutant(LINALG, "a = a.copy()", "a = a.view()", (T_STATES, T_CHANNELS),
            "DensityMatrix and KrausSet share the caller's array"),
     # errors.finite_real: state files, configs and the real-number gate
@@ -169,6 +172,17 @@ MUTANTS = (
            "demo glauber takes any dimension, so 10**11 asks numpy for hundreds of GiB"),
     Mutant(CLI, 'for token in args.dims.split(",")]', 'for token in args.dims.split(",") if token.strip()]', (T_CLI,),
            "demo glauber skips an empty --dims entry"),
+    # sized constructors: a size above MAX_AUDIT_DIM is rejected before numpy allocates; the
+    # size-257 test runs before the test of sizes numpy cannot allocate, so under -x a killed
+    # mutant allocates nothing large
+    Mutant(STATES, 'd = require_count("d", d, 1, MAX_AUDIT_DIM, InvalidDimensionError)\n'
+                   "    return DensityMatrix(density_stack(",
+           'd = require_count("d", d, 1, error=InvalidDimensionError)\n'
+           "    return DensityMatrix(density_stack(", (T_STATES,),
+           "random_density takes any d, so 10**5 asks numpy for 149 GiB"),
+    Mutant(STATES, 'k = require_count("k", k, 1, MAX_AUDIT_DIM, InvalidDimensionError)',
+           'k = require_count("k", k, 1, error=InvalidDimensionError)', (T_STATES,),
+           "random_channel takes any k, so 10**9 operators ask numpy for 59.6 GiB"),
     # seeded sampling: bitwise default_rng([seed, i]) and Generator.dirichlet
     Mutant(STATES, "pool = _mix(pool, _hashmix(word, h[step:step + _POOL_SIZE + 1]))", "pass", (T_STATES,),
            "sample_generators skips the mixing rounds of seed words beyond the pool"),
