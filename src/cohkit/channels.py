@@ -35,10 +35,12 @@ from .errors import (
     InvalidKrausError,
     ParseError,
     PureStateError,
+    require_choice,
     require_count,
+    require_instance,
     require_real,
 )
-from .states import MAX_AUDIT_DIM, KrausSet
+from .states import MAX_AUDIT_DIM, OPERATION_CLASSES, KrausSet
 
 KRAUS_TP_TOL = 1e-10
 STRUCTURAL_ENTRY_TOL = 1e-12
@@ -67,7 +69,6 @@ _PURE_KERNELS = {
     "ibiqc": lambda v: np.full(v.shape[:-2] + v.shape[-1:], math.log2(v.shape[-1])),
 }
 CONDITIONS = ("C0", "C1", "C2_average", "C2_selective", "C3")
-OPERATION_CLASSES = ("unital_mixture", "diagonal_incoherent", "general_tp")
 VERDICT_HOLDS = "holds_within_tol"
 VERDICT_VIOLATED = "violated"
 REPORT_FORMAT = 3
@@ -78,8 +79,6 @@ WIN_MARGIN = 1e-12
 _DECADE_EDGES = np.concatenate(([0.0], 10.0 ** np.arange(-15, 1)))
 # ndim of each matrix entry a witness may hold: one matrix, or a stack of them
 _WITNESS_NDIM = {"state": 2, "unitary": 2, "eigenvectors": 2, "kraus_operators": 3, "states": 3}
-
-_CLASSIFY_CHECK_SEED = 1060
 
 # Random class channels draw 1 to 4 Kraus operators and C3 mixes 2 to 4
 # states; an audit block pads both to this many, with zero weight.
@@ -130,7 +129,7 @@ def _selective_readout(ops: np.ndarray, rho: np.ndarray):
 
 def apply_channel(kraus: KrausSet, rho: states.DensityMatrix) -> states.DensityMatrix:
     """Deterministic channel action: sum of K rho K^dagger."""
-    if kraus.dim != rho.dim:
+    if require_instance("kraus", kraus, KrausSet).dim != require_instance("rho", rho, states.DensityMatrix).dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
     _require_trace_preserving(kraus.operators)
     return states.DensityMatrix(_average_output(kraus.operators, rho.matrix))
@@ -142,7 +141,7 @@ def selective_outcomes(kraus: KrausSet, rho: states.DensityMatrix) -> list[tuple
     Outcomes with probability below SELECTIVE_P_FLOOR are dropped; the rest keep
     the Kraus order. InvalidKrausError, as in apply_channel, unless trace preserving.
     """
-    if kraus.dim != rho.dim:
+    if require_instance("kraus", kraus, KrausSet).dim != require_instance("rho", rho, states.DensityMatrix).dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
     _require_trace_preserving(kraus.operators)
     p, kept, normalized = _selective_readout(kraus.operators, rho.matrix)
@@ -154,17 +153,15 @@ def classify_kraus(kraus: KrausSet) -> KrausFlags:
 
     diagonal_incoherent means every operator has at most one nonzero
     entry per column, which guarantees diagonal inputs map to diagonal
-    outputs; the structural test is cross-checked behaviorally on ten
-    seeded random diagonal states.
+    outputs; the structural test is cross-checked behaviorally on the
+    output of every basis state |j><j|, which by linearity covers every
+    diagonal input.
     """
-    ops = kraus.operators
+    ops = require_instance("kraus", kraus, KrausSet).operators
     structural = bool(((np.abs(ops) > STRUCTURAL_ENTRY_TOL).sum(axis=-2) <= 1).all())
     if structural:
-        eye = np.eye(kraus.dim)
-        rng = np.random.default_rng(_CLASSIFY_CHECK_SEED)
-        diag = rng.dirichlet(np.ones(kraus.dim), size=10)[:, None] * eye
-        out = _kraus_outputs(ops, diag).sum(axis=-3)
-        structural = bool(np.abs(out - out * eye).max() < 1e-10)
+        out = np.einsum("nij,nkj->jik", ops, ops.conj())
+        structural = bool(np.abs(out - out * np.eye(kraus.dim)).max() < 1e-10)
     return KrausFlags(
         trace_preserving=linalg.gram_defect(ops) <= KRAUS_TP_TOL,
         unital=linalg.gram_defect(linalg.adjoint(ops)) <= KRAUS_TP_TOL,
@@ -405,10 +402,8 @@ def validate_audit_arguments(measure: str, condition: str, op_class: str | None,
                              tol: float, probe_eigenbasis: bool) -> str | None:
     """Raise InvalidArgumentsError unless audit_conditions accepts these
     arguments; return the operation class the audit uses (None outside C2)."""
-    if measure not in MEASURE_FUNCTIONS:
-        raise InvalidArgumentsError(f"unknown measure {measure!r}; expected one of {tuple(MEASURE_FUNCTIONS)}")
-    if condition not in CONDITIONS:
-        raise InvalidArgumentsError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
+    require_choice("measure", measure, MEASURE_FUNCTIONS)
+    require_choice("condition", condition, CONDITIONS)
     # sample indices below 2**32 are one 32-bit seed word, as sample_generators needs
     require_count("samples", samples, 1, 2**32)
     # a one-state space (d = 1) holds only I/1 and has no coherence to audit
@@ -421,9 +416,7 @@ def validate_audit_arguments(measure: str, condition: str, op_class: str | None,
         return None
     if op_class is None and not probe_eigenbasis:
         raise InvalidArgumentsError(f"{condition} needs an operation class or probe_eigenbasis")
-    if op_class is not None and op_class not in OPERATION_CLASSES:
-        raise InvalidArgumentsError(f"unknown operation class {op_class!r}; expected one of {OPERATION_CLASSES}")
-    return op_class
+    return op_class if op_class is None else require_choice("operation class", op_class, OPERATION_CLASSES)
 
 
 def _witness_matrices(entry, ndim: int) -> np.ndarray:

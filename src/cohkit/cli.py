@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, measures, states
-from .errors import CohkitError, InvalidArgumentsError, ParseError, finite_real, require_count, require_real
+from .errors import (CohkitError, InvalidArgumentsError, ParseError, finite_real, require_choice, require_count,
+                     require_real)
 
 EXIT_OK = 0
 EXIT_VERDICT_MISMATCH = 1
@@ -284,15 +285,7 @@ def demo_interference(cfg: InterferenceConfig) -> tuple[np.ndarray, float]:
 
 
 def _split_flags(raw: str, table: dict, option: str) -> list[str]:
-    values = []
-    for token in raw.split(","):
-        token = token.strip()
-        if token not in table:
-            raise InvalidArgumentsError(
-                f"{option} got {token!r}; expected values from {sorted(table)}"
-            )
-        values.append(token)
-    return values
+    return [require_choice(option, token.strip(), table) for token in raw.split(",")]
 
 
 def run_audit_cli(args) -> int:
@@ -358,6 +351,8 @@ def _cmd_measure(args) -> int:
 
 def _cmd_sweep(args) -> int:
     start, stop = require_real("--from", args.start), require_real("--to", args.stop)
+    # numpy's linspace takes stop - start, which overflows beyond the double range
+    require_real("--to minus --from", stop - start)
     rows = sweep_alpha(default_alpha_grid(require_count("--points", args.points, 1, MAX_SWEEP_POINTS), start, stop))
     _write_table(SWEEP_COLUMNS, rows, args.out)
     return EXIT_OK

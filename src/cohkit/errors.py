@@ -90,3 +90,17 @@ def require_array(name: str, v, dtype) -> np.ndarray:
         return np.asarray(v, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentsError(f"{name} must be numbers, got {type(v).__name__}: {exc}") from exc
+
+
+def require_choice(name: str, v, choices):
+    """v when it is a str among choices (a tuple, or a dict's keys); InvalidArgumentsError otherwise."""
+    if not (isinstance(v, str) and v in choices):
+        raise InvalidArgumentsError(f"unknown {name} {v!r}; expected one of {tuple(choices)}")
+    return v
+
+
+def require_instance(name: str, v, cls):
+    """v when it is an instance of cls; InvalidArgumentsError otherwise."""
+    if not isinstance(v, cls):
+        raise InvalidArgumentsError(f"{name} must be a {cls.__name__}, got {type(v).__name__}")
+    return v

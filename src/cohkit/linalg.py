@@ -15,14 +15,14 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
+from .errors import DimensionMismatchError, NoConvergenceError, NotHermitianError, require_array
 
 HERMITIAN_TOL = 1e-10
 
 
 def as_complex_stack(m) -> np.ndarray:
-    """Coerce to a complex stack of square matrices, shape (..., d, d) with d >= 1."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce, through require_array, to a complex stack of square matrices, shape (..., d, d) with d >= 1."""
+    a = require_array("matrix", m, complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatchError(
             f"expected square matrices of dimension >= 1, got shape {a.shape}"

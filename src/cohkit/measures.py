@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, InvalidArgumentsError, OptimizerFailure, require_array, require_count
+from .errors import (DimensionMismatchError, InvalidArgumentsError, OptimizerFailure, require_array, require_choice,
+                     require_count, require_instance)
 from .states import DensityMatrix, DiagonalState, require_probabilities
 
 SUPPORT_EIGENVALUE_TOL = 1e-12
@@ -78,26 +79,19 @@ def shannon_entropy(probs) -> float:
     return float(entropy_bits(require_probabilities(p)))
 
 
-def _matrix_of(rho) -> np.ndarray:
-    """rho.matrix; InvalidArgumentsError unless rho is a DensityMatrix."""
-    if not isinstance(rho, DensityMatrix):
-        raise InvalidArgumentsError(f"expected a DensityMatrix, got {type(rho).__name__}")
-    return rho.matrix
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the eigenvalue distribution, in bits."""
-    return float(spectral_entropy(_matrix_of(rho)))
+    return float(spectral_entropy(require_instance("rho", rho, DensityMatrix).matrix))
 
 
 def l1_coherence(rho: DensityMatrix) -> float:
     """Sum of absolute off-diagonal entries."""
-    return float(c_l1(_matrix_of(rho)))
+    return float(c_l1(require_instance("rho", rho, DensityMatrix).matrix))
 
 
 def rel_ent_coherence(rho: DensityMatrix) -> float:
     """Entropy gained by erasing off-diagonal entries: S(rho_diag) - S(rho)."""
-    return float(c_re(_matrix_of(rho)))
+    return float(c_re(require_instance("rho", rho, DensityMatrix).matrix))
 
 
 def ibiqc_coherence(rho: DensityMatrix) -> float:
@@ -106,7 +100,7 @@ def ibiqc_coherence(rho: DensityMatrix) -> float:
     Basis independent; zero exactly when rho is maximally mixed, and
     log2(d) for any pure state.
     """
-    return float(c_ibiqc(_matrix_of(rho)))
+    return float(c_ibiqc(require_instance("rho", rho, DensityMatrix).matrix))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -115,7 +109,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     Returns +inf when sigma lacks support where rho has weight: some
     sigma eigenvalue below 1e-12 carries rho-weight above 1e-10.
     """
-    if rho.dim != sigma.dim:
+    if require_instance("rho", rho, DensityMatrix).dim != require_instance("sigma", sigma, DensityMatrix).dim:
         raise DimensionMismatchError(f"state dimensions differ: {rho.dim} vs {sigma.dim}")
     eigenvalues, vecs = linalg.hermitian_eig(sigma.matrix)
     weights = np.clip(np.real(np.diag(vecs.conj().T @ rho.matrix @ vecs)), 0.0, None)
@@ -132,7 +126,8 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_distance_fn(rho: DensityMatrix, metric: str):
-    """Callable probs -> distance(rho, diag(probs)) for one metric."""
+    """Callable probs -> distance(rho, diag(probs)) for one metric of METRICS."""
+    require_choice("metric", metric, METRICS)
     m = rho.matrix
     if metric == "relative_entropy":
         # For diagonal sigma, tr[rho log2 sigma] reduces to the diagonal
@@ -159,13 +154,11 @@ def _diagonal_distance_fn(rho: DensityMatrix, metric: str):
             np.fill_diagonal(shifted, diag - probs)
             return 0.5 * float(np.abs(np.linalg.eigvalsh(shifted)).sum())
 
-    elif metric == "frobenius":
+    else:  # frobenius
 
         def fn(probs: np.ndarray) -> float:
             return float(np.linalg.norm(m - np.diag(probs).astype(complex)))
 
-    else:
-        raise InvalidArgumentsError(f"unknown metric {metric!r}; expected one of {METRICS}")
     return fn
 
 
@@ -192,10 +185,9 @@ def min_distance_coherence(
     """
     from scipy import optimize  # deferred: scipy costs most of the package import
 
-    if search_set not in SEARCH_SETS:
-        raise InvalidArgumentsError(f"unknown search set {search_set!r}; expected one of {SEARCH_SETS}")
+    require_choice("search set", search_set, SEARCH_SETS)
     budget = require_count("budget", budget, 2)
-    distance = _diagonal_distance_fn(rho, metric)
+    distance = _diagonal_distance_fn(require_instance("rho", rho, DensityMatrix), metric)
     d = rho.dim
     if search_set == "delta0_only" or d == 1:
         delta = DiagonalState(np.full(d, 1.0 / d))

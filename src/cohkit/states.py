@@ -27,7 +27,9 @@ from .errors import (
     NotUnitTraceError,
     NotUnitaryError,
     require_array,
+    require_choice,
     require_count,
+    require_instance,
     require_real,
 )
 
@@ -42,6 +44,8 @@ UNITARY_TOL = 1e-10
 # (d, d, d) complex array of 268 MB at d = 256, so a witness matrix is read only
 # up to this dimension.
 MAX_AUDIT_DIM = 256
+# The random channel families, as kraus_stack names them.
+OPERATION_CLASSES = ("unital_mixture", "diagonal_incoherent", "general_tp")
 
 # Kept probability fraction below which a truncated expansion is rejected;
 # exp(-745) is roughly the smallest positive double.
@@ -77,8 +81,8 @@ class KrausSet:
 
     operators accepts any sequence of k >= 1 same-shape square matrices
     (a tuple, a list or a (k, d, d) array) and holds a private read-only
-    copy of it; an empty set, operators of mixed shapes and a single
-    matrix raise DimensionMismatchError.
+    copy of it; an empty set, operators of mixed shapes and a single matrix
+    raise DimensionMismatchError, a value that is not numbers InvalidArgumentsError.
     """
 
     operators: np.ndarray
@@ -86,7 +90,10 @@ class KrausSet:
     def __post_init__(self):
         try:
             ops = linalg.as_complex_stack(self.operators)
-        except ValueError as exc:
+        except InvalidArgumentsError as exc:
+            # numpy reads operators of mixed shapes as a ragged sequence and raises ValueError
+            if not isinstance(exc.__cause__, ValueError):
+                raise
             raise DimensionMismatchError(f"Kraus operators differ in shape: {exc}") from exc
         if ops.ndim != 3 or len(ops) < 1:
             raise DimensionMismatchError(f"expected k >= 1 Kraus operators as (k, d, d), got shape {ops.shape}")
@@ -157,7 +164,7 @@ def make_density(entries) -> DensityMatrix:
     eigenvalues below -DENSITY_TOL are rejected, eigenvalues in
     [-DENSITY_TOL, 0) are clamped to zero and the spectrum renormalized.
     """
-    m = linalg.as_complex_matrix(require_array("entries", entries, complex))
+    m = linalg.as_complex_matrix(entries)
     # hermitian_eig gates Hermiticity and decomposes the Hermitian part
     eigenvalues, vecs = linalg.hermitian_eig(m)
     trace = complex(m.trace())
@@ -186,7 +193,7 @@ def require_unitary(u: np.ndarray) -> None:
 def apply_unitary(rho: DensityMatrix, u) -> DensityMatrix:
     """Conjugate a state by a unitary: u rho u^dagger."""
     um = linalg.as_complex_matrix(u)
-    if um.shape[0] != rho.dim:
+    if um.shape[0] != require_instance("rho", rho, DensityMatrix).dim:
         raise DimensionMismatchError(f"unitary is {um.shape[0]}-dimensional, state is {rho.dim}")
     require_unitary(um)
     return DensityMatrix(linalg.hermitian_part(um @ rho.matrix @ um.conj().T))
@@ -419,6 +426,7 @@ def kraus_stack(kind: str, d: int, ks, rngs, width: int) -> np.ndarray:
     (unital_mixture); ks[j] row permutations, then normals
     (diagonal_incoherent); or one (2, ks[j] * d, d) normal (general_tp).
     """
+    require_choice("channel family", kind, OPERATION_CLASSES)
     if kind == "unital_mixture":
         probs = dirichlet_stack(rngs, ks, width)
         normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])
@@ -434,18 +442,13 @@ def kraus_stack(kind: str, d: int, ks, rngs, width: int) -> np.ndarray:
         ops = np.zeros(amp.shape + (d,), dtype=complex)
         np.put_along_axis(ops, rows[..., None, :], amp[..., None, :], axis=-2)
         return ops
-    if kind == "general_tp":
-        normals = [rng.standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]
-        # The isometry from d to k*d has shape (k*d, d), so sets group by k.
-        ops = np.zeros((len(ks), width, d, d), dtype=complex)
-        for k in set(ks.tolist()):
-            sel = np.flatnonzero(ks == k)
-            ops[sel, :k] = isometry_stack(np.stack([normals[j] for j in sel])).reshape(len(sel), k, d, d)
-        return ops
-    raise InvalidArgumentsError(
-        f"unknown channel family {kind!r}; expected unital_mixture, "
-        "diagonal_incoherent, or general_tp"
-    )
+    normals = [rng.standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]
+    # general_tp: the isometry from d to k*d has shape (k*d, d), so sets group by k.
+    ops = np.zeros((len(ks), width, d, d), dtype=complex)
+    for k in set(ks.tolist()):
+        sel = np.flatnonzero(ks == k)
+        ops[sel, :k] = isometry_stack(np.stack([normals[j] for j in sel])).reshape(len(sel), k, d, d)
+    return ops
 
 
 def random_channel(kind: str, d: int, k: int = 2, seed=0):

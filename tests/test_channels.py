@@ -252,6 +252,28 @@ def test_classify_non_finite_is_not_diagonal():
     assert classify_kraus(KrausSet((u,))) == KrausFlags(False, False, False)
 
 
+def test_classify_checks_the_output_of_every_basis_state():
+    # At most one nonzero per column is the structural test of an incoherent
+    # operation (Baumgratz, Cramer & Plenio, PRL 113, 140401 (2014)). Here the
+    # 9e-13 entry passes it as zero, but |1><1| maps to an output whose
+    # off-diagonal entry is 1e3 * 9e-13 = 9e-10, beyond the 1e-10 check.
+    k = np.array([[1.0, 1e3], [0.0, 9e-13]], dtype=complex)
+    assert not classify_kraus(KrausSet((k,))).diagonal_incoherent
+    assert classify_kraus(KrausSet((np.array([[0, 1e3], [1, 0]], dtype=complex),))).diagonal_incoherent
+
+
+def test_classify_draws_no_random_numbers(monkeypatch):
+    kraus = [random_channel(kind, d=3, k=2, seed=4) for kind in ("unital_mixture", "diagonal_incoherent", "general_tp")]
+    expected = [classify_kraus(k) for k in kraus]
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("classify_kraus drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    assert [classify_kraus(k) for k in kraus] == expected
+    assert [flags.diagonal_incoherent for flags in expected] == [False, True, False]
+
+
 def test_classify_agrees_with_the_gate_at_a_defect_equal_to_the_tolerance(monkeypatch):
     monkeypatch.setattr(linalg, "gram_defect", lambda ops: channels.KRAUS_TP_TOL)
     kraus = dephasing()

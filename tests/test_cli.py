@@ -320,6 +320,15 @@ def test_sweep_points_above_the_bound_exit_2(capsys):
         assert captured.err == f"error: --points must be an integer from 1 to 100000, got {points}\n"
 
 
+@pytest.mark.parametrize("span", [["--from=-1e308", "--to", "1e308"], ["--from", "1.7e308", "--to=-1e308"]])
+def test_sweep_span_beyond_the_double_range_exit_2(capsys, span):
+    # each end is finite, but linspace's stop - start is not; pytest turns numpy's RuntimeWarning into an error
+    assert main(["sweep", *span]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: --to minus --from must be a finite number, got -?inf\n", captured.err)
+
+
 def test_main_audit_single_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
@@ -539,6 +548,18 @@ def test_audit_samples_above_2_pow_32_exit_2(tmp_path, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "samples" in captured.err and not out.exists()
+
+
+@pytest.mark.parametrize("flag, token, choices", [
+    ("--measure", "fidelity", "('l1', 're', 'ibiqc')"),
+    ("--condition", "C9", "('C0', 'C1', 'C2avg', 'C2sel', 'C3')"),
+    ("--class", "unitary", "('unital', 'diagonal', 'general')"),
+])
+def test_unknown_audit_token_names_its_flag_and_choices(tmp_path, capsys, flag, token, choices):
+    argv = {"--measure": "l1", "--condition": "C2avg", "--class": "general", flag: f" {token}"}
+    assert main(["audit", *(x for item in argv.items() for x in item), "--out", str(tmp_path / "r")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: unknown {flag} '{token}'; expected one of {choices}\n"
 
 
 def test_load_interference_config_missing_file(tmp_path):

@@ -30,7 +30,10 @@ The groups:
                 metrics, on generated states at d = 2, 3 and 4, and the
                 trace search at budgets 2 to 40 (an OptimizerFailure
                 message is the row's result)
-  gates         rejected command lines: exit code, stdout and stderr
+  gates         rejected command lines: exit code, stdout and stderr; among
+                them bad sizes, counts, seeds and tolerances, unknown
+                --measure, --condition and --class tokens, and a sweep
+                whose --from and --to span more than the double range
   library       each sized constructor of states at d = 256 and 257, and
                 random_channel of each family at k = 256 and 257: the bytes
                 of the object built, or the type and message of the error
@@ -234,6 +237,9 @@ def battery(tree: Path) -> list[dict]:
         "audit-tol-neg": ["audit", "--measure", "l1", "--condition", "C0", "--tol=-1e-9"],
         "audit-tol-inf": ["audit", "--measure", "l1", "--condition", "C0", "--tol", "inf"],
         "audit-no-class": ["audit", "--measure", "l1", "--condition", "C2avg"],
+        "audit-measure-unknown": ["audit", "--measure", "l1,fidelity", "--condition", "C0"],
+        "audit-condition-unknown": ["audit", "--measure", "l1", "--condition", "C9"],
+        "audit-class-unknown": ["audit", "--measure", "l1", "--condition", "C2avg", "--class", "unitary"],
         "sweep-from-nan": ["sweep", "--from", "nan"],
         "sweep-to-inf": ["sweep", "--to", "inf"],
         "sweep-points0": ["sweep", "--points", "0"],
@@ -244,6 +250,7 @@ def battery(tree: Path) -> list[dict]:
         "glauber-dims-huge": ["demo", "glauber", "--dims", "100000000000"],
         "glauber-dims-empty": ["demo", "glauber", "--dims", "2,,3"],
         "sweep-points-huge": ["sweep", "--points", "1000000000000"],
+        "sweep-span-overflow": ["sweep", "--from=-1e308", "--to", "1e308"],
     }
     for name, argv in gates.items():
         run("gates", name, argv + ["--out", "gate.json"], "gate.json")

@@ -95,7 +95,7 @@ MUTANTS = (
     Mutant(CHANNELS, "probs = states.require_probabilities(states.dirichlet_stack(rngs, np.full(len(rngs), d), d))",
            "probs = states.dirichlet_stack(rngs, np.full(len(rngs), d), d)", (T_CHANNELS,),
            "C1's incoherent states no longer gated as probability vectors"),
-    # argument gates: errors.require_count and errors.require_real, and where they are called
+    # argument gates: the errors.require_* gates, and where they are called
     Mutant(ERRORS, "or isinstance(v, bool) or not lo <= v <= hi", "or not lo <= v <= hi", (T_CHANNELS, T_STATES),
            "the integer gate accepts True as 1: states and audits take True as a dimension, sample count or seed"),
     Mutant(CHANNELS, 'require_real("tol", tol, lo=0)', 'require_real("tol", tol)', (T_CHANNELS,),
@@ -121,8 +121,17 @@ MUTANTS = (
            "    p, kept, normalized", (T_CHANNELS, T_GATES),
            "selective_outcomes reads out a Kraus set that is not trace preserving, so replay takes a "
            "tampered C2_selective witness"),
-    Mutant(MEASURES, "if not isinstance(rho, DensityMatrix):", "if False:", (T_GATES,),
-           "the scalar measures read .matrix of whatever they are given"),
+    Mutant(ERRORS, "if not isinstance(v, cls):", "if False:", (T_GATES,),
+           "the type gate passes any object, so the scalar measures read .matrix of whatever they are given"),
+    Mutant(ERRORS, "if not (isinstance(v, str) and v in choices):", "if v not in choices:", (T_GATES,),
+           "the choice gate looks up any value: a list of names raises TypeError, an array ValueError"),
+    Mutant(CHANNELS, 'K rho K^dagger."""\n    if require_instance("kraus", kraus, KrausSet).dim != '
+                     'require_instance("rho", rho, states.DensityMatrix).dim:',
+           'K rho K^dagger."""\n    if require_instance("kraus", kraus, KrausSet).dim != rho.dim:', (T_GATES,),
+           "apply_channel reads .dim of whatever state it is given, so an array raises AttributeError"),
+    Mutant(LINALG, 'a = require_array("matrix", m, complex)', "a = np.asarray(m, dtype=complex)", (T_GATES,),
+           "as_complex_stack lets numpy's errors out: make_density, DensityMatrix and trace_distance raise "
+           "ValueError or TypeError on junk"),
     Mutant(ERRORS, "except (TypeError, ValueError, OverflowError) as exc:", "except OverflowError as exc:",
            (T_GATES,), "make_density, PureState and shannon_entropy raise numpy's ValueError on a string"),
     Mutant(MEASURES, 'require_count("budget", budget, 2)', 'require_count("budget", budget, 0)', (T_MEASURES,),
@@ -144,6 +153,8 @@ MUTANTS = (
     Mutant(CHANNELS, "trace_preserving=linalg.gram_defect(ops) <= KRAUS_TP_TOL",
            "trace_preserving=linalg.gram_defect(ops) < KRAUS_TP_TOL", (T_CHANNELS,),
            "classify_kraus calls a set incomplete at a defect equal to KRAUS_TP_TOL, which apply_channel accepts"),
+    Mutant(CHANNELS, "np.abs(out - out * np.eye(kraus.dim))", "np.abs(out[:1] - out[:1] * np.eye(kraus.dim))",
+           (T_CHANNELS,), "classify_kraus checks the output of |0><0| alone, not of every basis state"),
     Mutant(LINALG, "a = a.copy()", "a = a.view()", (T_STATES, T_CHANNELS),
            "DensityMatrix and KrausSet share the caller's array"),
     # errors.finite_real: state files, configs and the real-number gate
@@ -172,6 +183,8 @@ MUTANTS = (
            "demo glauber takes any dimension, so 10**11 asks numpy for hundreds of GiB"),
     Mutant(CLI, 'for token in args.dims.split(",")]', 'for token in args.dims.split(",") if token.strip()]', (T_CLI,),
            "demo glauber skips an empty --dims entry"),
+    Mutant(CLI, '    require_real("--to minus --from", stop - start)\n', "", (T_CLI,),
+           "sweep hands linspace a span beyond the double range, which overflows with a RuntimeWarning"),
     # sized constructors: a size above MAX_AUDIT_DIM is rejected before numpy allocates; the
     # size-257 test runs before the test of sizes numpy cannot allocate, so under -x a killed
     # mutant allocates nothing large
