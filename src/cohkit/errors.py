@@ -95,7 +95,8 @@ def require_array(name: str, v, dtype) -> np.ndarray:
 def require_choice(name: str, v, choices):
     """v when it is a str among choices (a tuple, or a dict's keys); InvalidArgumentsError otherwise."""
     if not (isinstance(v, str) and v in choices):
-        raise InvalidArgumentsError(f"unknown {name} {v!r}; expected one of {tuple(choices)}")
+        raise InvalidArgumentsError(
+            f"unknown {name} {v!r}; expected one of {tuple(choices)}")
     return v
 
 
