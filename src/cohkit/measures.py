@@ -34,7 +34,6 @@ SUPPORT_WEIGHT_TOL = 1e-10
 OPTIMIZER_BUDGET = 100_000
 
 METRICS = ("relative_entropy", "trace", "frobenius")
-SEARCH_SETS = ("all_diagonal", "delta0_only")
 
 
 def entropy_bits(probs) -> np.ndarray:
@@ -163,33 +162,30 @@ def _diagonal_distance_fn(rho: DensityMatrix, metric: str):
 
 
 def min_distance_coherence(
-    rho: DensityMatrix,
-    metric: str = "relative_entropy",
-    search_set: str = "all_diagonal",
-    budget: int = OPTIMIZER_BUDGET,
+    rho: DensityMatrix, metric: str = "relative_entropy", budget: int = OPTIMIZER_BUDGET
 ) -> tuple[float, DiagonalState]:
     """Minimize distance(rho, delta) over diagonal states delta.
 
-    search_set "delta0_only" evaluates the single maximally mixed point;
-    "all_diagonal" runs a derivative-free Nelder-Mead search over softmax
-    coordinates (the first coordinate is pinned to remove the shift
-    gauge) from rho's diagonal, then restarts it once from the best point,
-    each run with half the evaluation budget. The restart runs only when
-    the first run moved: Nelder-Mead is deterministic, so a restart from
-    the point the first run started from would replay it bit for bit, and
-    then only half of the budget is used. A run stops when its
-    simplex spans under 1e-6 in every coordinate and its values under
-    1e-13: near a smooth minimum a step of 1e-8 already leaves the value
-    unchanged in double precision, so the value sets the accuracy.
-    budget is an integer >= 2. Raises OptimizerFailure if no run converges.
+    A derivative-free Nelder-Mead search over softmax coordinates (the
+    first coordinate is pinned to remove the shift gauge) runs from rho's
+    diagonal, then restarts once from the best point, each run with half
+    the evaluation budget; the restart replaces the first run only with a
+    strictly lower value. The restart runs only when the first run moved:
+    Nelder-Mead is deterministic, so a restart from the point the first
+    run started from would replay it bit for bit, and then only half of
+    the budget is used. A run stops when its simplex spans under 1e-6 in
+    every coordinate and its values under 1e-13: near a smooth minimum a
+    step of 1e-8 already leaves the value unchanged in double precision,
+    so the value sets the accuracy. At d = 1 the only diagonal state is
+    [1]. budget is an integer >= 2. Raises OptimizerFailure only when
+    neither run converges.
     """
     from scipy import optimize  # deferred: scipy costs most of the package import
 
-    require_choice("search set", search_set, SEARCH_SETS)
     budget = require_count("budget", budget, 2)
     distance = _diagonal_distance_fn(require_instance("rho", rho, DensityMatrix), metric)
     d = rho.dim
-    if search_set == "delta0_only" or d == 1:
+    if d == 1:
         delta = DiagonalState(np.full(d, 1.0 / d))
         return distance(delta.probs), delta
 
@@ -202,21 +198,14 @@ def min_distance_coherence(
     diag_start = np.clip(rho.diagonal_probs(), 1e-12, None)
     diag_start = diag_start / diag_start.sum()
     x0 = np.log(diag_start[1:] / diag_start[0])
-    best = None
-    converged = False
-    for _ in range(2):
-        result = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": budget // 2, "xatol": 1e-6, "fatol": 1e-13},
-        )
-        converged = converged or bool(result.success)
-        if best is None or result.fun < best.fun:
-            best = result
-        if np.array_equal(best.x, x0):
-            break  # Nelder-Mead is deterministic: a restart from x0 would replay this run
-        x0 = best.x
+    options = {"maxfev": budget // 2, "xatol": 1e-6, "fatol": 1e-13}
+    best = optimize.minimize(objective, x0, method="Nelder-Mead", options=options)
+    converged = bool(best.success)
+    # Nelder-Mead is deterministic: a restart from x0 would replay the first run
+    if not np.array_equal(best.x, x0):
+        restart = optimize.minimize(objective, best.x, method="Nelder-Mead", options=options)
+        converged = converged or bool(restart.success)
+        best = restart if restart.fun < best.fun else best
     if not converged:
         raise OptimizerFailure(
             f"direct search did not converge within {budget} evaluations for metric {metric!r}"

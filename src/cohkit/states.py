@@ -89,12 +89,11 @@ class KrausSet:
 
     def __post_init__(self):
         try:
-            ops = linalg.as_complex_stack(self.operators)
-        except InvalidArgumentsError as exc:
-            # numpy reads operators of mixed shapes as a ragged sequence and raises ValueError
-            if not isinstance(exc.__cause__, ValueError):
-                raise
+            np.shape(self.operators)
+        except ValueError as exc:
+            # numpy reads operators of mixed shapes as a ragged sequence; junk entries pass on to as_complex_stack
             raise DimensionMismatchError(f"Kraus operators differ in shape: {exc}") from exc
+        ops = linalg.as_complex_stack(self.operators)
         if ops.ndim != 3 or len(ops) < 1:
             raise DimensionMismatchError(f"expected k >= 1 Kraus operators as (k, d, d), got shape {ops.shape}")
         object.__setattr__(self, "operators", linalg.read_only_copy(ops))

@@ -149,7 +149,7 @@ def test_criterion_5_optimizer_oracle():
     for i in range(100):
         d = dims[i % len(dims)]
         rho = random_density(d, seed=int(rng.integers(0, 2**31)))
-        value, _ = min_distance_coherence(rho, "relative_entropy", "all_diagonal")
+        value, _ = min_distance_coherence(rho, "relative_entropy")
         assert abs(value - rel_ent_coherence(rho)) < 1e-6
 
     def grid_min_trace(rho):
@@ -163,7 +163,7 @@ def test_criterion_5_optimizer_oracle():
 
     for i in range(20):
         rho = random_density(2, seed=int(rng.integers(0, 2**31)))
-        value, _ = min_distance_coherence(rho, "trace", "all_diagonal")
+        value, _ = min_distance_coherence(rho, "trace")
         assert abs(value - grid_min_trace(rho)) < 2e-4
 
 

@@ -32,7 +32,7 @@ from cohkit.errors import (
     require_instance,
     require_real,
 )
-from cohkit.measures import METRICS, SEARCH_SETS
+from cohkit.measures import METRICS
 from cohkit.states import OPERATION_CLASSES
 
 _RHO = cohkit.random_density(2, seed=5)
@@ -98,11 +98,8 @@ GATED = {
     ("l1_coherence", "rho"): (cohkit.l1_coherence, STATES),
     ("make_density", "entries"): (cohkit.make_density, ARRAYS),
     ("maximally_mixed", "d"): (cohkit.maximally_mixed, UNBOUNDED),
-    ("min_distance_coherence", "rho"): (lambda v: cohkit.min_distance_coherence(v, "frobenius", "delta0_only"),
-                                        STATES),
+    ("min_distance_coherence", "rho"): (lambda v: cohkit.min_distance_coherence(v, "frobenius"), STATES),
     ("min_distance_coherence", "metric"): (lambda v: cohkit.min_distance_coherence(_RHO, v), choices(*METRICS)),
-    ("min_distance_coherence", "search_set"): (lambda v: cohkit.min_distance_coherence(_RHO, "frobenius", v),
-                                               choices(*SEARCH_SETS)),
     ("min_distance_coherence", "budget"): (lambda v: cohkit.min_distance_coherence(_RHO, "trace", budget=v), JUNK),
     ("PureState", "amplitudes"): (cohkit.PureState, ARRAYS),
     ("qubit_pair", "alpha"): (cohkit.qubit_pair, JUNK),
@@ -153,7 +150,9 @@ def test_property_junk_arguments_raise_cohkit_errors_or_return(data):
     lambda: cohkit.l1_coherence(None), lambda: cohkit.von_neumann_entropy(np.eye(2) / 2),
     lambda: cohkit.apply_channel(_KRAUS, np.eye(2) / 2), lambda: cohkit.audit_conditions(["l1"], "C0"),
     lambda: cohkit.audit_conditions("l1", np.zeros(3)), lambda: cohkit.trace_distance("x", _I2),
-    lambda: cohkit.KrausSet({}), lambda: cohkit.DensityMatrix(object()), lambda: cohkit.random_channel(np.zeros(3), 2),
+    lambda: cohkit.KrausSet({}), lambda: cohkit.KrausSet("x"), lambda: cohkit.KrausSet([1, "x"]),
+    lambda: cohkit.KrausSet([[[1, "x"]]]), lambda: cohkit.DensityMatrix(object()),
+    lambda: cohkit.random_channel(np.zeros(3), 2),
     lambda: cohkit.classify_kraus(_RHO), lambda: cohkit.relative_entropy(_RHO, _KRAUS),
 ])
 def test_matrix_and_vector_junk_raises_invalid_arguments(call):

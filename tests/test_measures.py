@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -194,27 +195,20 @@ def test_min_distance_rel_ent_matches_closed_form():
     for i in range(100):
         d = int(rng.integers(2, 5))
         rho = random_density(d, seed=int(rng.integers(0, 2**31)))
-        value, _ = min_distance_coherence(rho, "relative_entropy", "all_diagonal")
+        value, _ = min_distance_coherence(rho, "relative_entropy")
         assert abs(value - rel_ent_coherence(rho)) < 1e-6
 
 
 def test_min_distance_rel_ent_diagonal_state():
     rz, _ = qubit_pair(math.pi / 6)
-    value, argmin = min_distance_coherence(rz, "relative_entropy", "all_diagonal")
+    value, argmin = min_distance_coherence(rz, "relative_entropy")
     assert value <= 1e-9
     assert np.allclose(argmin.probs, [0.75, 0.25], atol=1e-4)
 
 
-def test_min_distance_delta0_only():
-    rho = random_density(4, seed=13)
-    value, argmin = min_distance_coherence(rho, "relative_entropy", "delta0_only")
-    assert value == pytest.approx(ibiqc_coherence(rho), abs=1e-12)
-    assert np.allclose(argmin.probs, np.full(4, 0.25), atol=1e-15)
-
-
 def test_min_distance_trace_metric_qubit():
     _, rx0 = qubit_pair(0.0)
-    value, argmin = min_distance_coherence(rx0, "trace", "all_diagonal")
+    value, argmin = min_distance_coherence(rx0, "trace")
     assert value == pytest.approx(0.5, abs=1e-6)
     assert np.allclose(argmin.probs, [0.5, 0.5], atol=1e-3)
 
@@ -234,7 +228,7 @@ def test_min_distance_trace_matches_grid():
     rng = np.random.default_rng(37)
     for i in range(20):
         rho = random_density(2, seed=int(rng.integers(0, 2**31)))
-        value, _ = min_distance_coherence(rho, "trace", "all_diagonal")
+        value, _ = min_distance_coherence(rho, "trace")
         assert abs(value - grid_min(rho)) < 2e-4
 
 
@@ -258,7 +252,7 @@ def test_min_distance_trace_lies_between_its_bounds_above_qubits():
         for _ in range(10):
             rho = random_density(d, seed=int(rng.integers(0, 2**31)))
             dephased = np.diag(rho.matrix.diagonal())
-            value, _ = min_distance_coherence(rho, "trace", "all_diagonal")
+            value, _ = min_distance_coherence(rho, "trace")
             assert np.abs(rho.matrix - dephased).max() - 1e-12 <= value
             assert value <= trace_distance(rho.matrix, dephased) + 1e-12
 
@@ -274,7 +268,7 @@ TRACE_STALL_REFERENCES = {315: 0.45573647314727894, 969: 0.3881434176097516, 103
 
 @pytest.mark.parametrize("seed", list(TRACE_STALL_REFERENCES))
 def test_min_distance_trace_reaches_reference_on_stagnating_states(seed):
-    value, _ = min_distance_coherence(random_density(4, seed=seed), "trace", "all_diagonal")
+    value, _ = min_distance_coherence(random_density(4, seed=seed), "trace")
     assert value == pytest.approx(TRACE_STALL_REFERENCES[seed], abs=1e-8)
 
 
@@ -287,21 +281,21 @@ def test_min_distance_smooth_metrics_return_the_diagonal():
         offdiag = rho.matrix - np.diag(rho.matrix.diagonal())
         for metric, closed in (("relative_entropy", rel_ent_coherence(rho)),
                                ("frobenius", float(np.linalg.norm(offdiag)))):
-            value, argmin = min_distance_coherence(rho, metric, "all_diagonal")
+            value, argmin = min_distance_coherence(rho, metric)
             assert np.abs(argmin.probs - rho.diagonal_probs()).max() <= 1e-8
             assert value == pytest.approx(closed, abs=1e-12)
 
 
 def test_min_distance_frobenius_qubit():
     _, rx0 = qubit_pair(0.0)
-    value, _ = min_distance_coherence(rx0, "frobenius", "all_diagonal")
+    value, _ = min_distance_coherence(rx0, "frobenius")
     assert value == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
 
 def test_min_distance_invalid_arguments():
     rho = maximally_mixed(2)
     with pytest.raises(InvalidArgumentsError):
-        min_distance_coherence(rho, "fidelity", "all_diagonal")
+        min_distance_coherence(rho, "fidelity")
     with pytest.raises(InvalidArgumentsError):
         min_distance_coherence(rho, "trace", "pure_states")
 
@@ -316,7 +310,7 @@ def test_min_distance_budget_must_be_an_integer_of_at_least_2(budget):
 def test_min_distance_budget_exhaustion():
     rho = random_density(3, seed=19)
     with pytest.raises(OptimizerFailure):
-        min_distance_coherence(rho, "trace", "all_diagonal", budget=4)
+        min_distance_coherence(rho, "trace", budget=4)
 
 
 def _masked_relative_entropy_fn(rho):
@@ -366,7 +360,7 @@ def test_min_distance_equals_always_restart_reference_bitwise(d):
         rho = random_density(d, seed=int(rng.integers(0, 2**31)))
         for metric in ("relative_entropy", "trace", "frobenius"):
             converged, ref_value, ref_probs = _always_restart_search(rho, metric)
-            value, argmin = min_distance_coherence(rho, metric, "all_diagonal")
+            value, argmin = min_distance_coherence(rho, metric)
             assert converged
             assert value == ref_value, metric
             assert np.array_equal(argmin.probs, ref_probs), metric
@@ -379,9 +373,9 @@ def test_min_distance_budget_failures_equal_always_restart_reference(metric):
         converged, ref_value, ref_probs = _always_restart_search(rho, metric, budget)
         if not converged:
             with pytest.raises(OptimizerFailure):
-                min_distance_coherence(rho, metric, "all_diagonal", budget=budget)
+                min_distance_coherence(rho, metric, budget=budget)
             continue
-        value, argmin = min_distance_coherence(rho, metric, "all_diagonal", budget=budget)
+        value, argmin = min_distance_coherence(rho, metric, budget=budget)
         assert value == ref_value and np.array_equal(argmin.probs, ref_probs), budget
 
 
@@ -427,14 +421,33 @@ def test_min_distance_restarts_only_after_a_moving_run(monkeypatch):
         rho = random_density(d, seed=61 + d)
         for metric in ("relative_entropy", "frobenius"):
             runs.clear()
-            min_distance_coherence(rho, metric, "all_diagonal")
+            min_distance_coherence(rho, metric)
             assert len(runs) == 1, (d, metric)
             assert np.array_equal(*runs[0])
     runs.clear()
-    min_distance_coherence(random_density(3, seed=7), "trace", "all_diagonal")
+    min_distance_coherence(random_density(3, seed=7), "trace")
     assert len(runs) == 2
     assert not np.array_equal(*runs[0])
     assert np.array_equal(runs[1][0], runs[0][1])
+
+
+@pytest.mark.parametrize("failed", [{0}, {1}, {0, 1}], ids=["first", "second", "both"])
+def test_min_distance_fails_only_when_neither_run_converges(monkeypatch, failed):
+    from scipy import optimize
+
+    runs = []
+    minimize = optimize.minimize
+
+    def failing(fun, x0, **kwargs):
+        result = minimize(fun, x0, **kwargs)
+        result.success = result.success and len(runs) not in failed
+        runs.append(result)
+        return result
+
+    monkeypatch.setattr(optimize, "minimize", failing)
+    with pytest.raises(OptimizerFailure) if failed == {0, 1} else contextlib.nullcontext():
+        min_distance_coherence(random_density(3, seed=7), "trace")
+    assert len(runs) == 2
 
 
 def test_ibiqc_zero_implies_maximally_mixed():

@@ -27,16 +27,19 @@ The groups:
                 inline-state configs, and a config whose gamma_grid holds
                 1e400
   search        min_distance_coherence value and probs bytes, all three
-                metrics, on generated states at d = 2, 3 and 4, and the
-                trace search at budgets 2 to 40 (an OptimizerFailure
-                message is the row's result)
+                metrics, on generated states at d = 2, 3 and 4, at d = 1
+                and on random_density(4, seed=409), and the trace search
+                at budgets 2 to 40 (an OptimizerFailure message is the
+                row's result)
   gates         rejected command lines: exit code, stdout and stderr; among
                 them bad sizes, counts, seeds and tolerances, unknown
                 --measure, --condition and --class tokens, and a sweep
                 whose --from and --to span more than the double range
-  library       each sized constructor of states at d = 256 and 257, and
-                random_channel of each family at k = 256 and 257: the bytes
-                of the object built, or the type and message of the error
+  library       each sized constructor of states at d = 256 and 257,
+                random_channel of each family at k = 256 and 257, and
+                KrausSet of a string, of a list holding a string and of
+                operators of mixed shapes: the bytes of the object built,
+                or the type and message of the error
 
 An exception that escapes cli.main does not end the battery: its type and
 message are the row's result in place of the exit code, and its stderr
@@ -204,6 +207,9 @@ def battery(tree: Path) -> list[dict]:
     rho = states.make_density(_state(rng, 3))
     for budget in range(2, 41):
         search(f"trace-budget{budget}", rho, "trace", budget=budget)
+    for metric in measures.METRICS:
+        search(f"{metric}-d1", states.maximally_mixed(1), metric)
+        search(f"{metric}-seed409", states.random_density(4, seed=409), metric)
 
     def library(row: str, call) -> None:
         try:
@@ -225,6 +231,9 @@ def battery(tree: Path) -> list[dict]:
     for name, call in sized.items():
         for n in (256, 257):
             library(f"{name}-{n}", lambda: call(n))
+    library("kraus-string", lambda: states.KrausSet("x"))
+    library("kraus-string-entry", lambda: states.KrausSet([1, "x"]))
+    library("kraus-mixed-shapes", lambda: states.KrausSet([np.eye(2), np.eye(3)]))
 
     gates = {
         "audit-d0": ["audit", "--measure", "l1", "--condition", "C0", "--d", "0"],

@@ -157,6 +157,8 @@ MUTANTS = (
            (T_CHANNELS,), "classify_kraus checks the output of |0><0| alone, not of every basis state"),
     Mutant(LINALG, "a = a.copy()", "a = a.view()", (T_STATES, T_CHANNELS),
            "DensityMatrix and KrausSet share the caller's array"),
+    Mutant(STATES, "            np.shape(self.operators)\n", "            pass\n", (T_CHANNELS,),
+           "KrausSet skips its shape read, so operators of mixed shapes raise InvalidArgumentsError"),
     # errors.finite_real: state files, configs and the real-number gate
     Mutant(ERRORS, "and not isinstance(v, bool) and abs(v)", "and abs(v)", (T_CLI, T_CHANNELS),
            "the real-number gate accepts True: JSON true and false read as 1 and 0, True as the audit tolerance"),
@@ -210,10 +212,12 @@ MUTANTS = (
            "normals = [rngs[0].standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]", (T_STATES,),
            "general_tp draws every channel of a block on the first sample's generator"),
     # distance search
-    Mutant(MEASURES, "break  # Nelder-Mead is deterministic", "pass  # Nelder-Mead is deterministic", (T_MEASURES,),
+    Mutant(MEASURES, "if not np.array_equal(best.x, x0):", "if True:", (T_MEASURES,),
            "the search restarts even when the restart would replay its first run"),
-    Mutant(MEASURES, "for _ in range(2):", "for _ in range(1):", (T_MEASURES,),
+    Mutant(MEASURES, "if not np.array_equal(best.x, x0):", "if False:", (T_MEASURES,),
            "the search never restarts from its best point"),
+    Mutant(MEASURES, "converged = converged or bool(restart.success)", "converged = bool(restart.success)",
+           (T_MEASURES,), "only the restart's convergence counts, so a failed restart discards a converged first run"),
     Mutant(MEASURES, "if not tiny.any():", "if True:", (T_MEASURES,),
            "the relative-entropy objective never takes its masked path, even with a probability below "
            "the support tolerance"),
