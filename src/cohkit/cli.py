@@ -27,6 +27,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,13 +151,17 @@ def load_state(path) -> tuple[states.DensityMatrix, str | None]:
 
 def _write_text(text: str, path=None) -> None:
     """Write text to stdout, or to a file at path with LF line endings; a
-    path that cannot be written raises InvalidArgumentsError."""
+    path that cannot be written raises InvalidArgumentsError. An existing
+    regular file is overwritten in place and cut to the new length."""
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        # no O_TRUNC: ext4 flushes a file emptied by it on close; cut to the new length instead
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise InvalidArgumentsError(f"cannot write {path}: {exc}") from exc
 

@@ -509,24 +509,69 @@ def test_main_demo_interference_statefile_input(tmp_path, capsys):
     assert summary["visibility"] < 1e-12
 
 
-@pytest.mark.parametrize("command", ["measure", "sweep", "audit-file", "audit-dir", "glauber", "interference"])
-def test_unwritable_output_exit_2(tmp_path, capsys, command):
-    state, cfg, blocker = tmp_path / "state.json", tmp_path / "cfg.json", tmp_path / "file"
+WRITERS = ["measure", "sweep", "audit-file", "audit-dir", "glauber", "interference"]
+# longer than any output of writer_argv, so a file that is not cut to length keeps a tail of it
+JUNK = bytes(range(256)) * 256
+
+
+def writer_argv(tmp_path, command, out) -> list[str]:
+    """The command line of one --out writer, with its input files written under tmp_path."""
+    state, cfg = tmp_path / "state.json", tmp_path / "cfg.json"
     write_json(state, delta0_doc())
     write_json(cfg, {"input": "natural_light", "plate_angle": 0, "polarizer_angle": 0, "gamma_grid": [0]})
+    audit = ["audit", "--measure", "l1", "--condition", "C0", "--samples", "2"]
+    return {
+        "measure": ["measure", str(state)],
+        "sweep": ["sweep"],
+        "audit-file": audit,
+        "audit-dir": audit,
+        "glauber": ["demo", "glauber"],
+        "interference": ["demo", "interference", "--config", str(cfg)],
+    }[command] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_unwritable_output_exit_2(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
-    missing = str(tmp_path / "missing" / "x")
-    argv = {
-        "measure": ["measure", str(state), "--out", missing + ".json"],
-        "sweep": ["sweep", "--out", missing + ".csv"],
-        "audit-file": ["audit", "--measure", "l1", "--condition", "C0", "--samples", "2", "--out", missing + ".json"],
-        "audit-dir": ["audit", "--measure", "l1", "--condition", "C0", "--samples", "2", "--out", str(blocker / "sub")],
-        "glauber": ["demo", "glauber", "--out", missing + ".csv"],
-        "interference": ["demo", "interference", "--config", str(cfg), "--out", missing + ".csv"],
-    }[command]
-    assert main(argv) == 2
+    suffix = ".json" if command in ("measure", "audit-file") else ".csv"
+    out = blocker / "sub" if command == "audit-dir" else tmp_path / "missing" / f"x{suffix}"
+    assert main(writer_argv(tmp_path, command, out)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_overwrite_leaves_exactly_the_new_bytes(tmp_path, capsys, command):
+    out = {"measure": "out.json", "audit-file": "out.json", "audit-dir": "reports"}.get(command, "out.csv")
+    written = f"{out}/audit_l1_C0_none.json" if command == "audit-dir" else out
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    (used / written).parent.mkdir(parents=True)
+    (used / written).write_bytes(JUNK)
+    fresh.mkdir()
+    code = main(writer_argv(tmp_path, command, fresh / out))
+    assert main(writer_argv(tmp_path, command, used / out)) == code
+    capsys.readouterr()
+    new = (fresh / written).read_bytes()
+    assert 0 < len(new) < len(JUNK)
+    assert (used / written).read_bytes() == new
+
+
+def test_overwrite_through_symlink_keeps_the_link(tmp_path, capsys):
+    target, link, fresh = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "fresh.json"
+    target.write_bytes(JUNK)
+    link.symlink_to(target)
+    assert main(writer_argv(tmp_path, "measure", fresh)) == 0
+    assert main(writer_argv(tmp_path, "measure", link)) == 0
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+
+
+def test_measure_out_dev_null_exit_0(tmp_path, capsys):
+    # /dev/null is seekable, but truncating it fails with EINVAL: only a regular file is cut to length
+    if not Path("/dev/null").is_char_device():
+        pytest.skip("/dev/null is not a character device")
+    assert main(writer_argv(tmp_path, "measure", "/dev/null")) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("bad", [["--samples", "0"], ["--d", "1"], ["--seed", "-1"], ["--tol", "nan"],

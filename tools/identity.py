@@ -35,6 +35,10 @@ The groups:
                 them bad sizes, counts, seeds and tolerances, unknown
                 --measure, --condition and --class tokens, and a sweep
                 whose --from and --to span more than the double range
+  overwrite     measure, sweep, audit to a .json file and to a directory,
+                demo glauber and demo interference, each with an --out that
+                already holds 256 KB of junk: exit code, stdout, stderr and
+                the file's bytes
   library       each sized constructor of states at d = 256 and 257,
                 random_channel of each family at k = 256 and 257, and
                 KrausSet of a string, of a list holding a string and of
@@ -112,11 +116,16 @@ def battery(tree: Path) -> list[dict]:
         rows.append({"group": group, "row": row, "sha256": hashlib.sha256(payload).hexdigest(), "stderr": stderr,
                      "raised": raised})
 
-    def run(group: str, row: str, argv: list[str], *outputs: str) -> None:
-        """One cli.main call; an exception it lets escape is the row's result in place of an exit code."""
+    def run(group: str, row: str, argv: list[str], *outputs: str, junk: bytes = b"") -> None:
+        """One cli.main call; an exception it lets escape is the row's result in place of an exit code.
+        Each output is removed first, or filled with junk when junk is given, so that the call overwrites it."""
         out, err = io.StringIO(), io.StringIO()
         for path in outputs:
-            Path(path).unlink(missing_ok=True)
+            if junk:
+                Path(path).parent.mkdir(parents=True, exist_ok=True)
+                Path(path).write_bytes(junk)
+            else:
+                Path(path).unlink(missing_ok=True)
         raised = False
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -263,6 +272,21 @@ def battery(tree: Path) -> list[dict]:
     }
     for name, argv in gates.items():
         run("gates", name, argv + ["--out", "gate.json"], "gate.json")
+
+    junk = bytes(range(256)) * 1024
+    audit = ["audit", "--measure", "ibiqc", "--condition", "C2sel", "--class", "unital", "--d", "3", "--samples", "100"]
+    Path("cfg.json").write_text(json.dumps({"input": "natural_light", "plate_angle": 0.4, "polarizer_angle": 1.1,
+                                            "gamma_grid": [0.1 * k for k in range(33)]}))
+    overwrites = {
+        "measure": (["measure", "s3_1.json", "--out", "m.json"], "m.json"),
+        "sweep": (["sweep", "--out", "sweep.csv"], "sweep.csv"),
+        "audit-file": ([*audit, "--out", "report.json"], "report.json"),
+        "audit-dir": ([*audit, "--out", "reports"], "reports/audit_ibiqc_C2sel_unital.json"),
+        "glauber": (["demo", "glauber", "--out", "g.csv"], "g.csv"),
+        "interference": (["demo", "interference", "--config", "cfg.json", "--out", "curve.csv"], "curve.csv"),
+    }
+    for name, (argv, path) in overwrites.items():
+        run("overwrite", name, argv, path, junk=junk)
     return rows
 
 

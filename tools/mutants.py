@@ -176,6 +176,11 @@ MUTANTS = (
            "a bad plate or polarizer angle raises InvalidArgumentsError, so the CLI exits 2, not 3"),
     Mutant(CLI, """require_real(f'{context}: "gamma_grid"[{k}]', g, error=ParseError)""", "float(g)", (T_CLI,),
            "gamma_grid reads true as 1 and an integer beyond the double range raises OverflowError"),
+    # output files: an existing --out is cut to the new length, but only when it is a regular file
+    Mutant(CLI, "fh.truncate()", "pass", (T_CLI,),
+           "an overwritten --out keeps the old file's tail after the new text"),
+    Mutant(CLI, "if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):", "if True:", (T_CLI,),
+           "--out /dev/null is truncated too, which fails with EINVAL, so measure exits 2"),
     # command-line bounds: each keeps an allocation to the scale of one audit sample or a few seconds' sweep
     Mutant(CLI, 'require_count("--points", args.points, 1, MAX_SWEEP_POINTS)',
            'require_count("--points", args.points, 1)', (T_CLI,),
