@@ -210,18 +210,18 @@ def _projectors(vecs: np.ndarray) -> np.ndarray:
 
 def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool, d: int, seed: int,
                  indices: range):
-    """(violations, counts, witness) of the samples in indices: counts holds the
-    per-sample arrays the audit sums (class_channel_wins and probe_wins for C2,
-    dropped_outcomes for C2_selective); witness(j) builds the witness fields of
-    block sample j: its matrices, kind (C1), channel_label (C2) and measure_* values.
+    """(violations, counts, witness) of the samples in indices: counts holds the per-sample
+    arrays the audit sums (class_channel_wins and probe_wins for C2, dropped_outcomes for
+    C2_selective); witness(j) builds the fields of block sample j's witness: its matrices,
+    kind (C1), channel_label (C2) and measure_* values. It decomposes rho[j] only for a
+    winning C2_average probe, the identity channel, whose value is before itself, exactly.
 
-    Sample i draws on its own generator from states.sample_generators,
-    bitwise default_rng([seed, i]), in a fixed order: the state, then the
-    unitary (C0), the incoherent state (C1, not for ibiqc, whose incoherent
-    set is I/d alone), the Kraus count and class channel (C2), or the
-    mixture size, weights and members (C3). Each draw is made
-    for the whole block in turn and built as one stacked array; Kraus sets
-    and mixtures are zero-padded to _MAX_PARTS, with weight zero.
+    Sample i draws on its own generator from states.sample_generators, bitwise
+    default_rng([seed, i]), in a fixed order: the state, then the unitary (C0), the
+    incoherent state (C1, not for ibiqc, whose incoherent set is I/d alone), the Kraus
+    count and class channel (C2), or the mixture size, weights and members (C3). Each draw
+    is made for the whole block in turn and built as one stacked array; Kraus sets and
+    mixtures are zero-padded to _MAX_PARTS, with weight zero.
     """
     kernel = _MEASURE_KERNELS[measure]
     rngs = states.sample_generators(seed, indices)
@@ -275,19 +275,19 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
             afters.append(np.where(kept, p * kernel(normalized), 0.0).sum(axis=1))
             # zero-padded operators are no outcomes
             counts["dropped_outcomes"] = ((np.arange(_MAX_PARTS) < parts[:, None]) & ~kept).sum(axis=1)
-    if probe_eigenbasis:
+    if probe_eigenbasis and condition == "C2_average":
+        # sum_j P_j rho P_j over rho's own eigenprojectors is rho: the probe changes nothing
+        afters.append(before)
+    elif probe_eigenbasis:
         # kept per sample, so a winning probe's witness needs no second eigh
         vecs = linalg.hermitian_eig_stack(rho).eigenvectors
         # the projectors P_j = |v_j><v_j| have sum P_j^dagger P_j = V V^dagger
         states.require_unitary(vecs)
         # outcome j leaves the pure state |v_j><v_j| with probability <v_j|rho|v_j>
         p = (vecs.conj() * (rho @ vecs)).sum(axis=-2).real
-        if condition == "C2_average":
-            afters.append(kernel(linalg.hermitian_part((vecs * p[:, None, :]) @ linalg.adjoint(vecs))))
-        else:
-            kept = p >= SELECTIVE_P_FLOOR
-            afters.append(np.where(kept, p * _PURE_KERNELS[measure](vecs), 0.0).sum(axis=1))
-            counts["dropped_outcomes"] = counts.get("dropped_outcomes", 0) + (~kept).sum(axis=1)
+        kept = p >= SELECTIVE_P_FLOOR
+        afters.append(np.where(kept, p * _PURE_KERNELS[measure](vecs), 0.0).sum(axis=1))
+        counts["dropped_outcomes"] = counts.get("dropped_outcomes", 0) + (~kept).sum(axis=1)
     afters = np.stack(afters)
     violations = afters - before
     pick = np.arange(len(rho))
@@ -302,7 +302,9 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         if class_channel[j]:
             k = parts[j]
             return {**w, "channel_label": f"{op_class}(d={d}, k={k})", "kraus_operators": _matrix_json(kraus[j, :k])}
-        return {**w, "channel_label": "eigenbasis_projection", "eigenvectors": _matrix_json(vecs[j])}
+        v = linalg.hermitian_eig(rho[j]).eigenvectors if condition == "C2_average" else vecs[j]
+        states.require_unitary(v)
+        return {**w, "channel_label": "eigenbasis_projection", "eigenvectors": _matrix_json(v)}
     return (violations[winner, pick], {"class_channel_wins": class_channel, "probe_wins": ~class_channel, **counts},
             witness)
 
@@ -334,12 +336,12 @@ def audit_conditions(
     For C2 conditions the channel pool is op_class samples, plus the
     projective measurement onto each state's eigenbasis when
     probe_eigenbasis is set; each sample takes the worst candidate, but
-    the probe must beat the class channel by more than WIN_MARGIN. The
-    probe is evaluated in closed form from the state's eigenvectors v_j
-    (one stacked eigh per block): outcome j has probability
-    p_j = <v_j|rho|v_j> and leaves the pure state |v_j><v_j|, whose measure
-    values _PURE_KERNELS gives exactly, and the averaged output is
-    sum_j p_j |v_j><v_j|. No projector is built and no outcome decomposed.
+    the probe must beat the class channel by more than WIN_MARGIN.
+    Averaged (C2_average), the probe is the identity channel: its value is
+    C(rho) itself, so its violation is exactly 0 and nothing is solved for it.
+    Selective (C2_selective), it takes one stacked eigh per block: outcome j
+    has probability p_j = <v_j|rho|v_j> and leaves the pure state |v_j><v_j|,
+    whose measure values _PURE_KERNELS gives exactly. No projector is built.
     verdict is "holds_within_tol" iff the maximum violation is at most tol.
 
     Sample i draws its inputs from its own generator, bitwise
@@ -351,11 +353,11 @@ def audit_conditions(
     so that one block's arrays take a few MB whatever the number of
     samples; the report does not depend on it.
 
-    The witness is the first sample that reaches the maximum violation.
-    On a row that holds, that maximum is round-off (about 1e-15), so its
-    sample_index may move with the LAPACK build. A winning eigenbasis probe
-    is witnessed by the state's eigenvectors (columns v_j); its Kraus
-    operators are the projectors |v_j><v_j|.
+    The witness is the first sample that reaches the maximum violation. On a
+    row that holds, that maximum is round-off (about 1e-15), so its sample_index
+    may move with the LAPACK build; a C2_average probe row without a class reads
+    exactly 0.0 at sample 0. A winning probe writes the state's eigenvectors v_j
+    (in C2_average, that state's own eigh); its Kraus operators are |v_j><v_j|.
 
     diagnostics holds counters over every sample, not kept per sample:
     min_violation, samples_above_tol, violation_decades (see _DECADE_EDGES);

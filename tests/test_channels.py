@@ -37,9 +37,10 @@ from cohkit.errors import (
     ParseError,
     PureStateError,
 )
-from cohkit.linalg import hermitian_eig, hermitian_eigvals, require_hermitian
+from cohkit.linalg import hermitian_eig, hermitian_eig_stack, hermitian_eigvals, require_hermitian
 from cohkit.measures import ibiqc_coherence, l1_coherence, von_neumann_entropy
 from cohkit.states import (
+    OPERATION_CLASSES,
     DensityMatrix,
     DiagonalState,
     PureState,
@@ -620,11 +621,21 @@ def test_probe_audit_builds_no_projectors_and_solves_only_state_stacks(monkeypat
         solved.append(np.ndim(m))
         return hermitian_eigvals(m)
 
+    decomposed = []
+
+    def eig_stack(m):
+        decomposed.append(np.ndim(m))
+        return hermitian_eig_stack(m)
+
     monkeypatch.setattr(channels, "_projectors", no_projectors)
     monkeypatch.setattr(linalg, "hermitian_eigvals", eigvals)
+    monkeypatch.setattr(linalg, "hermitian_eig_stack", eig_stack)
+    # 20 samples at d = 4 are one block
     report = audit_conditions(measure, condition, d=4, samples=20, seed=7, probe_eigenbasis=True)
     assert report.diagnostics["probe_wins"] == 20
     assert solved and set(solved) == {3}
+    # the averaged probe is the identity channel: only its winning witness is decomposed, alone
+    assert decomposed == ([3] if condition == "C2_selective" else [2])
 
 
 def test_probe_rejects_eigenvectors_that_are_not_unitary(monkeypatch):
@@ -636,6 +647,43 @@ def test_probe_rejects_eigenvectors_that_are_not_unitary(monkeypatch):
     for condition in ("C2_average", "C2_selective"):
         with pytest.raises(NotUnitaryError):
             audit_conditions("l1", condition, d=3, samples=5, seed=1, probe_eigenbasis=True)
+
+
+def test_selective_probe_gates_every_sample_not_only_the_witness(monkeypatch):
+    def last_zeroed(m):
+        spectrum = np.linalg.eigh(m)
+        spectrum.eigenvectors[-1] = 0
+        return spectrum
+
+    # the last sample's probe keeps no outcome, so its violation, -C(rho), is below every
+    # other sample's S(rho) and it is never the witness
+    monkeypatch.setattr(linalg, "hermitian_eig_stack", last_zeroed)
+    with pytest.raises(NotUnitaryError):
+        audit_conditions("ibiqc", "C2_selective", d=3, samples=5, seed=1, probe_eigenbasis=True)
+
+
+@pytest.mark.parametrize("measure", list(channels.MEASURE_FUNCTIONS))
+@pytest.mark.parametrize("d, n", [(2, 50), (3, 50), (8, 20), (32, 3)])
+def test_averaged_probe_alone_violates_by_exactly_zero(measure, d, n):
+    # sum_j P_j rho P_j over rho's own eigenprojectors is rho, so every sample reads C(rho) - C(rho)
+    report = audit_conditions(measure, "C2_average", None, d, n, seed=5, probe_eigenbasis=True)
+    assert report.max_violation == 0.0 and report.diagnostics["min_violation"] == 0.0
+    assert report.diagnostics["violation_decades"] == [n] + [0] * 17
+    assert report.diagnostics["probe_wins"] == n
+    assert report.witness["sample_index"] == 0
+    assert replay_violation(report.to_dict()) == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(measure=st.sampled_from(list(channels.MEASURE_FUNCTIONS)), op_class=st.sampled_from(OPERATION_CLASSES),
+       d=st.integers(2, 6), seed=st.integers(0, 2**128), n=st.integers(1, 30))
+def test_property_averaged_probe_takes_exactly_the_samples_the_class_channel_lowers(measure, op_class, d, seed, n):
+    # the probe's violation is 0, so it wins a sample iff the class channel's is below -WIN_MARGIN
+    plain, _, _ = channels._audit_block(measure, "C2_average", op_class, False, d, seed, range(n))
+    probed, counts, _ = channels._audit_block(measure, "C2_average", op_class, True, d, seed, range(n))
+    wins = plain + channels.WIN_MARGIN < 0
+    np.testing.assert_array_equal(probed, np.where(wins, 0.0, plain))
+    np.testing.assert_array_equal(counts["probe_wins"], wins)
 
 
 _ZERO_L1 = {"l1": lambda m: np.zeros(np.shape(m)[:-2])}
@@ -771,10 +819,10 @@ AUDIT_PIN = {
     ('re', 'C3', None, True): (H, -0.0014900687969566784, 81),
     ('ibiqc', 'C1', None, True): (H, 0.0, 0),
     ('ibiqc', 'C3', None, True): (H, -0.002049724336907255, 81),
-    ('ibiqc', 'C2_average', 'unital_mixture', True): (H, 1.9984014443252818e-15, 79),
+    ('ibiqc', 'C2_average', 'unital_mixture', True): (H, 4.440892098500626e-16, 9),
     ('ibiqc', 'C2_average', 'general_tp', True): (V, 0.13063971549330078, 70),
-    ('l1', 'C2_average', 'diagonal_incoherent', True): (H, 1.9984014443252818e-15, 7),
-    ('re', 'C2_average', 'diagonal_incoherent', True): (H, 2.1094237467877974e-15, 65),
+    ('l1', 'C2_average', 'diagonal_incoherent', True): (H, 4.440892098500626e-16, 82),
+    ('re', 'C2_average', 'diagonal_incoherent', True): (H, 1.1102230246251565e-15, 84),
     ('l1', 'C2_selective', 'diagonal_incoherent', False): (H, 4.440892098500626e-16, 82),
     ('re', 'C2_selective', 'diagonal_incoherent', False): (H, 1.0547118733938987e-15, 84),
     ('ibiqc', 'C2_selective', 'unital_mixture', False): (H, 9.992007221626409e-16, 80),

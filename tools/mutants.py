@@ -51,7 +51,7 @@ MUTANTS = (
            "a C2 class-channel witness written with conjugated Kraus operators"),
     Mutant(CHANNELS, '"weights": weights[j, :k].tolist()', '"weights": weights[j, :k][::-1].tolist()', (T_CHANNELS,),
            "a C3 witness written with its weights reversed"),
-    Mutant(CHANNELS, '"eigenvectors": _matrix_json(vecs[j])', '"eigenvectors": _matrix_json(vecs[j].T)',
+    Mutant(CHANNELS, '"eigenvectors": _matrix_json(v)}', '"eigenvectors": _matrix_json(v.T)}',
            (T_CHANNELS,), "a probe witness written with its eigenvectors transposed"),
     Mutant(CHANNELS, ', "measure_value": float(value[j])}', "}", (T_CHANNELS,),
            "a C1 witness that drops its measure_value"),
@@ -70,6 +70,10 @@ MUTANTS = (
            "the probe's outcome probabilities read v^T rho v, not v^dagger rho v"),
     Mutant(CHANNELS, "        states.require_unitary(vecs)\n", "", (T_CHANNELS,),
            "the probe uses its eigenvectors without checking that they form a unitary"),
+    Mutant(CHANNELS, "        states.require_unitary(v)\n", "", (T_CHANNELS,),
+           "a probe witness writes eigenvectors that were never checked to form a unitary"),
+    Mutant(CHANNELS, "afters.append(before)", "afters.append(before + 1e-15)", (T_CHANNELS,),
+           "the averaged probe, the identity channel, reads round-off in place of exactly C(rho)"),
     Mutant(CHANNELS, 'rho = states.make_density(m["state"])', 'rho = states.DensityMatrix(m["state"])',
            (T_CHANNELS, T_CLI), "replay takes a witness state that is no density matrix"),
     Mutant(CHANNELS, "return C1_POSITIVITY_FLOOR - fn(rho)", "return fn(rho)", (T_CHANNELS,),
