@@ -229,7 +229,8 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     if condition == "C0":
         u = states.isometry_stack(np.stack([rng.standard_normal((2, d, d)) for rng in rngs]))
         states.require_unitary(u)
-        rotated = linalg.hermitian_part(_kraus_outputs(u[:, None], rho)[:, 0])
+        # a unitary is a one-operator channel
+        rotated = _average_output(u[:, None], rho)
         return (np.abs(kernel(rotated) - kernel(rho)), {},
                 lambda j: {"state": _matrix_json(rho[j]), "unitary": _matrix_json(u[j])})
     if condition == "C1":
@@ -273,8 +274,8 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         else:
             p, kept, normalized = _selective_readout(kraus, rho)
             afters.append(np.where(kept, p * kernel(normalized), 0.0).sum(axis=1))
-            # zero-padded operators are no outcomes
-            counts["dropped_outcomes"] = ((np.arange(_MAX_PARTS) < parts[:, None]) & ~kept).sum(axis=1)
+            # a zero-padded operator has p = 0 exactly, so it is never kept and is no outcome
+            counts["dropped_outcomes"] = parts - kept.sum(axis=1)
     if probe_eigenbasis and condition == "C2_average":
         # sum_j P_j rho P_j over rho's own eigenprojectors is rho: the probe changes nothing
         afters.append(before)

@@ -483,12 +483,9 @@ def main(argv=None) -> int:
         return EXIT_OK if not exc.code else EXIT_USAGE
     try:
         return args.func(args)
-    except InvalidArgumentsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CohkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return EXIT_USAGE if isinstance(exc, InvalidArgumentsError) else EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

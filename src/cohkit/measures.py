@@ -19,6 +19,7 @@ searching over diagonal states, which cross-checks the closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -45,7 +46,8 @@ def entropy_bits(probs) -> np.ndarray:
     """
     p = np.asarray(probs, dtype=float).clip(0.0)
     p.sort(axis=-1)
-    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    # 0.0 - sum, not -sum: an all-zero sum would negate to -0.0
+    return 0.0 - (p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
 def spectral_entropy(m) -> np.ndarray:
@@ -60,9 +62,8 @@ def c_l1(m) -> np.ndarray:
 
 
 def c_re(m) -> np.ndarray:
-    """S(diag) - S(rho), clamped at zero, of each state in a (..., d, d) stack."""
-    diag = np.clip(np.diagonal(m, axis1=-2, axis2=-1).real, 0.0, None)
-    return np.maximum(0.0, entropy_bits(diag) - spectral_entropy(m))
+    """S(diag) - S(rho), clamped at zero, of each state in a (..., d, d) stack; entropy_bits clamps diag."""
+    return np.maximum(0.0, entropy_bits(np.diagonal(m, axis1=-2, axis2=-1).real) - spectral_entropy(m))
 
 
 def c_ibiqc(m) -> np.ndarray:
@@ -112,11 +113,18 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise DimensionMismatchError(f"state dimensions differ: {rho.dim} vs {sigma.dim}")
     eigenvalues, vecs = linalg.hermitian_eig(sigma.matrix)
     weights = np.clip(np.real(np.diag(vecs.conj().T @ rho.matrix @ vecs)), 0.0, None)
+    return _relative_entropy_bits(-von_neumann_entropy(rho), weights, eigenvalues)
+
+
+def _relative_entropy_bits(neg_s_rho: float, weights: np.ndarray, eigenvalues: np.ndarray) -> float:
+    """-S(rho) - sum_j w_j log2 l_j, clamped at zero, for rho's weights w_j on sigma's eigenvalues l_j;
+    inf when an eigenvalue below SUPPORT_EIGENVALUE_TOL carries weight above SUPPORT_WEIGHT_TOL."""
     small = eigenvalues < SUPPORT_EIGENVALUE_TOL
-    if np.any(weights[small] > SUPPORT_WEIGHT_TOL):
-        return math.inf
-    cross = float((weights[~small] * np.log2(eigenvalues[~small])).sum())
-    return max(0.0, -von_neumann_entropy(rho) - cross)
+    if small.any():
+        if np.any(weights[small] > SUPPORT_WEIGHT_TOL):
+            return math.inf
+        weights, eigenvalues = weights[~small], eigenvalues[~small]
+    return max(0.0, neg_s_rho - float((weights * np.log2(eigenvalues)).sum()))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -125,24 +133,13 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_distance_fn(rho: DensityMatrix, metric: str):
-    """Callable probs -> distance(rho, diag(probs)) for one metric of METRICS."""
+    """Callable probs -> distance(rho, diag(probs)) for one metric of METRICS; relative_entropy's is D(rho||diag)."""
     require_choice("metric", metric, METRICS)
     m = rho.matrix
     if metric == "relative_entropy":
-        # For diagonal sigma, tr[rho log2 sigma] reduces to the diagonal
-        # inner product, so only entropies of rho itself need a solver.
-        neg_s_rho = -von_neumann_entropy(rho)
-        diag = rho.diagonal_probs()
-
-        def fn(probs: np.ndarray) -> float:
-            tiny = probs < SUPPORT_EIGENVALUE_TOL
-            if not tiny.any():
-                return max(0.0, neg_s_rho - float((diag * np.log2(probs)).sum()))
-            if np.any(diag[tiny] > SUPPORT_WEIGHT_TOL):
-                return math.inf
-            keep = ~tiny
-            return max(0.0, neg_s_rho - float((diag[keep] * np.log2(probs[keep])).sum()))
-
+        # diag(probs)'s eigenbasis is the computational one, so rho's weights on it are rho's
+        # diagonal, and S(rho) is computed once per search
+        return functools.partial(_relative_entropy_bits, -von_neumann_entropy(rho), rho.diagonal_probs())
     elif metric == "trace":
         # rho is gated and made exactly Hermitian once; each call subtracts
         # diag(probs) in place, which is bitwise linalg.trace_distance(m, diag(probs)).

@@ -797,22 +797,22 @@ def test_counterexample_rejects_pure_state():
 PIN_D, PIN_SEED, PIN_SAMPLES = 3, 11, 100
 H, V = VERDICT_HOLDS, VERDICT_VIOLATED
 AUDIT_PIN = {
-    ('ibiqc', 'C0', None, False): (H, 1.887379141862766e-15, 96),
+    ('ibiqc', 'C0', None, False): (H, 1.6653345369377348e-15, 96),
     ('l1', 'C0', None, False): (V, 0.9538644479559546, 71),
-    ('re', 'C0', None, False): (V, 0.6709348350288937, 71),
+    ('re', 'C0', None, False): (V, 0.6709348350288932, 71),
     ('l1', 'C1', None, False): (H, 0.0, 0),
     ('l1', 'C3', None, False): (H, -0.0012945809374385053, 81),
     ('re', 'C1', None, False): (H, 0.0, 0),
     ('re', 'C3', None, False): (H, -0.0014900687969566784, 81),
     ('ibiqc', 'C1', None, False): (H, 0.0, 0),
     ('ibiqc', 'C3', None, False): (H, -0.002049724336907255, 81),
-    ('ibiqc', 'C2_average', 'unital_mixture', False): (H, 1.1102230246251565e-15, 56),
-    ('ibiqc', 'C2_average', 'general_tp', False): (V, 0.13063971549330078, 70),
+    ('ibiqc', 'C2_average', 'unital_mixture', False): (H, 4.440892098500626e-16, 9),
+    ('ibiqc', 'C2_average', 'general_tp', False): (V, 0.13063971549330033, 70),
     ('l1', 'C2_average', 'diagonal_incoherent', False): (H, 4.440892098500626e-16, 82),
-    ('re', 'C2_average', 'diagonal_incoherent', False): (H, 9.992007221626409e-16, 84),
-    ('ibiqc', 'C0', None, True): (H, 1.887379141862766e-15, 96),
+    ('re', 'C2_average', 'diagonal_incoherent', False): (H, 1.1102230246251565e-15, 84),
+    ('ibiqc', 'C0', None, True): (H, 1.6653345369377348e-15, 96),
     ('l1', 'C0', None, True): (V, 0.9538644479559546, 71),
-    ('re', 'C0', None, True): (V, 0.6709348350288937, 71),
+    ('re', 'C0', None, True): (V, 0.6709348350288932, 71),
     ('l1', 'C1', None, True): (H, 0.0, 0),
     ('l1', 'C3', None, True): (H, -0.0012945809374385053, 81),
     ('re', 'C1', None, True): (H, 0.0, 0),
@@ -820,16 +820,16 @@ AUDIT_PIN = {
     ('ibiqc', 'C1', None, True): (H, 0.0, 0),
     ('ibiqc', 'C3', None, True): (H, -0.002049724336907255, 81),
     ('ibiqc', 'C2_average', 'unital_mixture', True): (H, 4.440892098500626e-16, 9),
-    ('ibiqc', 'C2_average', 'general_tp', True): (V, 0.13063971549330078, 70),
+    ('ibiqc', 'C2_average', 'general_tp', True): (V, 0.13063971549330033, 70),
     ('l1', 'C2_average', 'diagonal_incoherent', True): (H, 4.440892098500626e-16, 82),
     ('re', 'C2_average', 'diagonal_incoherent', True): (H, 1.1102230246251565e-15, 84),
     ('l1', 'C2_selective', 'diagonal_incoherent', False): (H, 4.440892098500626e-16, 82),
-    ('re', 'C2_selective', 'diagonal_incoherent', False): (H, 1.0547118733938987e-15, 84),
-    ('ibiqc', 'C2_selective', 'unital_mixture', False): (H, 9.992007221626409e-16, 80),
-    ('ibiqc', 'C2_selective', None, True): (V, 1.4405397859820734, 67),
-    ('ibiqc', 'C2_selective', 'unital_mixture', True): (V, 1.4405397859820734, 67),
-    ('ibiqc', 'C2_selective', 'diagonal_incoherent', True): (V, 1.4405397859820734, 67),
-    ('ibiqc', 'C2_selective', 'general_tp', True): (V, 1.4405397859820734, 67),
+    ('re', 'C2_selective', 'diagonal_incoherent', False): (H, 1.1102230246251565e-15, 56),
+    ('ibiqc', 'C2_selective', 'unital_mixture', False): (H, 8.881784197001252e-16, 4),
+    ('ibiqc', 'C2_selective', None, True): (V, 1.4405397859820748, 67),
+    ('ibiqc', 'C2_selective', 'unital_mixture', True): (V, 1.4405397859820748, 67),
+    ('ibiqc', 'C2_selective', 'diagonal_incoherent', True): (V, 1.4405397859820748, 67),
+    ('ibiqc', 'C2_selective', 'general_tp', True): (V, 1.4405397859820748, 67),
 }
 
 

@@ -26,7 +26,8 @@ from cohkit.cli import (
     sweep_alpha,
 )
 from cohkit.errors import InvalidArgumentsError, NotPositiveError, ParseError
-from cohkit.measures import coherence_report, ibiqc_coherence, l1_coherence, rel_ent_coherence
+from cohkit.measures import (coherence_report, ibiqc_coherence, l1_coherence, rel_ent_coherence, shannon_entropy,
+                             von_neumann_entropy)
 from cohkit.states import glauber_truncated, make_density, qubit_pair, random_density
 
 
@@ -93,6 +94,20 @@ def test_json_dumps_state_file_reads_back_bitwise(tmp_path, capsys):
     assert main(["measure", str(p)]) == 0
     expected = {**coherence_report(rho).to_dict(), "label": label}
     assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_zero_entropies_are_positive_zero(tmp_path, capsys, d):
+    # a sum of zero terms negates to -0.0, which json writes as "-0.0"
+    m = np.zeros((d, d), dtype=complex)
+    m[0, 0] = 1.0
+    rho = make_density(m)
+    p = tmp_path / "state.json"
+    write_state(p, rho)
+    assert main(["measure", str(p)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for value in (shannon_entropy(rho.diagonal_probs()), von_neumann_entropy(rho), report["s_rho"], report["s_diag"]):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_default_alpha_grid():

@@ -286,6 +286,13 @@ def test_min_distance_smooth_metrics_return_the_diagonal():
             assert value == pytest.approx(closed, abs=1e-12)
 
 
+@pytest.mark.parametrize("metric", ["relative_entropy", "trace", "frobenius"])
+def test_min_distance_at_d1_is_zero_at_the_only_diagonal_state(metric):
+    value, argmin = min_distance_coherence(maximally_mixed(1), metric)
+    assert value == 0.0
+    assert argmin.probs.tolist() == [1.0]
+
+
 def test_min_distance_frobenius_qubit():
     _, rx0 = qubit_pair(0.0)
     value, _ = min_distance_coherence(rx0, "frobenius")

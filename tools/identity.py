@@ -21,8 +21,10 @@ The groups:
   replay        cohkit replay --show on the report of every audit row: exit
                 code, stdout and stderr
   measure       cohkit measure over generated state files (d = 1 to 8, with
-                and without a label, to stdout and to --out) and over bad
-                or missing files
+                and without a label, to stdout and to --out), over the pure
+                states |0><0| and equal-amplitude at d = 2, 3 and 4 (named
+                like pure-zero-d2 and pure-equal-d2-out), whose entropies are
+                zero, and over bad or missing files
   sweep         cohkit sweep over four grids
   glauber       cohkit demo glauber over amplitudes and dimension lists
   interference  cohkit demo interference over natural-light, linear and
@@ -164,6 +166,13 @@ def battery(tree: Path) -> list[dict]:
             Path(f"s{d}_{n}.json").write_text(json.dumps(doc))
             run("measure", f"d{d}-{n}", ["measure", f"s{d}_{n}.json"])
             run("measure", f"d{d}-{n}-out", ["measure", f"s{d}_{n}.json", "--out", "m.json"], "m.json")
+    for d in (2, 3, 4):
+        zero = np.zeros((d, d))
+        zero[0, 0] = 1.0
+        for name, m in (("zero", zero), ("equal", np.full((d, d), 1.0 / d))):
+            Path(f"pure_{name}{d}.json").write_text(json.dumps({"dim": d, "entries": _entries(m)}))
+            run("measure", f"pure-{name}-d{d}", ["measure", f"pure_{name}{d}.json"])
+            run("measure", f"pure-{name}-d{d}-out", ["measure", f"pure_{name}{d}.json", "--out", "m.json"], "m.json")
     bad = {
         "not-json": "{",
         "not-object": "[]",

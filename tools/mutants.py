@@ -227,12 +227,21 @@ MUTANTS = (
            "the search never restarts from its best point"),
     Mutant(MEASURES, "converged = converged or bool(restart.success)", "converged = bool(restart.success)",
            (T_MEASURES,), "only the restart's convergence counts, so a failed restart discards a converged first run"),
-    Mutant(MEASURES, "if not tiny.any():", "if True:", (T_MEASURES,),
-           "the relative-entropy objective never takes its masked path, even with a probability below "
-           "the support tolerance"),
-    Mutant(MEASURES, "            keep = ~tiny\n", "            return math.inf\n", (T_MEASURES,),
-           "the relative-entropy objective is infinite wherever a probability vanishes, even where rho has "
+    # relative entropy: one support rule for relative_entropy and the search objective
+    Mutant(MEASURES, "if small.any():", "if False:", (T_MEASURES,),
+           "the relative entropy never masks an eigenvalue below the support tolerance, nor returns inf"),
+    Mutant(MEASURES, "        weights, eigenvalues = weights[~small], eigenvalues[~small]\n", "", (T_MEASURES,),
+           "the relative entropy keeps the log of an eigenvalue below the support tolerance where rho has "
            "no weight"),
+    # rules written once
+    Mutant(MEASURES, "return 0.0 - (p * np.log2", "return -(p * np.log2", (T_CLI,),
+           "a zero entropy comes out as -0.0"),
+    Mutant(CHANNELS, 'counts["dropped_outcomes"] = parts - kept.sum(axis=1)',
+           'counts["dropped_outcomes"] = _MAX_PARTS - kept.sum(axis=1)', (T_CHANNELS,),
+           "C2_selective counts the zero-padded Kraus operators as dropped outcomes"),
+    Mutant(CLI, "return EXIT_USAGE if isinstance(exc, InvalidArgumentsError) else EXIT_INVALID_INPUT",
+           "return EXIT_INVALID_INPUT if isinstance(exc, InvalidArgumentsError) else EXIT_USAGE", (T_CLI,),
+           "usage errors exit 3 and invalid input exits 2"),
 )
 
 
