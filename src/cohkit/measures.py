@@ -158,6 +158,75 @@ def _diagonal_distance_fn(rho: DensityMatrix, metric: str):
     return fn
 
 
+class _BudgetSpent(Exception):
+    """A _nelder_mead run asked for an evaluation past its budget."""
+
+
+def _nelder_mead(fn, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> tuple[np.ndarray, float, bool]:
+    """scipy.optimize.minimize(fn, x0, method="Nelder-Mead", options={"maxfev": maxfev,
+    "xatol": xatol, "fatol": fatol}) step for step, so (x, fun, success) bit for bit.
+
+    As in scipy, fn receives a copy of each point, and an evaluation past
+    maxfev ends the run in the middle of its step (a shrink perhaps half
+    done), after which the simplex is sorted once more.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    calls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return fn(np.copy(x))
+
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    np.fill_diagonal(sim[1:], np.where(x0 != 0, (1 + 0.05) * x0, 0.00025))
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):  # scipy sorts twice after the initial simplex
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while calls < maxfev:
+        try:
+            if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], fsim.min(), calls < maxfev
+
+
 def min_distance_coherence(
     rho: DensityMatrix, metric: str = "relative_entropy", budget: int = OPTIMIZER_BUDGET
 ) -> tuple[float, DiagonalState]:
@@ -167,7 +236,9 @@ def min_distance_coherence(
     first coordinate is pinned to remove the shift gauge) runs from rho's
     diagonal, then restarts once from the best point, each run with half
     the evaluation budget; the restart replaces the first run only with a
-    strictly lower value. The restart runs only when the first run moved:
+    strictly lower value. Each run is scipy's Nelder-Mead repeated step for
+    step (_nelder_mead), so it gives scipy's bits without importing scipy.
+    The restart runs only when the first run moved:
     Nelder-Mead is deterministic, so a restart from the point the first
     run started from would replay it bit for bit, and then only half of
     the budget is used. A run stops when its simplex spans under 1e-6 in
@@ -177,8 +248,6 @@ def min_distance_coherence(
     [1]. budget is an integer >= 2. Raises OptimizerFailure only when
     neither run converges.
     """
-    from scipy import optimize  # deferred: scipy costs most of the package import
-
     budget = require_count("budget", budget, 2)
     distance = _diagonal_distance_fn(require_instance("rho", rho, DensityMatrix), metric)
     d = rho.dim
@@ -195,20 +264,19 @@ def min_distance_coherence(
     diag_start = np.clip(rho.diagonal_probs(), 1e-12, None)
     diag_start = diag_start / diag_start.sum()
     x0 = np.log(diag_start[1:] / diag_start[0])
-    options = {"maxfev": budget // 2, "xatol": 1e-6, "fatol": 1e-13}
-    best = optimize.minimize(objective, x0, method="Nelder-Mead", options=options)
-    converged = bool(best.success)
+    x, value, converged = _nelder_mead(objective, x0, budget // 2, 1e-6, 1e-13)
     # Nelder-Mead is deterministic: a restart from x0 would replay the first run
-    if not np.array_equal(best.x, x0):
-        restart = optimize.minimize(objective, best.x, method="Nelder-Mead", options=options)
-        converged = converged or bool(restart.success)
-        best = restart if restart.fun < best.fun else best
+    if not np.array_equal(x, x0):
+        restart_x, restart_value, restart_converged = _nelder_mead(objective, x, budget // 2, 1e-6, 1e-13)
+        converged = converged or restart_converged
+        if restart_value < value:
+            x, value = restart_x, restart_value
     if not converged:
         raise OptimizerFailure(
             f"direct search did not converge within {budget} evaluations for metric {metric!r}"
         )
-    probs = _softmax(np.concatenate(([0.0], best.x)))
-    return float(best.fun), DiagonalState(probs)
+    probs = _softmax(np.concatenate(([0.0], x)))
+    return float(value), DiagonalState(probs)
 
 
 @dataclass(frozen=True)

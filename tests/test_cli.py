@@ -868,3 +868,15 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert proc.stdout.strip() == "False False"
+
+
+def test_distance_search_leaves_scipy_unloaded():
+    src = str(Path(cohkit.__file__).resolve().parents[1])
+    code = ("import sys, cohkit\n"
+            "rho = cohkit.random_density(3, seed=5)\n"
+            "for metric in ('relative_entropy', 'trace', 'frobenius'):\n"
+            "    cohkit.min_distance_coherence(rho, metric)\n"
+            "    print(metric, 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert proc.stdout.split() == ["relative_entropy", "False", "trace", "False", "frobenius", "False"]

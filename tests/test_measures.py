@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohkit.errors import DimensionMismatchError, InvalidArgumentsError, OptimizerFailure
+from cohkit import measures
 from cohkit.linalg import trace_distance
 from cohkit.measures import (
     OPTIMIZER_BUDGET,
@@ -386,6 +387,57 @@ def test_min_distance_budget_failures_equal_always_restart_reference(metric):
         assert value == ref_value and np.array_equal(argmin.probs, ref_probs), budget
 
 
+@st.composite
+def nelder_mead_cases(draw):
+    """(kind, x0, a, b, maxfev): an objective of kind quadratic |Ax - b|^2, abs sum|Ax - b|
+    or plateau (abs rounded down to a multiple of 1/8, so values tie) on 1 to 4 coordinates,
+    a start with some coordinates exactly 0 and a budget of 1 to 200 evaluations."""
+    n = draw(st.integers(1, 4))
+    entry = st.floats(-2.0, 2.0)
+    x0 = draw(st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=n, max_size=n))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    b = draw(st.lists(entry, min_size=n, max_size=n))
+    return draw(st.sampled_from(["quadratic", "abs", "plateau"])), x0, a, b, draw(st.integers(1, 200))
+
+
+# the budget runs out in the initial simplex, an expansion, a contraction and a shrink, and an
+# outside contraction ties with its reflection
+@settings(max_examples=100, deadline=None)
+@given(case=nelder_mead_cases())
+@example(case=("abs", [0.0, 0.0, 1.24, 1.61], [[-1.7, -1.6, 1.4, -0.6], [0.3, 0.0, 0.5, -1.7],
+                                               [1.1, -1.5, 0.7, -0.4], [-0.0, 0.7, -0.5, -1.8]],
+               [1.9, 0.1, 1.0, 0.1], 3))
+@example(case=("plateau", [-0.42, 2.86], [[1.1, -0.8], [-0.9, 1.5]], [1.5, 0.0], 12))
+@example(case=("abs", [1.11, 1.13], [[-0.4, -1.5], [0.9, 0.1]], [-0.8, -0.1], 200))
+@example(case=("plateau", [0.0, 1.52], [[-0.2, 0.4], [-1.5, 0.9]], [-0.9, -1.2], 71))
+@example(case=("plateau", [0.0, 1.46, 0.0, -2.62], [[0.9, -1.6, -0.4, 1.5], [-0.1, 1.7, 1.1, 1.7],
+                                                   [-1.5, -1.7, -1.7, 1.5], [0.5, -0.0, -1.3, 0.7]],
+               [-0.7, 0.8, -0.2, 0.0], 193))
+def test_property_nelder_mead_equals_scipy_bitwise(case):
+    from scipy import optimize
+
+    kind, x0, a, b, maxfev = case
+    a, b = np.array(a), np.array(b)
+    calls = []
+
+    def fn(x):
+        r = a @ x - b
+        if kind == "quadratic":
+            return float(r @ r)
+        value = float(np.abs(r).sum())
+        return math.floor(8.0 * value) / 8.0 if kind == "plateau" else value
+
+    def counted(x):
+        calls.append(None)
+        return fn(x)
+
+    x, value, converged = measures._nelder_mead(counted, np.array(x0), maxfev, 1e-6, 1e-13)
+    ref = optimize.minimize(fn, np.array(x0), method="Nelder-Mead",
+                            options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-13})
+    assert (x.tobytes(), float(value).hex(), converged, len(calls)) == (
+        ref.x.tobytes(), float(ref.fun).hex(), ref.success, ref.nfev)
+
+
 def test_relative_entropy_objective_equals_masked_form_bitwise():
     rng = np.random.default_rng(59)
     for d in (2, 3, 4):
@@ -413,17 +465,15 @@ def test_relative_entropy_objective_equals_masked_form_bitwise():
 
 
 def test_min_distance_restarts_only_after_a_moving_run(monkeypatch):
-    from scipy import optimize
-
     runs = []
-    minimize = optimize.minimize
+    nelder_mead = measures._nelder_mead
 
-    def recording(fun, x0, **kwargs):
-        result = minimize(fun, x0, **kwargs)
-        runs.append((np.array(x0), result.x))
+    def recording(fn, x0, *args):
+        result = nelder_mead(fn, x0, *args)
+        runs.append((np.array(x0), result[0]))
         return result
 
-    monkeypatch.setattr(optimize, "minimize", recording)
+    monkeypatch.setattr(measures, "_nelder_mead", recording)
     for d in (2, 3, 4):
         rho = random_density(d, seed=61 + d)
         for metric in ("relative_entropy", "frobenius"):
@@ -440,18 +490,16 @@ def test_min_distance_restarts_only_after_a_moving_run(monkeypatch):
 
 @pytest.mark.parametrize("failed", [{0}, {1}, {0, 1}], ids=["first", "second", "both"])
 def test_min_distance_fails_only_when_neither_run_converges(monkeypatch, failed):
-    from scipy import optimize
-
     runs = []
-    minimize = optimize.minimize
+    nelder_mead = measures._nelder_mead
 
-    def failing(fun, x0, **kwargs):
-        result = minimize(fun, x0, **kwargs)
-        result.success = result.success and len(runs) not in failed
+    def failing(fn, x0, *args):
+        x, value, converged = nelder_mead(fn, x0, *args)
+        result = (x, value, converged and len(runs) not in failed)
         runs.append(result)
         return result
 
-    monkeypatch.setattr(optimize, "minimize", failing)
+    monkeypatch.setattr(measures, "_nelder_mead", failing)
     with pytest.raises(OptimizerFailure) if failed == {0, 1} else contextlib.nullcontext():
         min_distance_coherence(random_density(3, seed=7), "trace")
     assert len(runs) == 2

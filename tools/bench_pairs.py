@@ -5,11 +5,13 @@ Usage, from the root of a checkout:
     python3 tools/bench_pairs.py --parent <rev> --pairs 10 --first-seed 1001 --out BENCH_<n>.json \
         [--claim audit-table:ops_per_s] [--change "what the change does"]
 
-The parent revision is exported with `git archive` into a temporary
-directory, which is removed afterwards; the change is this checkout as it
-stands. For every workload of BENCHMARK.json, pair p runs BENCHMARK.json's
-command with --workload W --seed <first-seed + p> --seconds <run_seconds>
---trace 0 once on each side, one run at a time: the parent runs first in
+The parent revision is exported with `git archive`, and the change is
+copied from this checkout's working tree (tracked files with their edits,
+and untracked files that git does not ignore), each into a subdirectory
+of one temporary directory that is removed afterwards, so both sides run
+from fresh copies. For every workload of BENCHMARK.json, pair p runs
+BENCHMARK.json's command with --workload W --seed <first-seed + p>
+--seconds <run_seconds> --trace 0 once on each side, one run at a time: the parent runs first in
 even pairs and second in odd ones. The file holds every run's environment line and final
 JSON line, and per workload and end-to-end metric the medians, quartiles
 (statistics.quantiles, method='inclusive'), the ratio of the medians and in
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,6 +37,16 @@ ENV_PREFIX = "environment = "
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def copy_worktree(root: Path, dest: Path) -> None:
+    """Copy root's working tree into dest: tracked files with their edits, and untracked files not ignored."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=root,
+                            capture_output=True, check=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        if (root / name).is_file():  # a tracked file deleted from the working tree is listed but absent
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
@@ -99,8 +112,9 @@ def main(argv=None) -> int:
         workload, _, metric = args.claim.partition(":")
         claim = {"workload": workload, "metric": metric}
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_dir = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent_dir, change_dir = Path(tmp) / "parent", Path(tmp) / "change"
+        copy_worktree(ROOT, change_dir)
         archive = subprocess.run(["git", "archive", "--format=tar", parent_sha], cwd=ROOT, capture_output=True,
                                  check=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -110,7 +124,7 @@ def main(argv=None) -> int:
                 seed = args.first_seed + p
                 order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
                 for position, side in enumerate(order, start=1):
-                    checkout = parent_dir if side == "parent" else ROOT
+                    checkout = parent_dir if side == "parent" else change_dir
                     run = {"workload": workload, "seed": seed, "side": side, "position_in_pair": position}
                     run.update(run_once(checkout, command, workload, seed, seconds))
                     runs.append(run)

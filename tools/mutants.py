@@ -221,12 +221,21 @@ MUTANTS = (
            "normals = [rngs[0].standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]", (T_STATES,),
            "general_tp draws every channel of a block on the first sample's generator"),
     # distance search
-    Mutant(MEASURES, "if not np.array_equal(best.x, x0):", "if True:", (T_MEASURES,),
+    Mutant(MEASURES, "if not np.array_equal(x, x0):", "if True:", (T_MEASURES,),
            "the search restarts even when the restart would replay its first run"),
-    Mutant(MEASURES, "if not np.array_equal(best.x, x0):", "if False:", (T_MEASURES,),
+    Mutant(MEASURES, "if not np.array_equal(x, x0):", "if False:", (T_MEASURES,),
            "the search never restarts from its best point"),
-    Mutant(MEASURES, "converged = converged or bool(restart.success)", "converged = bool(restart.success)",
+    Mutant(MEASURES, "converged = converged or restart_converged", "converged = restart_converged",
            (T_MEASURES,), "only the restart's convergence counts, so a failed restart discards a converged first run"),
+    # Nelder-Mead: scipy's steps, bit for bit
+    Mutant(MEASURES, "rho, chi, psi, sigma = 1, 2, 0.5, 0.5", "rho, chi, psi, sigma = 1, 3, 0.5, 0.5", (T_MEASURES,),
+           "Nelder-Mead expands three times the reflection step, not twice"),
+    Mutant(MEASURES, "rho, chi, psi, sigma = 1, 2, 0.5, 0.5", "rho, chi, psi, sigma = 1, 2, 0.5, 0.6", (T_MEASURES,),
+           "Nelder-Mead shrinks the simplex to 0.6 of its size, not to half"),
+    Mutant(MEASURES, "accept = fxc <= fxr", "accept = fxc < fxr", (T_MEASURES,),
+           "an outside contraction that ties with its reflection shrinks the simplex in place of being kept"),
+    Mutant(MEASURES, "if calls >= maxfev:", "if calls > maxfev:", (T_MEASURES,),
+           "a Nelder-Mead run makes one evaluation past its budget"),
     # relative entropy: one support rule for relative_entropy and the search objective
     Mutant(MEASURES, "if small.any():", "if False:", (T_MEASURES,),
            "the relative entropy never masks an eigenvalue below the support tolerance, nor returns inf"),
