@@ -1,10 +1,4 @@
-import importlib.util
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
-identity = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(identity)
+import identity
 
 
 def _rows(**digests):

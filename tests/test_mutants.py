@@ -1,10 +1,8 @@
-import importlib.util
 from pathlib import Path
 
+import mutants
+
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
-mutants = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(mutants)
 
 
 def test_every_mutant_text_occurs_once_in_src():

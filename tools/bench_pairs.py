@@ -5,17 +5,21 @@ Usage, from the root of a checkout:
     python3 tools/bench_pairs.py --parent <rev> --pairs 10 --first-seed 1001 --out BENCH_<n>.json \
         [--claim audit-table:ops_per_s] [--change "what the change does"]
 
-The parent revision is exported with `git archive`, and the change is
-copied from this checkout's working tree (tracked files with their edits,
-and untracked files that git does not ignore), each into a subdirectory
-of one temporary directory that is removed afterwards, so both sides run
-from fresh copies. For every workload of BENCHMARK.json, pair p runs
+The parent revision is exported from git (export_commit), and the change
+is copied from this checkout's working tree (copy_worktree: tracked files
+with their edits, and untracked files that git does not ignore), each into
+a subdirectory of one temporary directory that is removed afterwards, so
+both sides run from fresh copies. For every workload of BENCHMARK.json, pair p runs
 BENCHMARK.json's command with --workload W --seed <first-seed + p>
 --seconds <run_seconds> --trace 0 once on each side, one run at a time: the parent runs first in
 even pairs and second in odd ones. The file holds every run's environment line and final
 JSON line, and per workload and end-to-end metric the medians, quartiles
 (statistics.quantiles, method='inclusive'), the ratio of the medians and in
-how many pairs the change was better.
+how many pairs the change was better. It names the parent's commit
+(parent_commit), HEAD's commit (change_commit) and whether the copied
+working tree differs from HEAD (change_dirty). --pairs must be at least 2,
+since quartiles need two pairs, and --claim must name a workload and an
+end-to-end metric of BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -35,8 +39,22 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV_PREFIX = "environment = "
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def export_commit(root: Path, rev: str, dest: Path) -> str:
+    """Extract commit rev of root's repository into dest, from git's tar export of it; return the commit id."""
+    sha = _git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
+    tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=root, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as members:
+        members.extractall(dest, filter="data")
+    return sha
+
+
+def worktree_commit(root: Path) -> tuple[str, bool]:
+    """HEAD's commit id, and whether the working tree that copy_worktree copies differs from it."""
+    return _git(root, "rev-parse", "HEAD"), bool(_git(root, "status", "--porcelain"))
 
 
 def copy_worktree(root: Path, dest: Path) -> None:
@@ -106,19 +124,22 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     command, seconds = bench["command"], bench["run_seconds"]
-    parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: the summary's quartiles need two pairs")
     claim = None
     if args.claim:
         workload, _, metric = args.claim.partition(":")
+        if (workload not in {w["name"] for w in bench["workloads"]}
+                or metric not in {m["name"] for m in bench["end_to_end"]}):
+            parser.error(f"--claim {args.claim}: not a WORKLOAD:METRIC pair of BENCHMARK.json's workloads "
+                         "and end-to-end metrics")
         claim = {"workload": workload, "metric": metric}
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_dir, change_dir = Path(tmp) / "parent", Path(tmp) / "change"
+        parent_sha = export_commit(ROOT, args.parent, parent_dir)
+        change_sha, change_dirty = worktree_commit(ROOT)
         copy_worktree(ROOT, change_dir)
-        archive = subprocess.run(["git", "archive", "--format=tar", parent_sha], cwd=ROOT, capture_output=True,
-                                 check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent_dir, filter="data")
         for workload in (w["name"] for w in bench["workloads"]):
             for p in range(args.pairs):
                 seed = args.first_seed + p
@@ -140,7 +161,9 @@ def main(argv=None) -> int:
         "command": " ".join(command + ["--workload", "<workload>", "--seed", "<seed>",
                                        "--seconds", str(seconds), "--trace", "0"]),
         "parent_commit": parent_sha,
-        "change": args.change or _git("log", "-1", "--format=%s"),
+        "change_commit": change_sha,
+        "change_dirty": change_dirty,
+        "change": args.change or _git(ROOT, "log", "-1", "--format=%s"),
         "claim": claim,
         "summary": summarize(runs, bench["end_to_end"]),
         "runs": runs,

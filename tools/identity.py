@@ -5,12 +5,14 @@ Usage, from the root of a checkout:
 
     python3 tools/identity.py --parent <rev> [--expect-change GROUP[:ROW]]...
 
-The parent revision is exported with `git archive` into a temporary
-directory, which is removed afterwards; the change is this checkout as it
-stands. Each tree runs the battery in a fresh Python process, with that
-tree's src/ first on PYTHONPATH and a temporary working directory. A row
-is one call; its digest is the SHA-256 of everything the call produced.
-The groups:
+The parent revision is exported (bench_pairs.export_commit) and the change
+is copied from this checkout's working tree (bench_pairs.copy_worktree:
+tracked files with their edits, and untracked files that git does not
+ignore), each into a subdirectory of one temporary directory that is
+removed afterwards. Each tree runs the battery in a fresh Python process,
+with that tree's src/ first on PYTHONPATH and a temporary working
+directory. A row is one call; its digest is the SHA-256 of everything the
+call produced. The groups:
 
   audit         every EXPECTED_VERDICTS row and, for each measure, C2
                 average with --probe-eigenbasis and no class (named like
@@ -55,8 +57,10 @@ reads "uncaught <type>: <message>". A library row records the type and
 message of the error its call raised, in its stderr too; one that is no
 CohkitError counts as raised.
 
-The tool prints one digest per group, then every row that differs or is
-present on one side only, with the stderr of both sides on gates rows.
+The tool prints the parent's commit, HEAD's commit and whether the copied
+working tree differs from HEAD (change_dirty), then one digest per group,
+then every row that differs or is present on one side only, with the
+stderr of both sides on gates rows.
 --expect-change GROUP or GROUP:ROW declares differences that the change
 makes on purpose (repeatable). ROW may be an fnmatch pattern, such as
 'audit:*-C2*-probe-*', which declares every row of the group it matches.
@@ -76,9 +80,10 @@ import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from bench_pairs import copy_worktree, export_commit, worktree_commit
 
 ROOT = Path(__file__).resolve().parent.parent
 AUDIT_SEEDS = (0, 11, 2**33 + 1)
@@ -378,16 +383,14 @@ def main(argv=None) -> int:
         return 0
     if not args.parent:
         parser.error("--parent is required")
-    sha = subprocess.run(["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"], cwd=ROOT,
-                         capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, capture_output=True, check=True).stdout
-    with tempfile.TemporaryDirectory(prefix="identity-parent-") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        parent_rows = _run_battery(Path(tmp))
-    change_rows = _run_battery(ROOT)
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        parent, change = Path(tmp) / "parent", Path(tmp) / "change"
+        sha = export_commit(ROOT, args.parent, parent)
+        head, dirty = worktree_commit(ROOT)
+        copy_worktree(ROOT, change)
+        parent_rows, change_rows = _run_battery(parent), _run_battery(change)
     lines, ok = compare(parent_rows, change_rows, set(args.expect_change))
-    print(f"parent {sha}, change {ROOT}")
+    print(f"parent {sha}, change {head}, change_dirty {dirty}")
     print("\n".join(lines))
     return 0 if ok else 1
 

@@ -5,16 +5,17 @@ Usage, from the root of a checkout:
     python3 tools/mutants.py
 
 Each mutant replaces one text of a file under src/, which must occur
-exactly once there, by another. For each mutant the tool copies src/,
-tests/, pyproject.toml and README.md into a temporary directory, applies
-the mutant there and runs pytest -x on the test files the mutant names. A
-mutant whose tests all pass survives. The tool first runs every named test
-file on the unmutated copy, so that a failure counts only when it is the
-mutant's. It prints one line per mutant, then the survivors, and exits 1
-when a mutant survives or its run ends in an error (a pytest exit code
-other than 0 or 1). The checkout is never edited. A run takes a few
-minutes; tests/test_mutants.py checks in every test run that each `old`
-text still occurs exactly once.
+exactly once there, by another. The tool copies the checkout's working
+tree into a temporary directory (bench_pairs.copy_worktree: tracked files
+with their edits, and untracked files that git does not ignore). For each
+mutant it copies that base, applies the mutant there and runs pytest -x on
+the test files the mutant names. A mutant whose tests all pass survives.
+The tool first runs every named test file on the unmutated copy, so that
+a failure counts only when it is the mutant's. It prints one line per
+mutant, then the survivors, and exits 1 when a mutant survives or its run
+ends in an error (a pytest exit code other than 0 or 1). The checkout is
+never edited. A run takes a few minutes; tests/test_mutants.py checks in
+every test run that each `old` text still occurs exactly once.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
+from bench_pairs import copy_worktree
+
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml", "README.md")
 
 
 class Mutant(NamedTuple):
@@ -254,15 +256,6 @@ MUTANTS = (
 )
 
 
-def _copy_tree(dest: Path) -> None:
-    for name in COPIED:
-        src = ROOT / name
-        if src.is_dir():
-            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
-        else:
-            shutil.copy2(src, dest / name)
-
-
 def _pytest(copy: Path, tests) -> int:
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
@@ -272,7 +265,7 @@ def _pytest(copy: Path, tests) -> int:
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="cohkit-mutants-") as tmp:
         base = Path(tmp) / "base"
-        _copy_tree(base)
+        copy_worktree(ROOT, base)
         named = sorted({t for m in MUTANTS for t in m.tests})
         code = _pytest(base, named)
         if code != 0:
