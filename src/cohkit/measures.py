@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -127,9 +128,11 @@ def _relative_entropy_bits(neg_s_rho: float, weights: np.ndarray, eigenvalues: n
     return max(0.0, neg_s_rho - float((weights * np.log2(eigenvalues)).sum()))
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
+def _softmax(x: list) -> np.ndarray:
+    """exp(x - max x) / its sum for a list of floats; bitwise numpy's np.exp(x - x.max()) over e.sum()."""
+    top = max(x)  # NaN or not, the result is as numpy's: all NaN when x holds one
+    e = np.exp([v - top for v in x])
+    return e / e.sum()  # numpy's sum: pairwise from 8 entries on
 
 
 def _diagonal_distance_fn(rho: DensityMatrix, metric: str):
@@ -151,9 +154,13 @@ def _diagonal_distance_fn(rho: DensityMatrix, metric: str):
             return 0.5 * float(np.abs(np.linalg.eigvalsh(shifted)).sum())
 
     else:  # frobenius
+        # m - diag(probs) differs from m on the diagonal only, so one buffer gives its bits
+        shifted = m.copy()
+        diag = m.diagonal().copy()
 
         def fn(probs: np.ndarray) -> float:
-            return float(np.linalg.norm(m - np.diag(probs).astype(complex)))
+            np.fill_diagonal(shifted, diag - probs)
+            return float(np.linalg.norm(shifted))
 
     return fn
 
@@ -162,69 +169,84 @@ class _BudgetSpent(Exception):
     """A _nelder_mead run asked for an evaluation past its budget."""
 
 
-def _nelder_mead(fn, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> tuple[np.ndarray, float, bool]:
+def _nelder_mead(fn, x0, maxfev: int, xatol: float, fatol: float) -> tuple[np.ndarray, float, bool]:
     """scipy.optimize.minimize(fn, x0, method="Nelder-Mead", options={"maxfev": maxfev,
     "xatol": xatol, "fatol": fatol}) step for step, so (x, fun, success) bit for bit.
 
-    As in scipy, fn receives a copy of each point, and an evaluation past
-    maxfev ends the run in the middle of its step (a shrink perhaps half
-    done), after which the simplex is sorted once more.
+    The simplex is a list of points, each a list of Python floats on which
+    every step does scipy's IEEE operations in scipy's order; for a few
+    coordinates this is faster than numpy's per-call overhead. fn receives
+    each point as such a list, which the loop never writes in place, so no
+    copy is made; fn must not write it either. Where Python and numpy part,
+    numpy stays: np.argsort orders the values (it is not stable, so
+    sorted() would break scipy's tie order), and the value is np.min,
+    which propagates NaN. The centroid adds the rows in order from +0.0, as
+    np.add.reduce does (sum() compensates from Python 3.12 on), and the
+    stop test is all(... <= tol), which fails on a NaN as numpy's max
+    does. As in scipy, an evaluation past maxfev ends the run in the
+    middle of its step (a shrink perhaps half done), after which the
+    simplex is sorted once more. x is returned as a float array.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     calls = 0
 
-    def f(x: np.ndarray) -> float:
+    def f(x: list) -> float:
         nonlocal calls
         if calls >= maxfev:
             raise _BudgetSpent
         calls += 1
-        return fn(np.copy(x))
+        return fn(x)
 
+    def ordered(sim: list, fsim: list) -> tuple[list, list]:
+        ind = np.argsort(fsim).tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+    x0 = [float(v) for v in x0]
     n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    np.fill_diagonal(sim[1:], np.where(x0 != 0, (1 + 0.05) * x0, 0.00025))
-    fsim = np.full(n + 1, np.inf)
+    sim = [x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025] + x0[k + 1:] for k, v in enumerate(x0)]
+    fsim = [math.inf] * (n + 1)
     try:
         for k in range(n + 1):
             fsim[k] = f(sim[k])
     except _BudgetSpent:
         pass
     for _ in range(2):  # scipy sorts twice after the initial simplex
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        sim, fsim = ordered(sim, fsim)
     while calls < maxfev:
         try:
-            if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+            best = sim[0]
+            if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
+                    and all(abs(fsim[0] - g) <= fatol for g in fsim[1:])):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
+            xbar = [functools.reduce(operator.add, col, 0.0) / n for col in zip(*sim[:-1])]
+            worst = sim[-1]
+            xr = [(1 + rho) * c - rho * w for c, w in zip(xbar, worst)]
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                xe = [(1 + rho * chi) * c - rho * chi * w for c, w in zip(xbar, worst)]
                 fxe = f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    xc = [(1 + psi * rho) * c - psi * rho * w for c, w in zip(xbar, worst)]
                     fxc = f(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
-                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    xc = [(1 - psi) * c + psi * w for c, w in zip(xbar, worst)]
                     fxc = f(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex
                     for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        sim[j] = [b + sigma * (v - b) for b, v in zip(best, sim[j])]
                         fsim[j] = f(sim[j])
         except _BudgetSpent:
             pass
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], fsim.min(), calls < maxfev
+        sim, fsim = ordered(sim, fsim)
+    return np.array(sim[0]), np.min(fsim), calls < maxfev
 
 
 def min_distance_coherence(
@@ -255,11 +277,8 @@ def min_distance_coherence(
         delta = DiagonalState(np.full(d, 1.0 / d))
         return distance(delta.probs), delta
 
-    logits = np.zeros(d)  # logits[0] stays 0: the pinned coordinate
-
-    def objective(y: np.ndarray) -> float:
-        logits[1:] = y
-        return distance(_softmax(logits))
+    def objective(y: list) -> float:
+        return distance(_softmax([0.0, *y]))  # the first logit is pinned at 0
 
     diag_start = np.clip(rho.diagonal_probs(), 1e-12, None)
     diag_start = diag_start / diag_start.sum()
@@ -275,7 +294,7 @@ def min_distance_coherence(
         raise OptimizerFailure(
             f"direct search did not converge within {budget} evaluations for metric {metric!r}"
         )
-    probs = _softmax(np.concatenate(([0.0], x)))
+    probs = _softmax([0.0, *x.tolist()])
     return float(value), DiagonalState(probs)
 
 

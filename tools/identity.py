@@ -33,8 +33,9 @@ call produced. The groups:
                 inline-state configs, and a config whose gamma_grid holds
                 1e400
   search        min_distance_coherence value and probs bytes, all three
-                metrics, on generated states at d = 2, 3 and 4, at d = 1
-                and on random_density(4, seed=409), and the trace search
+                metrics, on generated states at d = 2, 3, 4, 8 and 9 (from
+                8 entries on numpy sums pairwise), at d = 1 and on
+                random_density(4, seed=409), and the trace search
                 at budgets 2 to 40 (an OptimizerFailure message is the
                 row's result)
   gates         rejected command lines: exit code, stdout and stderr; among
@@ -226,7 +227,7 @@ def battery(tree: Path) -> list[dict]:
         except errors.OptimizerFailure as exc:
             add("search", row, str(exc).encode())
 
-    for d, count in ((2, 40), (3, 40), (4, 10)):
+    for d, count in ((2, 40), (3, 40), (4, 10), (8, 5), (9, 5)):
         for n in range(count):
             rho = states.make_density(_state(rng, d))
             for metric in measures.METRICS:

@@ -238,6 +238,16 @@ MUTANTS = (
            "an outside contraction that ties with its reflection shrinks the simplex in place of being kept"),
     Mutant(MEASURES, "if calls >= maxfev:", "if calls > maxfev:", (T_MEASURES,),
            "a Nelder-Mead run makes one evaluation past its budget"),
+    # Nelder-Mead on Python floats: where numpy's bits differ from the plain float loop
+    Mutant(MEASURES, "functools.reduce(operator.add, col, 0.0)", "functools.reduce(operator.add, col)", (T_MEASURES,),
+           "the centroid starts from the best vertex, so it keeps a -0.0 that np.add.reduce makes +0.0"),
+    Mutant(MEASURES, "ind = np.argsort(fsim).tolist()", "ind = sorted(range(len(fsim)), key=fsim.__getitem__)",
+           (T_MEASURES,), "the simplex is ordered by a stable sort, which breaks ties unlike numpy's argsort"),
+    Mutant(MEASURES, "all(abs(fsim[0] - g) <= fatol for g in fsim[1:])",
+           "max(abs(fsim[0] - g) for g in fsim[1:]) <= fatol", (T_MEASURES,),
+           "the stop test takes Python's max of the value spread, which skips a NaN that numpy's max returns"),
+    Mutant(MEASURES, "return e / e.sum()", "return e / sum(e.tolist())", (T_MEASURES,),
+           "the softmax sums left to right, not pairwise as numpy does from 8 entries on"),
     # relative entropy: one support rule for relative_entropy and the search objective
     Mutant(MEASURES, "if small.any():", "if False:", (T_MEASURES,),
            "the relative entropy never masks an eigenvalue below the support tolerance, nor returns inf"),
