@@ -72,8 +72,11 @@ CONDITIONS = ("C0", "C1", "C2_average", "C2_selective", "C3")
 VERDICT_HOLDS = "holds_within_tol"
 VERDICT_VIOLATED = "violated"
 REPORT_FORMAT = 3
-# A later C2 candidate wins a sample from the class channel only by more than this much.
+# A later C2 candidate displaces the current winner of a sample only by more than this much.
 WIN_MARGIN = 1e-12
+# The C2 pools that hold the reset channel R(rho) = |0><0|, K_n = |0><n|: it is trace preserving
+# and each K_n has one nonzero entry, so it belongs to both classes, but it is not unital.
+RESET_CLASSES = ("diagonal_incoherent", "general_tp")
 # diagnostics["violation_decades"] counts violations v <= 0, in (0, 1e-15], in each
 # (10^k, 10^(k+1)] for k = -15 ... -1, and v > 1: one bin per gap between these edges.
 _DECADE_EDGES = np.concatenate(([0.0], 10.0 ** np.arange(-15, 1)))
@@ -208,13 +211,20 @@ def _projectors(vecs: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...kj->...jik", vecs, vecs.conj())
 
 
+def _reset_operators(d: int) -> np.ndarray:
+    """The reset channel's Kraus operators K_n = |0><n|, n = 0 ... d - 1, as a (d, d, d) stack."""
+    ops = np.zeros((d, d, d), dtype=complex)
+    ops[:, 0, :] = np.eye(d)
+    return ops
+
+
 def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool, d: int, seed: int,
                  indices: range):
     """(violations, counts, witness) of the samples in indices: counts holds the per-sample
-    arrays the audit sums (class_channel_wins and probe_wins for C2, dropped_outcomes for
-    C2_selective); witness(j) builds the fields of block sample j's witness: its matrices,
-    kind (C1), channel_label (C2) and measure_* values. It decomposes rho[j] only for a
-    winning C2_average probe, the identity channel, whose value is before itself, exactly.
+    arrays the audit sums (the *_wins of the C2 candidates, dropped_outcomes for C2_selective);
+    witness(j) builds the fields of block sample j's witness: its matrices, kind (C1),
+    channel_label (C2) and measure_* values. It decomposes rho[j] only for a winning
+    C2_average probe, the identity channel, whose value is before itself, exactly.
 
     Sample i draws on its own generator from states.sample_generators, bitwise
     default_rng([seed, i]), in a fixed order: the state, then the unitary (C0), the
@@ -262,20 +272,34 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
             return {"weights": weights[j, :k].tolist(), "states": _matrix_json(members[j, :k]),
                     "measure_mixture": float(mixture[j]), "measure_average": float(average[j])}
         return mixture - average, {}, witness
-    # C2: one value per candidate in pool order, the class channel first
+    # C2: one value per candidate, in pool order: the class channel, the reset, the probe
     before = kernel(rho)
-    afters, counts = [], {}
+    pool, afters, dropped = [], [], []
     if op_class is not None:
         parts = np.array([rng.integers(1, _MAX_PARTS + 1) for rng in rngs])
         kraus = states.kraus_stack(op_class, d, parts, rngs, _MAX_PARTS)
         _require_trace_preserving(kraus)
+        pool.append("class_channel")
         if condition == "C2_average":
             afters.append(kernel(_average_output(kraus, rho)))
         else:
             p, kept, normalized = _selective_readout(kraus, rho)
             afters.append(np.where(kept, p * kernel(normalized), 0.0).sum(axis=1))
             # a zero-padded operator has p = 0 exactly, so it is never kept and is no outcome
-            counts["dropped_outcomes"] = parts - kept.sum(axis=1)
+            dropped.append(parts - kept.sum(axis=1))
+    if op_class in RESET_CLASSES:
+        # in closed form: the output, and each selective outcome n (with p_n = rho_nn), is |0><0|
+        pool.append("reset")
+        reset = kernel(np.diag(np.eye(d, dtype=complex)[0]))
+        if condition == "C2_average":
+            afters.append(np.full(len(rho), reset))
+        else:
+            p = np.diagonal(rho, axis1=-2, axis2=-1).real
+            kept = p >= SELECTIVE_P_FLOOR
+            afters.append(np.where(kept, p * reset, 0.0).sum(axis=1))
+            dropped.append(d - kept.sum(axis=1))
+    if probe_eigenbasis:
+        pool.append("probe")
     if probe_eigenbasis and condition == "C2_average":
         # sum_j P_j rho P_j over rho's own eigenprojectors is rho: the probe changes nothing
         afters.append(before)
@@ -288,26 +312,31 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         p = (vecs.conj() * (rho @ vecs)).sum(axis=-2).real
         kept = p >= SELECTIVE_P_FLOOR
         afters.append(np.where(kept, p * _PURE_KERNELS[measure](vecs), 0.0).sum(axis=1))
-        counts["dropped_outcomes"] = counts.get("dropped_outcomes", 0) + (~kept).sum(axis=1)
+        dropped.append((~kept).sum(axis=1))
     afters = np.stack(afters)
     violations = afters - before
     pick = np.arange(len(rho))
-    # the first candidate keeps a sample unless another beats it by more than WIN_MARGIN
-    winner = np.argmax(violations, axis=0)
-    winner = np.where(violations[winner, pick] > violations[0] + WIN_MARGIN, winner, 0)
-    class_channel = (winner == 0) & (op_class is not None)
+    # a later candidate displaces the current winner only by more than WIN_MARGIN
+    winner = np.zeros(len(rho), dtype=int)
+    for k in range(1, len(pool)):
+        winner = np.where(violations[k] > violations[winner, pick] + WIN_MARGIN, k, winner)
+    # a candidate outside the pool wins no sample
+    counts = {"class_channel_wins": 0, "probe_wins": 0} | {f"{name}_wins": winner == k for k, name in enumerate(pool)}
+    if dropped:
+        counts["dropped_outcomes"] = sum(dropped)
 
     def witness(j):
         w = {"state": _matrix_json(rho[j]), "measure_before": float(before[j]),
              "measure_after": float(afters[winner[j], j])}
-        if class_channel[j]:
+        if pool[winner[j]] == "class_channel":
             k = parts[j]
             return {**w, "channel_label": f"{op_class}(d={d}, k={k})", "kraus_operators": _matrix_json(kraus[j, :k])}
+        if pool[winner[j]] == "reset":
+            return {**w, "channel_label": f"reset(d={d})"}
         v = linalg.hermitian_eig(rho[j]).eigenvectors if condition == "C2_average" else vecs[j]
         states.require_unitary(v)
         return {**w, "channel_label": "eigenbasis_projection", "eigenvectors": _matrix_json(v)}
-    return (violations[winner, pick], {"class_channel_wins": class_channel, "probe_wins": ~class_channel, **counts},
-            witness)
+    return violations[winner, pick], counts, witness
 
 
 def audit_conditions(
@@ -334,10 +363,13 @@ def audit_conditions(
       C3   C(mixture) - weighted average of member values, for Dirichlet
            mixtures of up to four random states.
 
-    For C2 conditions the channel pool is op_class samples, plus the
-    projective measurement onto each state's eigenbasis when
-    probe_eigenbasis is set; each sample takes the worst candidate, but
-    the probe must beat the class channel by more than WIN_MARGIN.
+    For C2 conditions each sample tries a pool of channels, in this order: a
+    random op_class channel; the reset R(rho) = |0><0|, Kraus operators |0><n|,
+    when op_class is in RESET_CLASSES; and, with probe_eigenbasis, the
+    projective measurement onto the state's eigenbasis. Each sample takes the
+    worst candidate, but a later one displaces the current winner only by more
+    than WIN_MARGIN. The reset is closed form and draws nothing: averaged, its
+    output is |0><0|; selective, outcome n has p_n = rho_nn and leaves |0><0|.
     Averaged (C2_average), the probe is the identity channel: its value is
     C(rho) itself, so its violation is exactly 0 and nothing is solved for it.
     Selective (C2_selective), it takes one stacked eigh per block: outcome j
@@ -359,12 +391,13 @@ def audit_conditions(
     may move with the LAPACK build; a C2_average probe row without a class reads
     exactly 0.0 at sample 0. A winning probe writes the state's eigenvectors v_j
     (in C2_average, that state's own eigh); its Kraus operators are |v_j><v_j|.
+    A winning reset writes channel_label "reset(d=...)" and no operators.
 
     diagnostics holds counters over every sample, not kept per sample:
     min_violation, samples_above_tol, violation_decades (see _DECADE_EDGES);
-    for C2, class_channel_wins and probe_wins; for C2_selective,
-    dropped_outcomes, the outcomes of every candidate that fell below
-    SELECTIVE_P_FLOOR.
+    for C2, class_channel_wins, probe_wins and, in RESET_CLASSES, reset_wins,
+    the samples each candidate won; for C2_selective, dropped_outcomes, the
+    outcomes below SELECTIVE_P_FLOOR, summed over every candidate.
     """
     op_class = validate_audit_arguments(measure, condition, op_class, d, samples, seed, tol, probe_eigenbasis)
     samples = int(samples)
@@ -381,7 +414,7 @@ def audit_conditions(
         diagnostics["min_violation"] = min(diagnostics["min_violation"], float(violation.min()))
         decades += np.bincount(np.searchsorted(_DECADE_EDGES, violation), minlength=len(decades))
         for name, per_sample in {"samples_above_tol": violation > tol, **counts}.items():
-            diagnostics[name] = diagnostics.get(name, 0) + int(per_sample.sum())
+            diagnostics[name] = diagnostics.get(name, 0) + int(np.sum(per_sample))
     max_violation, index, witness, j = best
     diagnostics["violation_decades"] = decades.tolist()
 
@@ -453,7 +486,9 @@ def replay_violation(report: dict) -> float:
     value goes through the scalar API: apply_unitary (C0); the measure of
     the witness state on its branch (C1); apply_channel or
     selective_outcomes on the witness's Kraus set (C2), whose operators a
-    probe witness gives as the projectors |v_j><v_j| of its eigenvectors;
+    probe witness gives as the projectors |v_j><v_j| of its eigenvectors
+    and a reset witness (channel_label "reset(d=...)", d the state's
+    dimension) not at all: replay builds its |0><n| itself;
     and the weighted mixture of the witness states (C3). It equals the
     report's max_violation to round-off. A witness that cannot be read
     raises ParseError; readable matrices that are not a valid state (read
@@ -477,7 +512,10 @@ def replay_violation(report: dict) -> float:
         if condition == "C1" and w["kind"] == "below_floor_on_random":
             return C1_POSITIVITY_FLOOR - fn(rho)
         if condition in ("C2_average", "C2_selective"):
-            kraus = KrausSet(m["kraus_operators"] if "kraus_operators" in m else _projectors(m["eigenvectors"]))
+            if w.get("channel_label") == f"reset(d={rho.dim})":
+                kraus = KrausSet(_reset_operators(rho.dim))
+            else:
+                kraus = KrausSet(m["kraus_operators"] if "kraus_operators" in m else _projectors(m["eigenvectors"]))
             if condition == "C2_average":
                 return fn(apply_channel(kraus, rho)) - fn(rho)
             return sum(p * fn(out) for p, out in selective_outcomes(kraus, rho)) - fn(rho)

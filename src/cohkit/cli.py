@@ -74,30 +74,34 @@ CLASS_BY_FLAG = {
     "general": "general_tp",
 }
 
-_H = channels.VERDICT_HOLDS
-_V = channels.VERDICT_VIOLATED
+# The class whose channels are each measure's free operations, under which C2 holds. l1 and re are
+# monotone under incoherent operations, whose Kraus operators keep diagonal states diagonal
+# (Streltsov, Adesso & Plenio, RMP 89, 041003, 2017). ibiqc = log2 d - S measures nonuniformity,
+# whose free operations are the unital channels (Gour et al., Phys. Rep. 583, 1, 2015); the
+# general_tp and diagonal_incoherent pools hold the reset, which is not unital.
+FREE_CLASS = {"l1": "diagonal_incoherent", "re": "diagonal_incoherent", "ibiqc": "unital_mixture"}
 
-# Expected verdict per (measure, condition, operation class, probe flag).
-# Combinations absent from this table carry no expectation and never
-# affect the exit code. Unitary invariance (C0), faithfulness (C1), and
-# convexity (C3) ignore the operation class.
-EXPECTED_VERDICTS = {}
-for _probe in (False, True):
-    EXPECTED_VERDICTS[("ibiqc", "C0", None, _probe)] = _H
-    EXPECTED_VERDICTS[("l1", "C0", None, _probe)] = _V
-    EXPECTED_VERDICTS[("re", "C0", None, _probe)] = _V
-    for _m in ("l1", "re", "ibiqc"):
-        EXPECTED_VERDICTS[(_m, "C1", None, _probe)] = _H
-        EXPECTED_VERDICTS[(_m, "C3", None, _probe)] = _H
-    EXPECTED_VERDICTS[("ibiqc", "C2_average", "unital_mixture", _probe)] = _H
-    EXPECTED_VERDICTS[("ibiqc", "C2_average", "general_tp", _probe)] = _V
-    EXPECTED_VERDICTS[("l1", "C2_average", "diagonal_incoherent", _probe)] = _H
-    EXPECTED_VERDICTS[("re", "C2_average", "diagonal_incoherent", _probe)] = _H
-EXPECTED_VERDICTS[("l1", "C2_selective", "diagonal_incoherent", False)] = _H
-EXPECTED_VERDICTS[("re", "C2_selective", "diagonal_incoherent", False)] = _H
-EXPECTED_VERDICTS[("ibiqc", "C2_selective", "unital_mixture", False)] = _H
-for _cls in (None, "unital_mixture", "diagonal_incoherent", "general_tp"):
-    EXPECTED_VERDICTS[("ibiqc", "C2_selective", _cls, True)] = _V
+
+def _holds(measure: str, condition: str, op_class: str | None, probe: bool) -> bool:
+    if condition == "C0":
+        # l1 and re read the basis; ibiqc reads the spectrum alone
+        return measure == "ibiqc"
+    if condition.startswith("C2"):
+        # the averaged probe is the identity channel; the selective probe's outcomes are rho's
+        # eigenvectors, which carry coherence, and it lifts ibiqc by S(rho)
+        return op_class in (None, FREE_CLASS[measure]) and not (probe and condition == "C2_selective")
+    # each measure is faithful (C1) and convex (C3)
+    return True
+
+
+# Expected verdict of every (measure, condition, operation class, probe flag) that an audit accepts:
+# the class counts only in C2, which needs a class or the probe.
+EXPECTED_VERDICTS = {
+    (m, c, cls, probe): channels.VERDICT_HOLDS if _holds(m, c, cls, probe) else channels.VERDICT_VIOLATED
+    for m in channels.MEASURE_FUNCTIONS for c in channels.CONDITIONS for probe in (False, True)
+    for cls in ((None, *states.OPERATION_CLASSES) if c.startswith("C2") else (None,))
+    if cls or probe or not c.startswith("C2")
+}
 
 
 # ---------------------------------------------------------------- state files
@@ -330,9 +334,9 @@ def run_audit_cli(args) -> int:
                 stem += "_probe"
             path = out / f"{stem}.json"
         _write_text(report.to_json(), path)
-        expected = EXPECTED_VERDICTS.get((m, condition, report.operation_class, report.probe_eigenbasis))
+        expected = EXPECTED_VERDICTS[m, condition, report.operation_class, report.probe_eigenbasis]
         note = ""
-        if expected is not None and expected != report.verdict:
+        if expected != report.verdict:
             mismatches += 1
             note = f"  MISMATCH (expected {expected})"
         print(

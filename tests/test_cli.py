@@ -757,12 +757,12 @@ def test_replay_agrees_with_every_expected_row(tmp_path, capsys, d, samples):
     every = ["--condition", "C0,C1,C2avg,C2sel,C3", "--class", "unital,diagonal,general"]
     for probe in ([], ["--probe-eigenbasis"]):
         assert main(audit + every + probe) in (0, 1)
-    assert main(audit + ["--condition", "C2sel", "--probe-eigenbasis"]) == 0
+    assert main(audit + ["--condition", "C2avg,C2sel", "--probe-eigenbasis"]) == 0
     paths = sorted(str(p) for p in tmp_path.glob("*.json"))
     capsys.readouterr()
     assert main(["replay", *paths]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(paths) == 57
+    assert len(lines) == len(paths) == 60
     covered = set()
     for path, line in zip(paths, lines):
         match = _REPLAY_LINE.match(line)
@@ -772,7 +772,7 @@ def test_replay_agrees_with_every_expected_row(tmp_path, capsys, d, samples):
         assert float(match[2]) == report["max_violation"] and float(match[5]) == report["tol"]
         covered.add((report["measure_name"], report["condition"], report["operation_class"],
                      report["probe_eigenbasis"]))
-    assert set(EXPECTED_VERDICTS) <= covered
+    assert set(EXPECTED_VERDICTS) == covered
 
 
 def test_replay_exit_codes_and_show(tmp_path, capsys):

@@ -14,9 +14,9 @@ with that tree's src/ first on PYTHONPATH and a temporary working
 directory. A row is one call; its digest is the SHA-256 of everything the
 call produced. The groups:
 
-  audit         every EXPECTED_VERDICTS row and, for each measure, C2
-                average with --probe-eigenbasis and no class (named like
-                l1-C2avg-none-probe-d3-s0) at d = 2, 3 and 5 (100 samples),
+  audit         every EXPECTED_VERDICTS row, that is every combination
+                an audit accepts (named like l1-C2avg-none-probe-d3-s0),
+                at d = 2, 3 and 5 (100 samples),
                 and five rows at d = 32 (10 samples), at seeds 0, 11 and
                 2**33 + 1, through cli.main: exit code, stdout, stderr and
                 the report text
@@ -95,8 +95,6 @@ AUDIT_D32_ROWS = (
     ("l1", "C2_average", "diagonal_incoherent", False),
     ("ibiqc", "C2_average", "general_tp", False),
 )
-# the averaged probe alone, which EXPECTED_VERDICTS does not list
-AUDIT_NO_CLASS_ROWS = tuple((measure, "C2_average", None, True) for measure in ("l1", "re", "ibiqc"))
 
 
 # ---------------------------------------------------------------- battery
@@ -151,7 +149,7 @@ def battery(tree: Path) -> list[dict]:
 
     flags = {v: k for k, v in cli.CONDITION_BY_FLAG.items()}
     classes = {v: k for k, v in cli.CLASS_BY_FLAG.items()}
-    table = [(row, d, 100) for d in (2, 3, 5) for row in (*cli.EXPECTED_VERDICTS, *AUDIT_NO_CLASS_ROWS)]
+    table = [(row, d, 100) for d in (2, 3, 5) for row in cli.EXPECTED_VERDICTS]
     table += [(row, 32, 10) for row in AUDIT_D32_ROWS]
     for (measure, condition, op_class, probe), d, samples in table:
         for seed in AUDIT_SEEDS:

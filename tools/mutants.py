@@ -61,8 +61,26 @@ MUTANTS = (
            (T_CHANNELS,), "to_dict a shallow copy that shares witness lists with the report"),
     Mutant(CHANNELS, '"measure_after": float(afters[winner[j], j])', '"measure_after": float(afters[0, j])',
            (T_CHANNELS,), "a C2 witness's measure_after taken from the first candidate, not the winner"),
-    Mutant(CHANNELS, "> violations[0] + WIN_MARGIN, winner, 0)", "> violations[0], winner, 0)", (T_CHANNELS,),
-           "the probe wins a C2 sample from the class channel by round-off"),
+    # the C2 pool: class channel, reset, probe; a later candidate displaces the winner only by more than WIN_MARGIN
+    Mutant(CHANNELS, "> violations[winner, pick] + WIN_MARGIN, k, winner)", "> violations[winner, pick], k, winner)",
+           (T_CHANNELS,), "a later C2 candidate displaces the current winner by round-off"),
+    Mutant(CHANNELS, "np.where(violations[k] > violations[winner, pick] + WIN_MARGIN",
+           "np.where(violations[k] > violations[0] + WIN_MARGIN", (T_CHANNELS,),
+           "a later C2 candidate is measured against the first candidate, not the current winner, so the probe "
+           "takes the samples where it ties with the reset"),
+    Mutant(CHANNELS, 'RESET_CLASSES = ("diagonal_incoherent", "general_tp")', "RESET_CLASSES = OPERATION_CLASSES",
+           (T_CHANNELS,), "the reset, which is not unital, joins the unital_mixture pool"),
+    Mutant(CHANNELS, "reset = kernel(np.diag(np.eye(d, dtype=complex)[0]))",
+           "reset = kernel(np.eye(d, dtype=complex) / d)", (T_CHANNELS,),
+           "the reset leaves the maximally mixed state, not |0><0|"),
+    Mutant(CHANNELS, "p = np.diagonal(rho, axis1=-2, axis2=-1).real", "p = np.abs(rho[:, 0, :])", (T_CHANNELS,),
+           "the reset's selective outcome probabilities read rho's first row, not its diagonal"),
+    Mutant(CHANNELS, "            dropped.append(d - kept.sum(axis=1))\n", "", (T_CHANNELS,),
+           "the reset's dropped outcomes are not counted"),
+    Mutant(CHANNELS, "dropped.append((~kept).sum(axis=1))", "dropped = [(~kept).sum(axis=1)]", (T_CHANNELS,),
+           "the probe's dropped count overwrites those of the class channel and the reset"),
+    Mutant(CHANNELS, "ops[:, 0, :] = np.eye(d)", "ops[:, :, 0] = np.eye(d)", (T_CHANNELS,),
+           "replay builds the reset's operators as |n><0|, not |0><n|"),
     # the eigenbasis probe in closed form: its pure-state values, probabilities and unitarity gate
     Mutant(CHANNELS, "np.abs(v).sum(axis=-2) ** 2 - (np.abs(v) ** 2).sum(axis=-2)", "np.abs(v).sum(axis=-2) ** 2",
            (T_CHANNELS,), "the pure-state l1 value keeps the diagonal's sum of |v_ij|^2"),
@@ -257,9 +275,14 @@ MUTANTS = (
     # rules written once
     Mutant(MEASURES, "return 0.0 - (p * np.log2", "return -(p * np.log2", (T_CLI,),
            "a zero entropy comes out as -0.0"),
-    Mutant(CHANNELS, 'counts["dropped_outcomes"] = parts - kept.sum(axis=1)',
-           'counts["dropped_outcomes"] = _MAX_PARTS - kept.sum(axis=1)', (T_CHANNELS,),
+    Mutant(CHANNELS, "dropped.append(parts - kept.sum(axis=1))",
+           "dropped.append(_MAX_PARTS - kept.sum(axis=1))", (T_CHANNELS,),
            "C2_selective counts the zero-padded Kraus operators as dropped outcomes"),
+    # expected verdicts: one rule
+    Mutant(CLI, '"ibiqc": "unital_mixture"}', '"ibiqc": "general_tp"}', (T_CHANNELS,),
+           "the rule takes general_tp as ibiqc's free class"),
+    Mutant(CLI, ' and not (probe and condition == "C2_selective")', "", (T_CHANNELS,),
+           "the rule expects C2_selective with the probe to hold on the free class"),
     Mutant(CLI, "return EXIT_USAGE if isinstance(exc, InvalidArgumentsError) else EXIT_INVALID_INPUT",
            "return EXIT_INVALID_INPUT if isinstance(exc, InvalidArgumentsError) else EXIT_USAGE", (T_CLI,),
            "usage errors exit 3 and invalid input exits 2"),
