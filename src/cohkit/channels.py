@@ -274,45 +274,48 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         return mixture - average, {}, witness
     # C2: one value per candidate, in pool order: the class channel, the reset, the probe
     before = kernel(rho)
+    average = condition == "C2_average"
     pool, afters, dropped = [], [], []
+
+    # the one readout rule of every candidate: averaged, values is its value on each sample;
+    # selective, its value sums p * values over the outcomes whose probability p (n, outcomes)
+    # is at least SELECTIVE_P_FLOOR, and its other outcomes count as dropped
+    def readout(name, p, values, outcomes):
+        pool.append(name)
+        if average:
+            afters.append(np.broadcast_to(values, before.shape))
+            return
+        kept = p >= SELECTIVE_P_FLOOR
+        afters.append(np.where(kept, p * values, 0.0).sum(axis=1))
+        dropped.append(outcomes - kept.sum(axis=1))
+
     if op_class is not None:
         parts = np.array([rng.integers(1, _MAX_PARTS + 1) for rng in rngs])
         kraus = states.kraus_stack(op_class, d, parts, rngs, _MAX_PARTS)
         _require_trace_preserving(kraus)
-        pool.append("class_channel")
-        if condition == "C2_average":
-            afters.append(kernel(_average_output(kraus, rho)))
+        if average:
+            p, values = None, kernel(_average_output(kraus, rho))
         else:
-            p, kept, normalized = _selective_readout(kraus, rho)
-            afters.append(np.where(kept, p * kernel(normalized), 0.0).sum(axis=1))
-            # a zero-padded operator has p = 0 exactly, so it is never kept and is no outcome
-            dropped.append(parts - kept.sum(axis=1))
+            p, _, normalized = _selective_readout(kraus, rho)
+            values = kernel(normalized)
+        # a zero-padded operator has p = 0 exactly, so it is never kept and is no outcome
+        readout("class_channel", p, values, parts)
     if op_class in RESET_CLASSES:
         # in closed form: the output, and each selective outcome n (with p_n = rho_nn), is |0><0|
-        pool.append("reset")
         reset = kernel(np.diag(np.eye(d, dtype=complex)[0]))
-        if condition == "C2_average":
-            afters.append(np.full(len(rho), reset))
-        else:
-            p = np.diagonal(rho, axis1=-2, axis2=-1).real
-            kept = p >= SELECTIVE_P_FLOOR
-            afters.append(np.where(kept, p * reset, 0.0).sum(axis=1))
-            dropped.append(d - kept.sum(axis=1))
+        readout("reset", np.diagonal(rho, axis1=-2, axis2=-1).real, reset, d)
     if probe_eigenbasis:
-        pool.append("probe")
-    if probe_eigenbasis and condition == "C2_average":
-        # sum_j P_j rho P_j over rho's own eigenprojectors is rho: the probe changes nothing
-        afters.append(before)
-    elif probe_eigenbasis:
-        # kept per sample, so a winning probe's witness needs no second eigh
-        vecs = linalg.hermitian_eig_stack(rho).eigenvectors
-        # the projectors P_j = |v_j><v_j| have sum P_j^dagger P_j = V V^dagger
-        states.require_unitary(vecs)
-        # outcome j leaves the pure state |v_j><v_j| with probability <v_j|rho|v_j>
-        p = (vecs.conj() * (rho @ vecs)).sum(axis=-2).real
-        kept = p >= SELECTIVE_P_FLOOR
-        afters.append(np.where(kept, p * _PURE_KERNELS[measure](vecs), 0.0).sum(axis=1))
-        dropped.append((~kept).sum(axis=1))
+        if average:
+            # sum_j P_j rho P_j over rho's own eigenprojectors is rho: the probe changes nothing
+            p, values = None, before
+        else:
+            # kept per sample, so a winning probe's witness needs no second eigh
+            vecs = linalg.hermitian_eig_stack(rho).eigenvectors
+            # the projectors P_j = |v_j><v_j| have sum P_j^dagger P_j = V V^dagger
+            states.require_unitary(vecs)
+            # outcome j leaves the pure state |v_j><v_j| with probability <v_j|rho|v_j>
+            p, values = (vecs.conj() * (rho @ vecs)).sum(axis=-2).real, _PURE_KERNELS[measure](vecs)
+        readout("probe", p, values, d)
     afters = np.stack(afters)
     violations = afters - before
     pick = np.arange(len(rho))
@@ -333,7 +336,7 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
             return {**w, "channel_label": f"{op_class}(d={d}, k={k})", "kraus_operators": _matrix_json(kraus[j, :k])}
         if pool[winner[j]] == "reset":
             return {**w, "channel_label": f"reset(d={d})"}
-        v = linalg.hermitian_eig(rho[j]).eigenvectors if condition == "C2_average" else vecs[j]
+        v = linalg.hermitian_eig(rho[j]).eigenvectors if average else vecs[j]
         states.require_unitary(v)
         return {**w, "channel_label": "eigenbasis_projection", "eigenvectors": _matrix_json(v)}
     return violations[winner, pick], counts, witness
@@ -357,9 +360,9 @@ def audit_conditions(
            C1_POSITIVITY_FLOOR - C(random state) (positive when a random
            state scores below the floor). The incoherent set is every
            diagonal state for l1/re and the maximally mixed state for
-           ibiqc.
+           ibiqc. An exact tie takes the incoherent side.
       C2_average    C(channel(rho)) - C(rho).
-      C2_selective  sum_n p_n C(rho_n) - C(rho) over kept outcomes.
+      C2_selective  sum_n p_n C(rho_n) - C(rho) over outcomes p_n >= SELECTIVE_P_FLOOR.
       C3   C(mixture) - weighted average of member values, for Dirichlet
            mixtures of up to four random states.
 
@@ -394,10 +397,11 @@ def audit_conditions(
     A winning reset writes channel_label "reset(d=...)" and no operators.
 
     diagnostics holds counters over every sample, not kept per sample:
-    min_violation, samples_above_tol, violation_decades (see _DECADE_EDGES);
-    for C2, class_channel_wins, probe_wins and, in RESET_CLASSES, reset_wins,
-    the samples each candidate won; for C2_selective, dropped_outcomes, the
-    outcomes below SELECTIVE_P_FLOOR, summed over every candidate.
+    min_violation, samples_above_tol (the violations strictly above tol),
+    violation_decades (see _DECADE_EDGES); for C2, class_channel_wins,
+    probe_wins and, in RESET_CLASSES, reset_wins, the samples each candidate
+    won; for C2_selective, dropped_outcomes, the outcomes below
+    SELECTIVE_P_FLOOR, summed over every candidate.
     """
     op_class = validate_audit_arguments(measure, condition, op_class, d, samples, seed, tol, probe_eigenbasis)
     samples = int(samples)

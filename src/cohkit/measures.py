@@ -257,18 +257,18 @@ def min_distance_coherence(
     A derivative-free Nelder-Mead search over softmax coordinates (the
     first coordinate is pinned to remove the shift gauge) runs from rho's
     diagonal, then restarts once from the best point, each run with half
-    the evaluation budget; the restart replaces the first run only with a
-    strictly lower value. Each run is scipy's Nelder-Mead repeated step for
-    step (_nelder_mead), so it gives scipy's bits without importing scipy.
-    The restart runs only when the first run moved:
+    the evaluation budget. The run with the lowest value wins; on a tie or
+    a NaN the earlier run wins. Each run is scipy's Nelder-Mead repeated
+    step for step (_nelder_mead), so it gives scipy's bits without
+    importing scipy. The restart runs only when the first run moved:
     Nelder-Mead is deterministic, so a restart from the point the first
     run started from would replay it bit for bit, and then only half of
     the budget is used. A run stops when its simplex spans under 1e-6 in
     every coordinate and its values under 1e-13: near a smooth minimum a
     step of 1e-8 already leaves the value unchanged in double precision,
     so the value sets the accuracy. At d = 1 the only diagonal state is
-    [1]. budget is an integer >= 2. Raises OptimizerFailure only when
-    neither run converges.
+    [1]. budget is an integer >= 2. Raises OptimizerFailure only when no
+    run converges.
     """
     budget = require_count("budget", budget, 2)
     distance = _diagonal_distance_fn(require_instance("rho", rho, DensityMatrix), metric)
@@ -283,17 +283,17 @@ def min_distance_coherence(
     diag_start = np.clip(rho.diagonal_probs(), 1e-12, None)
     diag_start = diag_start / diag_start.sum()
     x0 = np.log(diag_start[1:] / diag_start[0])
-    x, value, converged = _nelder_mead(objective, x0, budget // 2, 1e-6, 1e-13)
+    # each run is (x, value, converged)
+    runs = [_nelder_mead(objective, x0, budget // 2, 1e-6, 1e-13)]
     # Nelder-Mead is deterministic: a restart from x0 would replay the first run
-    if not np.array_equal(x, x0):
-        restart_x, restart_value, restart_converged = _nelder_mead(objective, x, budget // 2, 1e-6, 1e-13)
-        converged = converged or restart_converged
-        if restart_value < value:
-            x, value = restart_x, restart_value
-    if not converged:
+    if not np.array_equal(runs[0][0], x0):
+        runs.append(_nelder_mead(objective, runs[0][0], budget // 2, 1e-6, 1e-13))
+    if not any(converged for _, _, converged in runs):
         raise OptimizerFailure(
             f"direct search did not converge within {budget} evaluations for metric {metric!r}"
         )
+    # the lowest value wins; min keeps the earlier run on a tie or a NaN
+    x, value, _ = min(runs, key=lambda run: run[1])
     probs = _softmax([0.0, *x.tolist()])
     return float(value), DiagonalState(probs)
 

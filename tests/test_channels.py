@@ -668,13 +668,24 @@ def test_selective_probe_gates_every_sample_not_only_the_witness(monkeypatch):
 @pytest.mark.parametrize("measure", list(channels.MEASURE_FUNCTIONS))
 @pytest.mark.parametrize("d, n", [(2, 50), (3, 50), (8, 20), (32, 3)])
 def test_averaged_probe_alone_violates_by_exactly_zero(measure, d, n):
-    # sum_j P_j rho P_j over rho's own eigenprojectors is rho, so every sample reads C(rho) - C(rho)
-    report = audit_conditions(measure, "C2_average", None, d, n, seed=5, probe_eigenbasis=True)
+    # sum_j P_j rho P_j over rho's own eigenprojectors is rho, so every sample reads C(rho) - C(rho);
+    # at tol = 0.0 each violation ties tol, and a tie is within it
+    report = audit_conditions(measure, "C2_average", None, d, n, seed=5, tol=0.0, probe_eigenbasis=True)
     assert report.max_violation == 0.0 and report.diagnostics["min_violation"] == 0.0
+    assert report.verdict == VERDICT_HOLDS and report.diagnostics["samples_above_tol"] == 0
     assert report.diagnostics["violation_decades"] == [n] + [0] * 17
     assert report.diagnostics["probe_wins"] == n
     assert report.witness["sample_index"] == 0
     assert replay_violation(report.to_dict()) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_a_c1_tie_takes_the_incoherent_side(monkeypatch):
+    # C1_POSITIVITY_FLOOR - 5e-7 == 5e-7 exactly, so both sides of every sample tie
+    monkeypatch.setitem(channels._MEASURE_KERNELS, "l1", lambda m: np.full(np.shape(m)[:-2], 5e-7))
+    assert channels.C1_POSITIVITY_FLOOR - 5e-7 == 5e-7
+    report = audit_conditions("l1", "C1", None, 3, 10, seed=5)
+    assert report.witness["kind"] == "nonzero_on_incoherent"
+    assert report.witness["measure_value"] == 5e-7 == report.max_violation
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import identity
+from cohkit import cli, measures, states
 
 
 def _rows(**digests):
@@ -60,3 +61,18 @@ def test_a_pattern_declares_every_row_it_matches_and_no_other():
     assert "declared but unchanged: replay:*-C2*-probe-*" in lines
     lines, ok = identity.compare(parent, change, {"audit:*-C2*-probe-*", "audit:re-C3-*"})
     assert ok and not any("declared but unchanged" in line for line in lines)
+
+
+
+def _package_form(rows):
+    return [(m, cli.CONDITION_BY_FLAG[c], cli.CLASS_BY_FLAG.get(cls), probe) for m, c, cls, probe in rows]
+
+
+def test_the_battery_inputs_are_the_package_tables():
+    # the battery writes its inputs as literals, so a table change without a battery change fails here
+    assert len(identity.AUDIT_ROWS) == 60
+    assert _package_form(identity.AUDIT_ROWS) == list(cli.EXPECTED_VERDICTS)
+    d32 = _package_form(identity.AUDIT_D32_ROWS)
+    assert len(set(d32)) == 5 and set(d32) <= set(cli.EXPECTED_VERDICTS)
+    assert identity.METRICS == measures.METRICS
+    assert identity.CHANNEL_FAMILIES == states.OPERATION_CLASSES

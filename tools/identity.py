@@ -14,9 +14,10 @@ with that tree's src/ first on PYTHONPATH and a temporary working
 directory. A row is one call; its digest is the SHA-256 of everything the
 call produced. The groups:
 
-  audit         every EXPECTED_VERDICTS row, that is every combination
-                an audit accepts (named like l1-C2avg-none-probe-d3-s0),
-                at d = 2, 3 and 5 (100 samples),
+  audit         AUDIT_ROWS, every combination an audit accepts, written
+                in CLI flag form in this tool and checked against
+                cli.EXPECTED_VERDICTS by tests/test_identity.py (named like
+                l1-C2avg-none-probe-d3-s0), at d = 2, 3 and 5 (100 samples),
                 and five rows at d = 32 (10 samples), at seeds 0, 11 and
                 2**33 + 1, through cli.main: exit code, stdout, stderr and
                 the report text
@@ -88,13 +89,25 @@ from bench_pairs import copy_worktree, export_commit, worktree_commit
 
 ROOT = Path(__file__).resolve().parent.parent
 AUDIT_SEEDS = (0, 11, 2**33 + 1)
+# The battery's inputs are written here, not read from the tree under test, so that both trees
+# run the same rows. Audit rows are in CLI flag form: (--measure, --condition, --class or None,
+# --probe-eigenbasis); AUDIT_ROWS is every combination an audit accepts, in the order of
+# cli.EXPECTED_VERDICTS: the class counts only in C2, which needs a class or the probe.
+AUDIT_ROWS = tuple(
+    (measure, condition, op_class, probe) for measure in ("l1", "re", "ibiqc")
+    for condition in ("C0", "C1", "C2avg", "C2sel", "C3") for probe in (False, True)
+    for op_class in ((None, "unital", "diagonal", "general") if condition.startswith("C2") else (None,))
+    if op_class or probe or not condition.startswith("C2")
+)
 AUDIT_D32_ROWS = (
     ("ibiqc", "C0", None, False),
     ("re", "C3", None, False),
-    ("ibiqc", "C2_selective", "unital_mixture", True),
-    ("l1", "C2_average", "diagonal_incoherent", False),
-    ("ibiqc", "C2_average", "general_tp", False),
+    ("ibiqc", "C2sel", "unital", True),
+    ("l1", "C2avg", "diagonal", False),
+    ("ibiqc", "C2avg", "general", False),
 )
+METRICS = ("relative_entropy", "trace", "frobenius")
+CHANNEL_FAMILIES = ("unital_mixture", "diagonal_incoherent", "general_tp")
 
 
 # ---------------------------------------------------------------- battery
@@ -116,7 +129,7 @@ def battery(tree: Path) -> list[dict]:
     import numpy as np
 
     import cohkit
-    from cohkit import channels, cli, errors, measures, states
+    from cohkit import cli, errors, measures, states
 
     if not Path(cohkit.__file__).resolve().is_relative_to(tree.resolve()):
         raise SystemExit(f"cohkit was imported from {cohkit.__file__}, not from {tree}")
@@ -147,17 +160,15 @@ def battery(tree: Path) -> list[dict]:
         payload = json.dumps([code, out.getvalue(), err.getvalue()]).encode() + b"\0" + b"\0".join(files)
         add(group, row, payload, err.getvalue(), raised)
 
-    flags = {v: k for k, v in cli.CONDITION_BY_FLAG.items()}
-    classes = {v: k for k, v in cli.CLASS_BY_FLAG.items()}
-    table = [(row, d, 100) for d in (2, 3, 5) for row in cli.EXPECTED_VERDICTS]
+    table = [(row, d, 100) for d in (2, 3, 5) for row in AUDIT_ROWS]
     table += [(row, 32, 10) for row in AUDIT_D32_ROWS]
     for (measure, condition, op_class, probe), d, samples in table:
         for seed in AUDIT_SEEDS:
-            argv = ["audit", "--measure", measure, "--condition", flags[condition], "--d", str(d),
+            argv = ["audit", "--measure", measure, "--condition", condition, "--d", str(d),
                     "--samples", str(samples), "--seed", str(seed), "--out", "report.json"]
-            argv += ["--class", classes[op_class]] if op_class else []
+            argv += ["--class", op_class] if op_class else []
             argv += ["--probe-eigenbasis"] if probe else []
-            name = f"{measure}-{flags[condition]}-{classes.get(op_class, 'none')}{'-probe' if probe else ''}"
+            name = f"{measure}-{condition}-{op_class or 'none'}{'-probe' if probe else ''}"
             run("audit", f"{name}-d{d}-s{seed}", argv, "report.json")
             run("replay", f"{name}-d{d}-s{seed}", ["replay", "--show", "report.json"])
 
@@ -228,12 +239,12 @@ def battery(tree: Path) -> list[dict]:
     for d, count in ((2, 40), (3, 40), (4, 10), (8, 5), (9, 5)):
         for n in range(count):
             rho = states.make_density(_state(rng, d))
-            for metric in measures.METRICS:
+            for metric in METRICS:
                 search(f"{metric}-d{d}-{n}", rho, metric)
     rho = states.make_density(_state(rng, 3))
     for budget in range(2, 41):
         search(f"trace-budget{budget}", rho, "trace", budget=budget)
-    for metric in measures.METRICS:
+    for metric in METRICS:
         search(f"{metric}-d1", states.maximally_mixed(1), metric)
         search(f"{metric}-seed409", states.random_density(4, seed=409), metric)
 
@@ -251,7 +262,7 @@ def battery(tree: Path) -> list[dict]:
              "glauber_truncated-d": lambda n: states.glauber_truncated(1.0, n),
              "random_density-d": lambda n: states.random_density(n, 0),
              "haar_unitary-d": lambda n: states.haar_unitary(n, 0)}
-    for kind in channels.OPERATION_CLASSES:
+    for kind in CHANNEL_FAMILIES:
         sized[f"random_channel-{kind}-d"] = lambda n, kind=kind: states.random_channel(kind, n)
         sized[f"random_channel-{kind}-k"] = lambda n, kind=kind: states.random_channel(kind, 2, k=n)
     for name, call in sized.items():

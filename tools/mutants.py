@@ -73,12 +73,14 @@ MUTANTS = (
     Mutant(CHANNELS, "reset = kernel(np.diag(np.eye(d, dtype=complex)[0]))",
            "reset = kernel(np.eye(d, dtype=complex) / d)", (T_CHANNELS,),
            "the reset leaves the maximally mixed state, not |0><0|"),
-    Mutant(CHANNELS, "p = np.diagonal(rho, axis1=-2, axis2=-1).real", "p = np.abs(rho[:, 0, :])", (T_CHANNELS,),
+    Mutant(CHANNELS, 'readout("reset", np.diagonal(rho, axis1=-2, axis2=-1).real',
+           'readout("reset", np.abs(rho[:, 0, :])', (T_CHANNELS,),
            "the reset's selective outcome probabilities read rho's first row, not its diagonal"),
-    Mutant(CHANNELS, "            dropped.append(d - kept.sum(axis=1))\n", "", (T_CHANNELS,),
-           "the reset's dropped outcomes are not counted"),
-    Mutant(CHANNELS, "dropped.append((~kept).sum(axis=1))", "dropped = [(~kept).sum(axis=1)]", (T_CHANNELS,),
-           "the probe's dropped count overwrites those of the class channel and the reset"),
+    # the one selective readout rule of the C2 candidates: kept outcomes and dropped counts
+    Mutant(CHANNELS, "dropped.append(outcomes - kept.sum(axis=1))", "dropped[:] = [outcomes - kept.sum(axis=1)]",
+           (T_CHANNELS,), "each candidate's dropped count overwrites those of the candidates before it"),
+    Mutant(CHANNELS, "dropped.append(outcomes - kept.sum(axis=1))", "dropped.append(outcomes)", (T_CHANNELS,),
+           "every outcome counts as dropped, kept or not"),
     Mutant(CHANNELS, "ops[:, 0, :] = np.eye(d)", "ops[:, :, 0] = np.eye(d)", (T_CHANNELS,),
            "replay builds the reset's operators as |n><0|, not |0><n|"),
     # the eigenbasis probe in closed form: its pure-state values, probabilities and unitarity gate
@@ -86,13 +88,13 @@ MUTANTS = (
            (T_CHANNELS,), "the pure-state l1 value keeps the diagonal's sum of |v_ij|^2"),
     Mutant(CHANNELS, "measures.entropy_bits(np.abs(v.swapaxes(-1, -2)) ** 2)", "measures.entropy_bits(np.abs(v) ** 2)",
            (T_CHANNELS,), "the pure-state re value takes the entropy over rows, not over each eigenvector"),
-    Mutant(CHANNELS, "p = (vecs.conj() * (rho @ vecs))", "p = (vecs * (rho @ vecs))", (T_CHANNELS,),
+    Mutant(CHANNELS, "p, values = (vecs.conj() * (rho @ vecs))", "p, values = (vecs * (rho @ vecs))", (T_CHANNELS,),
            "the probe's outcome probabilities read v^T rho v, not v^dagger rho v"),
     Mutant(CHANNELS, "        states.require_unitary(vecs)\n", "", (T_CHANNELS,),
            "the probe uses its eigenvectors without checking that they form a unitary"),
     Mutant(CHANNELS, "        states.require_unitary(v)\n", "", (T_CHANNELS,),
            "a probe witness writes eigenvectors that were never checked to form a unitary"),
-    Mutant(CHANNELS, "afters.append(before)", "afters.append(before + 1e-15)", (T_CHANNELS,),
+    Mutant(CHANNELS, "p, values = None, before", "p, values = None, before + 1e-15", (T_CHANNELS,),
            "the averaged probe, the identity channel, reads round-off in place of exactly C(rho)"),
     Mutant(CHANNELS, 'rho = states.make_density(m["state"])', 'rho = states.DensityMatrix(m["state"])',
            (T_CHANNELS, T_CLI), "replay takes a witness state that is no density matrix"),
@@ -101,6 +103,11 @@ MUTANTS = (
     Mutant(CLI, 'except CohkitError as exc:\n            raise type(exc)(f"{path}: {exc}")',
            'except ParseError as exc:\n            raise ParseError(f"{path}: {exc}")', (T_CLI,),
            "replay names the report's file only on a ParseError, not on an invalid witness state"),
+    # exact ties: a violation equal to tol is within it; a C1 tie takes the incoherent side
+    Mutant(CHANNELS, '"samples_above_tol": violation > tol', '"samples_above_tol": violation >= tol', (T_CHANNELS,),
+           "samples_above_tol counts a violation exactly equal to tol"),
+    Mutant(CHANNELS, "on_incoherent = zero_side >= positive_side", "on_incoherent = zero_side > positive_side",
+           (T_CHANNELS,), "a C1 tie between the two sides takes the random state's side"),
     # format-3 matrix entries: _witness_matrices must reject each malformed entry with ParseError
     Mutant(CHANNELS, ' or entry["dtype"] != "<c16":', ":", (T_CHANNELS,),
            "the reader decodes an entry of any dtype as complex128"),
@@ -241,12 +248,12 @@ MUTANTS = (
            "normals = [rngs[0].standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]", (T_STATES,),
            "general_tp draws every channel of a block on the first sample's generator"),
     # distance search
-    Mutant(MEASURES, "if not np.array_equal(x, x0):", "if True:", (T_MEASURES,),
+    Mutant(MEASURES, "if not np.array_equal(runs[0][0], x0):", "if True:", (T_MEASURES,),
            "the search restarts even when the restart would replay its first run"),
-    Mutant(MEASURES, "if not np.array_equal(x, x0):", "if False:", (T_MEASURES,),
+    Mutant(MEASURES, "if not np.array_equal(runs[0][0], x0):", "if False:", (T_MEASURES,),
            "the search never restarts from its best point"),
-    Mutant(MEASURES, "converged = converged or restart_converged", "converged = restart_converged",
-           (T_MEASURES,), "only the restart's convergence counts, so a failed restart discards a converged first run"),
+    Mutant(MEASURES, "if not any(converged for _, _, converged in runs):", "if not runs[-1][2]:",
+           (T_MEASURES,), "only the last run's convergence counts, so a failed restart discards a converged first run"),
     # Nelder-Mead: scipy's steps, bit for bit
     Mutant(MEASURES, "rho, chi, psi, sigma = 1, 2, 0.5, 0.5", "rho, chi, psi, sigma = 1, 3, 0.5, 0.5", (T_MEASURES,),
            "Nelder-Mead expands three times the reflection step, not twice"),
@@ -275,8 +282,8 @@ MUTANTS = (
     # rules written once
     Mutant(MEASURES, "return 0.0 - (p * np.log2", "return -(p * np.log2", (T_CLI,),
            "a zero entropy comes out as -0.0"),
-    Mutant(CHANNELS, "dropped.append(parts - kept.sum(axis=1))",
-           "dropped.append(_MAX_PARTS - kept.sum(axis=1))", (T_CHANNELS,),
+    Mutant(CHANNELS, 'readout("class_channel", p, values, parts)', 'readout("class_channel", p, values, _MAX_PARTS)',
+           (T_CHANNELS,),
            "C2_selective counts the zero-padded Kraus operators as dropped outcomes"),
     # expected verdicts: one rule
     Mutant(CLI, '"ibiqc": "unital_mixture"}', '"ibiqc": "general_tp"}', (T_CHANNELS,),
