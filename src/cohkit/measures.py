@@ -121,46 +121,48 @@ def _relative_entropy_bits(neg_s_rho: float, weights: np.ndarray, eigenvalues: n
     """-S(rho) - sum_j w_j log2 l_j, clamped at zero, for rho's weights w_j on sigma's eigenvalues l_j;
     inf when an eigenvalue below SUPPORT_EIGENVALUE_TOL carries weight above SUPPORT_WEIGHT_TOL."""
     small = eigenvalues < SUPPORT_EIGENVALUE_TOL
-    if small.any():
-        if np.any(weights[small] > SUPPORT_WEIGHT_TOL):
+    if np.logical_or.reduce(small):
+        if np.logical_or.reduce(weights[small] > SUPPORT_WEIGHT_TOL):
             return math.inf
         weights, eigenvalues = weights[~small], eigenvalues[~small]
-    return max(0.0, neg_s_rho - float((weights * np.log2(eigenvalues)).sum()))
+    return max(0.0, neg_s_rho - float(np.add.reduce(weights * np.log2(eigenvalues))))
 
 
 def _softmax(x: list) -> np.ndarray:
-    """exp(x - max x) / its sum for a list of floats; bitwise numpy's np.exp(x - x.max()) over e.sum()."""
+    """exp(x - max x) / its sum for a list of floats; bitwise numpy's np.exp(x - x.max()) over np.add.reduce(e)."""
     top = max(x)  # NaN or not, the result is as numpy's: all NaN when x holds one
     e = np.exp([v - top for v in x])
-    return e / e.sum()  # numpy's sum: pairwise from 8 entries on
+    return e / np.add.reduce(e)  # numpy's sum: pairwise from 8 entries on
 
 
 def _diagonal_distance_fn(rho: DensityMatrix, metric: str):
-    """Callable probs -> distance(rho, diag(probs)) for one metric of METRICS; relative_entropy's is D(rho||diag)."""
+    """Callable probs -> distance(rho, diag(probs)) for one metric of METRICS; relative_entropy's is D(rho||diag).
+    trace and frobenius write rho - diag(probs) into one buffer through a view of its diagonal and call numpy's
+    ufuncs and reductions directly, with the bits of linalg.trace_distance and np.linalg.norm."""
     require_choice("metric", metric, METRICS)
     m = rho.matrix
     if metric == "relative_entropy":
         # diag(probs)'s eigenbasis is the computational one, so rho's weights on it are rho's
         # diagonal, and S(rho) is computed once per search
         return functools.partial(_relative_entropy_bits, -von_neumann_entropy(rho), rho.diagonal_probs())
-    elif metric == "trace":
-        # rho is gated and made exactly Hermitian once; each call subtracts
-        # diag(probs) in place, which is bitwise linalg.trace_distance(m, diag(probs)).
-        shifted = linalg.hermitian_part(linalg.require_hermitian(m))
-        diag = shifted.diagonal().copy()
+    # rho - diag(probs) differs from the buffer on the diagonal only; for trace, rho is gated
+    # and made exactly Hermitian once, as linalg.trace_distance does on every call
+    shifted = linalg.hermitian_part(linalg.require_hermitian(m)) if metric == "trace" else m.copy()
+    diag = shifted.diagonal().copy()
+    view = shifted.reshape(-1)[::rho.dim + 1]
+    assert np.shares_memory(view, shifted), "reshape copied the buffer"  # it does for a non-contiguous array
+    if metric == "trace":
 
         def fn(probs: np.ndarray) -> float:
-            np.fill_diagonal(shifted, diag - probs)
-            return 0.5 * float(np.abs(np.linalg.eigvalsh(shifted)).sum())
+            np.subtract(diag, probs, out=view)
+            return 0.5 * float(np.add.reduce(np.abs(np.linalg.eigvalsh(shifted))))
 
     else:  # frobenius
-        # m - diag(probs) differs from m on the diagonal only, so one buffer gives its bits
-        shifted = m.copy()
-        diag = m.diagonal().copy()
+        re, im = shifted.reshape(-1).real, shifted.reshape(-1).imag  # np.linalg.norm's operands
 
         def fn(probs: np.ndarray) -> float:
-            np.fill_diagonal(shifted, diag - probs)
-            return float(np.linalg.norm(shifted))
+            np.subtract(diag, probs, out=view)
+            return math.sqrt(re.dot(re) + im.dot(im))
 
     return fn
 
@@ -178,7 +180,7 @@ def _nelder_mead(fn, x0, maxfev: int, xatol: float, fatol: float) -> tuple[np.nd
     coordinates this is faster than numpy's per-call overhead. fn receives
     each point as such a list, which the loop never writes in place, so no
     copy is made; fn must not write it either. Where Python and numpy part,
-    numpy stays: np.argsort orders the values (it is not stable, so
+    numpy stays: an array's argsort orders the values (it is not stable, so
     sorted() would break scipy's tie order), and the value is np.min,
     which propagates NaN. The centroid adds the rows in order from +0.0, as
     np.add.reduce does (sum() compensates from Python 3.12 on), and the
@@ -198,7 +200,7 @@ def _nelder_mead(fn, x0, maxfev: int, xatol: float, fatol: float) -> tuple[np.nd
         return fn(x)
 
     def ordered(sim: list, fsim: list) -> tuple[list, list]:
-        ind = np.argsort(fsim).tolist()
+        ind = np.array(fsim).argsort().tolist()
         return [sim[i] for i in ind], [fsim[i] for i in ind]
 
     x0 = [float(v) for v in x0]

@@ -72,6 +72,13 @@ def test_worktree_commit_names_head_and_whether_the_copy_differs(tmp_path):
     assert bench_pairs.worktree_commit(root) == (head, True)
 
 
+def test_head_description_says_when_the_tree_is_uncommitted(tmp_path):
+    root = tmp_path / "repo"
+    head = _committed_repo(root)
+    assert bench_pairs.head_description(root, False) == "one"
+    assert bench_pairs.head_description(root, True) == f"uncommitted tree on {head[:7]}: one"
+
+
 @pytest.mark.parametrize("bad", [["--pairs", "1"], ["--pairs", "0"], ["--claim", "distance-search:setup"],
                                  ["--claim", "distance:setup_s"], ["--claim", "audit-table"]])
 def test_arguments_that_cannot_yield_a_claim_are_rejected_before_any_run(tmp_path, bad):

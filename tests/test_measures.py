@@ -233,14 +233,30 @@ def test_min_distance_trace_matches_grid():
 
 
 def test_trace_objective_equals_trace_distance_bitwise():
-    # the objective reuses one shifted copy of rho across calls
+    # the objective reuses one shifted copy of rho across calls, never rho's own matrix;
+    # from d = 8 on, numpy sums the absolute eigenvalues pairwise
     rng = np.random.default_rng(41)
-    for d in (2, 3, 4, 5):
+    for d in (2, 3, 4, 5, 8, 9):
         rho = random_density(d, seed=int(rng.integers(0, 2**31)))
+        before = rho.matrix.tobytes()
         fn = _diagonal_distance_fn(rho, "trace")
         for _ in range(5):
             probs = rng.dirichlet(np.ones(d))
             assert fn(probs) == trace_distance(rho.matrix, np.diag(probs))
+        assert rho.matrix.tobytes() == before
+
+
+def test_frobenius_objective_equals_norm_bitwise():
+    # the search's reference builds on _diagonal_distance_fn itself, so only this pins the objective's bits
+    rng = np.random.default_rng(47)
+    for d in (2, 3, 4, 5, 8, 9):
+        rho = random_density(d, seed=int(rng.integers(0, 2**31)))
+        before = rho.matrix.tobytes()
+        fn = _diagonal_distance_fn(rho, "frobenius")
+        for _ in range(5):
+            probs = rng.dirichlet(np.ones(d))
+            assert fn(probs) == float(np.linalg.norm(rho.matrix - np.diag(probs)))
+        assert rho.matrix.tobytes() == before
 
 
 def test_min_distance_trace_lies_between_its_bounds_above_qubits():

@@ -17,7 +17,9 @@ JSON line, and per workload and end-to-end metric the medians, quartiles
 (statistics.quantiles, method='inclusive'), the ratio of the medians and in
 how many pairs the change was better. It names the parent's commit
 (parent_commit), HEAD's commit (change_commit) and whether the copied
-working tree differs from HEAD (change_dirty). --pairs must be at least 2,
+working tree differs from HEAD (change_dirty). Without --change, the change is
+described by HEAD's subject, as "uncommitted tree on <short sha>: <subject>"
+when change_dirty is true. --pairs must be at least 2,
 since quartiles need two pairs, and --claim must name a workload and an
 end-to-end metric of BENCHMARK.json.
 """
@@ -55,6 +57,12 @@ def export_commit(root: Path, rev: str, dest: Path) -> str:
 def worktree_commit(root: Path) -> tuple[str, bool]:
     """HEAD's commit id, and whether the working tree that copy_worktree copies differs from it."""
     return _git(root, "rev-parse", "HEAD"), bool(_git(root, "status", "--porcelain"))
+
+
+def head_description(root: Path, dirty: bool) -> str:
+    """HEAD's subject, or "uncommitted tree on <short sha>: <subject>" when the working tree differs from HEAD."""
+    subject = _git(root, "log", "-1", "--format=%s")
+    return f"uncommitted tree on {_git(root, 'rev-parse', '--short', 'HEAD')}: {subject}" if dirty else subject
 
 
 def copy_worktree(root: Path, dest: Path) -> None:
@@ -119,7 +127,8 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, required=True, help="workload seed of pair 0")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims a gain on")
-    parser.add_argument("--change", default=None, help="what the change does (default: HEAD's subject)")
+    parser.add_argument("--change", default=None,
+                        help="what the change does (default: HEAD's subject, marked if uncommitted)")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -163,7 +172,7 @@ def main(argv=None) -> int:
         "parent_commit": parent_sha,
         "change_commit": change_sha,
         "change_dirty": change_dirty,
-        "change": args.change or _git(ROOT, "log", "-1", "--format=%s"),
+        "change": args.change or head_description(ROOT, change_dirty),
         "claim": claim,
         "summary": summarize(runs, bench["end_to_end"]),
         "runs": runs,

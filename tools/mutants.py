@@ -266,15 +266,20 @@ MUTANTS = (
     # Nelder-Mead on Python floats: where numpy's bits differ from the plain float loop
     Mutant(MEASURES, "functools.reduce(operator.add, col, 0.0)", "functools.reduce(operator.add, col)", (T_MEASURES,),
            "the centroid starts from the best vertex, so it keeps a -0.0 that np.add.reduce makes +0.0"),
-    Mutant(MEASURES, "ind = np.argsort(fsim).tolist()", "ind = sorted(range(len(fsim)), key=fsim.__getitem__)",
+    Mutant(MEASURES, "ind = np.array(fsim).argsort().tolist()", "ind = sorted(range(len(fsim)), key=fsim.__getitem__)",
            (T_MEASURES,), "the simplex is ordered by a stable sort, which breaks ties unlike numpy's argsort"),
     Mutant(MEASURES, "all(abs(fsim[0] - g) <= fatol for g in fsim[1:])",
            "max(abs(fsim[0] - g) for g in fsim[1:]) <= fatol", (T_MEASURES,),
            "the stop test takes Python's max of the value spread, which skips a NaN that numpy's max returns"),
-    Mutant(MEASURES, "return e / e.sum()", "return e / sum(e.tolist())", (T_MEASURES,),
+    Mutant(MEASURES, "return e / np.add.reduce(e)", "return e / sum(e.tolist())", (T_MEASURES,),
            "the softmax sums left to right, not pairwise as numpy does from 8 entries on"),
+    # the trace and Frobenius objectives: rho - diag(probs) written through a view of the buffer's diagonal
+    Mutant(MEASURES, "view = shifted.reshape(-1)[::rho.dim + 1]", "view = shifted.reshape(-1)[::rho.dim]",
+           (T_MEASURES,), "the diagonal view steps d entries, so probs is subtracted down a wrapped band"),
+    Mutant(MEASURES, "return math.sqrt(re.dot(re) + im.dot(im))", "return math.sqrt(re.dot(re))", (T_MEASURES,),
+           "the Frobenius objective drops the imaginary parts of rho's off-diagonal entries"),
     # relative entropy: one support rule for relative_entropy and the search objective
-    Mutant(MEASURES, "if small.any():", "if False:", (T_MEASURES,),
+    Mutant(MEASURES, "if np.logical_or.reduce(small):", "if False:", (T_MEASURES,),
            "the relative entropy never masks an eigenvalue below the support tolerance, nor returns inf"),
     Mutant(MEASURES, "        weights, eigenvalues = weights[~small], eigenvalues[~small]\n", "", (T_MEASURES,),
            "the relative entropy keeps the log of an eigenvalue below the support tolerance where rho has "
