@@ -84,7 +84,8 @@ _DECADE_EDGES = np.concatenate(([0.0], 10.0 ** np.arange(-15, 1)))
 _WITNESS_NDIM = {"state": 2, "unitary": 2, "eigenvectors": 2, "kraus_operators": 3, "states": 3}
 
 # Random class channels draw 1 to 4 Kraus operators and C3 mixes 2 to 4
-# states; an audit block pads both to this many, with zero weight.
+# states: this bounds the draws and the size of a block (_BLOCK_BYTES). A
+# block pads its sets only to the largest one it drew, with zero weight.
 _MAX_PARTS = 4
 
 # Size in bytes of the largest stacked array of one audit block: a block
@@ -231,7 +232,7 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     incoherent state (C1, not for ibiqc, whose incoherent set is I/d alone), the Kraus
     count and class channel (C2), or the mixture size, weights and members (C3). Each draw
     is made for the whole block in turn and built as one stacked array; Kraus sets and
-    mixtures are zero-padded to _MAX_PARTS, with weight zero.
+    mixtures are zero-padded, with weight zero, to the block's largest set.
     """
     kernel = _MEASURE_KERNELS[measure]
     rngs = states.sample_generators(seed, indices)
@@ -247,7 +248,7 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         if measure == "ibiqc":
             incoherent = np.broadcast_to(states.maximally_mixed(d).matrix, rho.shape)
         else:
-            probs = states.require_probabilities(states.dirichlet_stack(rngs, np.full(len(rngs), d), d))
+            probs = states.require_probabilities(states.dirichlet_stack(rngs, np.full(len(rngs), d)))
             incoherent = np.eye(d, dtype=complex) * probs[:, None, :]
         random_value = kernel(rho)
         zero_side = kernel(incoherent)
@@ -261,9 +262,9 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         return np.where(on_incoherent, zero_side, positive_side), {}, witness
     if condition == "C3":
         parts = np.array([rng.integers(2, _MAX_PARTS + 1) for rng in rngs])
-        weights = states.dirichlet_stack(rngs, parts, _MAX_PARTS)
+        weights = states.dirichlet_stack(rngs, parts)
         normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, parts)])
-        members = states.pad_parts(parts, _MAX_PARTS, states.density_stack(normals))
+        members = states.pad_parts(parts, states.density_stack(normals))
         mixture = kernel(np.einsum("nm,nmij->nij", weights, members))
         average = (weights * kernel(members)).sum(axis=1)
 
@@ -291,7 +292,7 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
 
     if op_class is not None:
         parts = np.array([rng.integers(1, _MAX_PARTS + 1) for rng in rngs])
-        kraus = states.kraus_stack(op_class, d, parts, rngs, _MAX_PARTS)
+        kraus = states.kraus_stack(op_class, d, parts, rngs)
         _require_trace_preserving(kraus)
         if average:
             p, values = None, kernel(_average_output(kraus, rho))
@@ -384,10 +385,10 @@ def audit_conditions(
     default_rng([seed, i]); samples is at most 2**32, and d at most MAX_AUDIT_DIM.
     Samples are drawn and evaluated in blocks: the states, unitaries, Kraus
     sets and mixtures of a block are built as stacked arrays (Kraus sets
-    and mixtures zero-padded to four members of weight zero), and each
-    measure is one stacked eigenvalue solve. The block size follows from d
-    so that one block's arrays take a few MB whatever the number of
-    samples; the report does not depend on it.
+    and mixtures zero-padded, with weight zero, to the block's largest set
+    of at most four), and each measure is one stacked eigenvalue solve. The
+    block size follows from d so that one block's arrays take a few MB
+    whatever the number of samples; the report does not depend on it.
 
     The witness is the first sample that reaches the maximum violation. On a
     row that holds, that maximum is round-off (about 1e-15), so its sample_index

@@ -122,7 +122,8 @@ def _parse_state_document(doc, context: str) -> tuple[states.DensityMatrix, str 
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != dim:
         raise ParseError(f"{context}: \"entries\" must be a list of {dim} rows")
-    m = np.zeros((dim, dim), dtype=complex)
+    # the matrix is allocated only after every row has its dim cells, so it never outgrows the file
+    cells = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{context}: entries[{i}] must be a list of {dim} cells")
@@ -131,18 +132,19 @@ def _parse_state_document(doc, context: str) -> tuple[states.DensityMatrix, str 
                 raise ParseError(
                     f"{context}: entries[{i}][{j}] must be a finite [re, im] pair, got {cell!r}"
                 )
-            m[i, j] = complex(cell[0], cell[1])
+            cells.append(complex(cell[0], cell[1]))
+    m = np.array(cells, dtype=complex).reshape(dim, dim)
     return states.make_density(m), label
 
 
 def _load_json(path, what: str):
-    """Read one JSON document; open and decode failures raise ParseError."""
+    """Read one JSON document; open, UTF-8 and JSON decode failures raise ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

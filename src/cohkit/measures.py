@@ -171,9 +171,9 @@ class _BudgetSpent(Exception):
     """A _nelder_mead run asked for an evaluation past its budget."""
 
 
-def _nelder_mead(fn, x0, maxfev: int, xatol: float, fatol: float) -> tuple[np.ndarray, float, bool]:
-    """scipy.optimize.minimize(fn, x0, method="Nelder-Mead", options={"maxfev": maxfev,
-    "xatol": xatol, "fatol": fatol}) step for step, so (x, fun, success) bit for bit.
+def _nelder_mead(fn, x0, maxfev: int) -> tuple[np.ndarray, float, bool]:
+    """scipy.optimize.minimize(fn, x0, method="Nelder-Mead", options={"maxfev": maxfev, "xatol": 1e-6,
+    "fatol": 1e-13}) step for step, so (x, fun, success) bit for bit; both tolerances are fixed.
 
     The simplex is a list of points, each a list of Python floats on which
     every step does scipy's IEEE operations in scipy's order; for a few
@@ -217,8 +217,8 @@ def _nelder_mead(fn, x0, maxfev: int, xatol: float, fatol: float) -> tuple[np.nd
     while calls < maxfev:
         try:
             best = sim[0]
-            if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
-                    and all(abs(fsim[0] - g) <= fatol for g in fsim[1:])):
+            if (all(abs(v - b) <= 1e-6 for x in sim[1:] for v, b in zip(x, best))
+                    and all(abs(fsim[0] - g) <= 1e-13 for g in fsim[1:])):
                 break
             xbar = [functools.reduce(operator.add, col, 0.0) / n for col in zip(*sim[:-1])]
             worst = sim[-1]
@@ -286,10 +286,10 @@ def min_distance_coherence(
     diag_start = diag_start / diag_start.sum()
     x0 = np.log(diag_start[1:] / diag_start[0])
     # each run is (x, value, converged)
-    runs = [_nelder_mead(objective, x0, budget // 2, 1e-6, 1e-13)]
+    runs = [_nelder_mead(objective, x0, budget // 2)]
     # Nelder-Mead is deterministic: a restart from x0 would replay the first run
     if not np.array_equal(runs[0][0], x0):
-        runs.append(_nelder_mead(objective, runs[0][0], budget // 2, 1e-6, 1e-13))
+        runs.append(_nelder_mead(objective, runs[0][0], budget // 2))
     if not any(converged for _, _, converged in runs):
         raise OptimizerFailure(
             f"direct search did not converge within {budget} evaluations for metric {metric!r}"

@@ -376,22 +376,22 @@ def sample_generators(seed: int, indices: range) -> list:
     return [generator(pcg64(seed_words_type(w))) for w in words]
 
 
-def dirichlet_stack(rngs, ks, width: int) -> np.ndarray:
-    """(n, width) Dirichlet(1, ..., 1) weights: row j holds ks[j] weights
+def dirichlet_stack(rngs, ks) -> np.ndarray:
+    """(n, max(ks)) Dirichlet(1, ..., 1) weights: row j holds ks[j] weights
     drawn from rngs[j], then zeros.
 
     Bitwise Generator.dirichlet(np.ones(k)): for alpha = 1 it draws k
     standard exponentials, sums them left to right and scales each by
     1 / sum.
     """
-    draws = pad_parts(ks, width, np.concatenate([rng.standard_exponential(k) for rng, k in zip(rngs, ks)]))
+    draws = pad_parts(ks, np.concatenate([rng.standard_exponential(k) for rng, k in zip(rngs, ks)]))
     return draws * (1.0 / draws.cumsum(axis=1)[:, -1])[:, None]
 
 
-def pad_parts(counts, width: int, parts: np.ndarray) -> np.ndarray:
-    """Sets of counts[j] <= width parts, given one after another, as one
-    (n, width, ...) array, zero beyond each set's parts."""
-    used = np.arange(width) < np.asarray(counts)[:, None]
+def pad_parts(counts, parts: np.ndarray) -> np.ndarray:
+    """Sets of counts[j] parts, given one after another, as one
+    (n, max(counts), ...) array, zero beyond each set's parts."""
+    used = np.arange(max(counts)) < np.asarray(counts)[:, None]
     out = np.zeros(used.shape + parts.shape[1:], dtype=parts.dtype)
     out[used] = parts
     return out
@@ -417,8 +417,8 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     return isometry_stack(_generator(seed).standard_normal((2, d, d)))
 
 
-def kraus_stack(kind: str, d: int, ks, rngs, width: int) -> np.ndarray:
-    """(n, width, d, d) Kraus operators of n random channels: set j holds
+def kraus_stack(kind: str, d: int, ks, rngs) -> np.ndarray:
+    """(n, max(ks), d, d) Kraus operators of n random channels: set j holds
     ks[j] operators (ks an int array) drawn from rngs[j], then zeros.
 
     Channel j draws on rngs[j], in order: Dirichlet weights, then normals
@@ -427,23 +427,23 @@ def kraus_stack(kind: str, d: int, ks, rngs, width: int) -> np.ndarray:
     """
     require_choice("channel family", kind, OPERATION_CLASSES)
     if kind == "unital_mixture":
-        probs = dirichlet_stack(rngs, ks, width)
+        probs = dirichlet_stack(rngs, ks)
         normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])
-        return np.sqrt(probs)[..., None, None] * pad_parts(ks, width, isometry_stack(normals))
+        return np.sqrt(probs)[..., None, None] * pad_parts(ks, isometry_stack(normals))
     if kind == "diagonal_incoherent":
         # A permutation per operator keeps at most one nonzero per column
         # and per row; per-column normalization then gives exact trace
         # preservation (independent row draws would leave cross terms).
-        rows = pad_parts(ks, width, np.array([rng.permutation(d) for rng, k in zip(rngs, ks) for _ in range(k)]))
+        rows = pad_parts(ks, np.array([rng.permutation(d) for rng, k in zip(rngs, ks) for _ in range(k)]))
         normals = np.concatenate([rng.standard_normal((2, k, d)) for rng, k in zip(rngs, ks)], axis=1)
-        amp = pad_parts(ks, width, _ginibre(normals))
+        amp = pad_parts(ks, _ginibre(normals))
         amp = amp / np.linalg.norm(amp, axis=1)[:, None]
         ops = np.zeros(amp.shape + (d,), dtype=complex)
         np.put_along_axis(ops, rows[..., None, :], amp[..., None, :], axis=-2)
         return ops
     normals = [rng.standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]
     # general_tp: the isometry from d to k*d has shape (k*d, d), so sets group by k.
-    ops = np.zeros((len(ks), width, d, d), dtype=complex)
+    ops = np.zeros((len(ks), max(ks), d, d), dtype=complex)
     for k in set(ks.tolist()):
         sel = np.flatnonzero(ks == k)
         ops[sel, :k] = isometry_stack(np.stack([normals[j] for j in sel])).reshape(len(sel), k, d, d)
@@ -468,5 +468,5 @@ def random_channel(kind: str, d: int, k: int = 2, seed=0):
     """
     d = require_count("d", d, 1, MAX_AUDIT_DIM, InvalidDimensionError)
     k = require_count("k", k, 1, MAX_AUDIT_DIM, InvalidDimensionError)
-    ops = kraus_stack(kind, d, np.array([k]), [_generator(seed)], k)[0]
+    ops = kraus_stack(kind, d, np.array([k]), [_generator(seed)])[0]
     return KrausSet(ops)

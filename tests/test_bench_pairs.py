@@ -88,3 +88,43 @@ def test_arguments_that_cannot_yield_a_claim_are_rejected_before_any_run(tmp_pat
         bench_pairs.main(argv)
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def _run(workload, side, result):
+    return {"workload": workload, "side": side, "result": result}
+
+
+def test_operation_counts_sum_attempted_and_failed_per_workload_and_side():
+    runs = [_run("w", "parent", {"correct": True, "attempted": 10, "failed": 0}),
+            _run("w", "change", {"correct": False, "attempted": 12, "failed": 3}),
+            _run("w", "change", {"correct": True, "attempted": 5, "failed": 0}),
+            _run("w", "parent", None),
+            _run("v", "change", None)]
+    assert bench_pairs.operation_counts(runs) == {
+        "w": {"parent": {"attempted": 10, "failed": 0}, "change": {"attempted": 17, "failed": 3}},
+        "v": {"change": {"attempted": 0, "failed": 0}}}
+
+
+@pytest.mark.parametrize("failing", [None, ("distance-search", 1, "change")])
+def test_a_run_with_failed_operations_exits_1(tmp_path, monkeypatch, failing):
+    # every run is faked; the one named by failing reports two failed operations of 7
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+    def run_once(checkout, command, workload, seed, seconds):
+        bad = (workload, seed, checkout.name) == failing
+        result = {"correct": not bad, "attempted": 7, "failed": 2 if bad else 0,
+                  "metrics": {m["name"]: {"value": 1.0 + seed} for m in metrics}}
+        return {"environment": None, "returncode": 0, "result": result}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda root, rev, dest: "p" * 40)
+    monkeypatch.setattr(bench_pairs, "worktree_commit", lambda root: ("c" * 40, False))
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda root, dest: None)
+    out = tmp_path / "BENCH.json"
+    code = bench_pairs.main(["--parent", "HEAD", "--pairs", "2", "--first-seed", "0", "--out", str(out),
+                             "--change", "test"])
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert code == (1 if failing else 0)
+    assert doc["operations"]["distance-search"]["change"] == {"attempted": 14, "failed": 2 if failing else 0}
+    assert doc["operations"]["audit-table"]["parent"] == {"attempted": 14, "failed": 0}
+    assert doc["summary"]["distance-search"]["ops_per_s"]["pairs"] == 2

@@ -1006,8 +1006,8 @@ def test_selective_dropped_outcomes_sum_over_class_channel_reset_and_probe(monke
     # eigenvector of eigenvalue 0: one each.
     kraus_stack, density_stack, parts = states.kraus_stack, states.density_stack, []
 
-    def identity_and_zeros(kind, d, ks, rngs, width):
-        ops = np.zeros_like(kraus_stack(kind, d, ks, rngs, width))
+    def identity_and_zeros(kind, d, ks, rngs):
+        ops = np.zeros_like(kraus_stack(kind, d, ks, rngs))
         ops[:, 0] = np.eye(d)
         parts.extend(ks)
         return ops

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -720,6 +721,37 @@ def test_bad_numbers_in_json_input_exit_3(tmp_path, capsys, command, text, names
 )
 def test_malformed_json_input_exit_3(tmp_path, capsys, command, text, names):
     _assert_parse_error_exit_3(tmp_path, capsys, command, text, names)
+
+
+@pytest.mark.parametrize("command", ["measure", "interference", "replay"])
+def test_input_file_that_is_not_utf8_exit_3(tmp_path, capsys, command):
+    # one byte that is not UTF-8, in a label: json never sees the document
+    path = tmp_path / "in.json"
+    path.write_bytes(b'{"dim": 1, "entries": [[[1, 0]]], "label": "\xff"}')
+    argv = {"measure": ["measure", str(path)], "replay": ["replay", str(path)],
+            "interference": ["demo", "interference", "--config", str(path), "--out", str(tmp_path / "out.csv")]}
+    assert main(argv[command]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_state_file_with_a_huge_dim_fails_on_its_first_row_without_allocating(tmp_path, capsys):
+    # 10**6 empty rows take 3 MB of file; a (10**6, 10**6) complex matrix would take 14.6 TiB
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 1000000, "entries": [%s]}' % ", ".join(["[]"] * 10**6), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert main(["measure", str(path)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parsed document itself, about 64 bytes per row; numpy reports its arrays to tracemalloc
+    assert peak < 2**28
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: entries[0] must be a list of 1000000 cells\n"
 
 
 @pytest.mark.parametrize(

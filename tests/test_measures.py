@@ -462,7 +462,7 @@ def test_property_nelder_mead_equals_scipy_bitwise(case):
         calls.append(None)
         return fn(x)
 
-    x, value, converged = measures._nelder_mead(counted, np.array(x0), maxfev, 1e-6, 1e-13)
+    x, value, converged = measures._nelder_mead(counted, np.array(x0), maxfev)
     ref = optimize.minimize(fn, np.array(x0), method="Nelder-Mead",
                             options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-13})
     assert (x.tobytes(), float(value).hex(), converged, len(calls)) == (

@@ -18,6 +18,7 @@ from cohkit.errors import (
 from cohkit.linalg import gram_defect, hermitian_eig
 from cohkit.states import (
     MAX_AUDIT_DIM,
+    OPERATION_CLASSES,
     DensityMatrix,
     DiagonalState,
     PureState,
@@ -367,7 +368,7 @@ def test_random_channel_unknown_kind():
         random_channel("dephasing", d=2, k=1, seed=0)
     rng = np.random.default_rng(4)
     with pytest.raises(InvalidArgumentsError):
-        kraus_stack("dephasing", 2, np.array([1]), [rng], 1)
+        kraus_stack("dephasing", 2, np.array([1]), [rng])
     # nothing was drawn before the error
     assert rng.standard_normal() == np.random.default_rng(4).standard_normal()
 
@@ -451,7 +452,7 @@ def test_kraus_stack_draws_each_set_on_its_own_generator(d):
     # groups by k across non-adjacent sets
     ks = np.random.default_rng(d).permutation(np.repeat(np.arange(1, 5), 5))
     for kind in ("unital_mixture", "diagonal_incoherent", "general_tp"):
-        ops = kraus_stack(kind, d, ks, [np.random.default_rng(seed) for seed in range(20)], 4)
+        ops = kraus_stack(kind, d, ks, [np.random.default_rng(seed) for seed in range(20)])
         assert ops.shape == (20, 4, d, d)
         for seed, k in enumerate(ks):
             assert np.array_equal(ops[seed, :k], random_channel(kind, d, int(k), seed).operators), (kind, seed)
@@ -481,15 +482,26 @@ def test_sample_generators_equal_default_rng(seed):
 def test_dirichlet_stack_equals_generator_dirichlet():
     for k in range(1, 9):
         rngs = sample_generators(k, range(20))
-        weights = dirichlet_stack(rngs, np.full(20, k), k)
+        weights = dirichlet_stack(rngs, np.full(20, k))
         for i, rng in enumerate(rngs):
             ref = np.random.default_rng([k, i])
             assert np.array_equal(weights[i], ref.dirichlet(np.ones(k))), (k, i)
             # the same number of draws was taken
             assert rng.random() == ref.random(), (k, i)
     ks = np.random.default_rng(4).integers(1, 5, size=30)
-    weights = dirichlet_stack(sample_generators(4, range(30)), ks, 4)
+    weights = dirichlet_stack(sample_generators(4, range(30)), ks)
     assert weights.shape == (30, 4)
     for i, k in enumerate(ks):
         assert np.array_equal(weights[i, :k], np.random.default_rng([4, i]).dirichlet(np.ones(k))), i
+        assert not weights[i, k:].any(), i
+
+
+def test_stacks_pad_to_their_own_largest_set():
+    for d in (2, 3):
+        for kind in OPERATION_CLASSES:
+            assert kraus_stack(kind, d, np.array([2]), [np.random.default_rng(d)]).shape == (1, 2, d, d), (kind, d)
+    weights = dirichlet_stack(sample_generators(6, range(2)), [1, 3])
+    assert weights.shape == (2, 3)
+    for i, k in enumerate([1, 3]):
+        assert np.array_equal(weights[i, :k], np.random.default_rng([6, i]).dirichlet(np.ones(k))), i
         assert not weights[i, k:].any(), i

@@ -15,13 +15,15 @@ BENCHMARK.json's command with --workload W --seed <first-seed + p>
 even pairs and second in odd ones. The file holds every run's environment line and final
 JSON line, and per workload and end-to-end metric the medians, quartiles
 (statistics.quantiles, method='inclusive'), the ratio of the medians and in
-how many pairs the change was better. It names the parent's commit
+how many pairs the change was better; per workload and side, the attempted
+and failed operations summed over the runs (operations). It names the parent's commit
 (parent_commit), HEAD's commit (change_commit) and whether the copied
 working tree differs from HEAD (change_dirty). Without --change, the change is
 described by HEAD's subject, as "uncommitted tree on <short sha>: <subject>"
 when change_dirty is true. --pairs must be at least 2,
 since quartiles need two pairs, and --claim must name a workload and an
-end-to-end metric of BENCHMARK.json.
+end-to-end metric of BENCHMARK.json. The exit code is 1 when a run printed
+no result or a result with "correct": false (an operation failed), else 0.
 """
 
 from __future__ import annotations
@@ -120,6 +122,16 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def operation_counts(runs: list[dict]) -> dict:
+    """Per workload and side: the attempted and failed operations, summed over the runs that printed a result."""
+    counts = {}
+    for run in runs:
+        side = counts.setdefault(run["workload"], {}).setdefault(run["side"], {"attempted": 0, "failed": 0})
+        for key in side:
+            side[key] += run["result"][key] if run["result"] else 0
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -175,10 +187,11 @@ def main(argv=None) -> int:
         "change": args.change or head_description(ROOT, change_dirty),
         "claim": claim,
         "summary": summarize(runs, bench["end_to_end"]),
+        "operations": operation_counts(runs),
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    return 0 if all(run["result"] for run in runs) else 1
+    return 0 if all(run["result"] and run["result"]["correct"] for run in runs) else 1
 
 
 if __name__ == "__main__":

@@ -123,8 +123,8 @@ MUTANTS = (
            "the reader takes matrices above MAX_AUDIT_DIM, whose replay builds a (d, d, d) projector stack"),
     Mutant(CHANNELS, "10.0 ** np.arange(-15, 1)", "10.0 ** np.arange(-16, 1)", (T_CHANNELS,),
            "violation_decades gains a bin for (0, 1e-16]"),
-    Mutant(CHANNELS, "probs = states.require_probabilities(states.dirichlet_stack(rngs, np.full(len(rngs), d), d))",
-           "probs = states.dirichlet_stack(rngs, np.full(len(rngs), d), d)", (T_CHANNELS,),
+    Mutant(CHANNELS, "probs = states.require_probabilities(states.dirichlet_stack(rngs, np.full(len(rngs), d)))",
+           "probs = states.dirichlet_stack(rngs, np.full(len(rngs), d))", (T_CHANNELS,),
            "C1's incoherent states no longer gated as probability vectors"),
     # argument gates: the errors.require_* gates, and where they are called
     Mutant(ERRORS, "or isinstance(v, bool) or not lo <= v <= hi", "or not lo <= v <= hi", (T_CHANNELS, T_STATES),
@@ -196,6 +196,10 @@ MUTANTS = (
     Mutant(ERRORS, "abs(v) <= sys.float_info.max", "True", (T_CLI, T_CHANNELS),
            "the real-number gate accepts nan, inf and integer literals beyond the double range"),
     # state files
+    Mutant(CLI, "except (json.JSONDecodeError, UnicodeDecodeError) as exc:", "except json.JSONDecodeError as exc:",
+           (T_CLI,), "an input file that is not UTF-8 lets UnicodeDecodeError escape main, a traceback and exit 1"),
+    Mutant(CLI, "    cells = []\n", "    cells = []\n    np.zeros((dim, dim), dtype=complex)\n", (T_CLI,),
+           "the state reader allocates the d x d matrix before it checks a row, so 10**6 empty rows ask for 14.6 TiB"),
     Mutant(CLI, "return states.make_density(m), label", "return states.make_density(m), None", (T_CLI,),
            "load_state drops the state file's label"),
     Mutant(CLI, 'doc.get("dim"), 1, error=ParseError)', 'doc.get("dim"), 0, error=ParseError)', (T_CLI,),
@@ -237,12 +241,14 @@ MUTANTS = (
     # seeded sampling: bitwise default_rng([seed, i]) and Generator.dirichlet
     Mutant(STATES, "pool = _mix(pool, _hashmix(word, h[step:step + _POOL_SIZE + 1]))", "pass", (T_STATES,),
            "sample_generators skips the mixing rounds of seed words beyond the pool"),
+    Mutant(STATES, "used = np.arange(max(counts)) <", "used = np.arange(max(counts) + 1) <", (T_STATES,),
+           "a stack pads one zero part beyond its largest set"),
     Mutant(STATES, "draws.cumsum(axis=1)[:, -1]", "draws.sum(axis=1)", (T_STATES,),
            "Dirichlet weights scaled by numpy's pairwise sum, not the left-to-right one"),
-    Mutant(STATES, "probs = dirichlet_stack(rngs, ks, width)\n"
+    Mutant(STATES, "probs = dirichlet_stack(rngs, ks)\n"
                    "        normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])",
            "normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])\n"
-           "        probs = dirichlet_stack(rngs, ks, width)", (T_STATES,),
+           "        probs = dirichlet_stack(rngs, ks)", (T_STATES,),
            "unital-mixture normals drawn before the Dirichlet weights"),
     Mutant(STATES, "normals = [rng.standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]",
            "normals = [rngs[0].standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]", (T_STATES,),
@@ -268,8 +274,8 @@ MUTANTS = (
            "the centroid starts from the best vertex, so it keeps a -0.0 that np.add.reduce makes +0.0"),
     Mutant(MEASURES, "ind = np.array(fsim).argsort().tolist()", "ind = sorted(range(len(fsim)), key=fsim.__getitem__)",
            (T_MEASURES,), "the simplex is ordered by a stable sort, which breaks ties unlike numpy's argsort"),
-    Mutant(MEASURES, "all(abs(fsim[0] - g) <= fatol for g in fsim[1:])",
-           "max(abs(fsim[0] - g) for g in fsim[1:]) <= fatol", (T_MEASURES,),
+    Mutant(MEASURES, "all(abs(fsim[0] - g) <= 1e-13 for g in fsim[1:])",
+           "max(abs(fsim[0] - g) for g in fsim[1:]) <= 1e-13", (T_MEASURES,),
            "the stop test takes Python's max of the value spread, which skips a NaN that numpy's max returns"),
     Mutant(MEASURES, "return e / np.add.reduce(e)", "return e / sum(e.tolist())", (T_MEASURES,),
            "the softmax sums left to right, not pairwise as numpy does from 8 entries on"),
