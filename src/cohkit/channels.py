@@ -230,15 +230,15 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     Sample i draws on its own generator from states.sample_generators, bitwise
     default_rng([seed, i]), in a fixed order: the state, then the unitary (C0), the
     incoherent state (C1, not for ibiqc, whose incoherent set is I/d alone), the Kraus
-    count and class channel (C2), or the mixture size, weights and members (C3). Each draw
-    is made for the whole block in turn and built as one stacked array; Kraus sets and
-    mixtures are zero-padded, with weight zero, to the block's largest set.
+    count and class channel (C2), or the mixture size, weights and members (C3). Each draw is
+    made for the whole block in turn, written straight into the block's stacked array; Kraus
+    sets and mixtures are zero-padded, with weight zero, to the block's largest set.
     """
     kernel = _MEASURE_KERNELS[measure]
     rngs = states.sample_generators(seed, indices)
-    rho = states.density_stack(np.stack([rng.standard_normal((2, d, d)) for rng in rngs]))
+    rho = states.density_stack(states.normal_stack(rngs, (2, d, d)))
     if condition == "C0":
-        u = states.isometry_stack(np.stack([rng.standard_normal((2, d, d)) for rng in rngs]))
+        u = states.isometry_stack(states.normal_stack(rngs, (2, d, d)))
         states.require_unitary(u)
         # a unitary is a one-operator channel
         rotated = _average_output(u[:, None], rho)
@@ -263,8 +263,7 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     if condition == "C3":
         parts = np.array([rng.integers(2, _MAX_PARTS + 1) for rng in rngs])
         weights = states.dirichlet_stack(rngs, parts)
-        normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, parts)])
-        members = states.pad_parts(parts, states.density_stack(normals))
+        members = states.pad_parts(parts, states.density_stack(states.normal_stack(rngs, (2, d, d), parts)))
         mixture = kernel(np.einsum("nm,nmij->nij", weights, members))
         average = (weights * kernel(members)).sum(axis=1)
 
@@ -297,9 +296,11 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         if average:
             p, values = None, kernel(_average_output(kraus, rho))
         else:
-            p, _, normalized = _selective_readout(kraus, rho)
-            values = kernel(normalized)
-        # a zero-padded operator has p = 0 exactly, so it is never kept and is no outcome
+            # only kept outcomes are measured; a zero-padded operator has p = 0 exactly, so it
+            # is never kept and is no outcome
+            p, kept, normalized = _selective_readout(kraus, rho)
+            values = np.zeros(p.shape)
+            values[kept] = kernel(normalized[kept])
         readout("class_channel", p, values, parts)
     if op_class in RESET_CLASSES:
         # in closed form: the output, and each selective outcome n (with p_n = rho_nn), is |0><0|

@@ -60,7 +60,7 @@ def require_hermitian(m) -> np.ndarray:
     Hermitian: no entry deviates from its conjugate transpose by more than
     HERMITIAN_TOL (a non-finite entry always fails); NotHermitianError otherwise."""
     a = as_complex_stack(m)
-    defect = float(np.abs(a - adjoint(a)).max()) if np.isfinite(a).all() else math.inf
+    defect = float(np.abs(a - adjoint(a)).max(initial=0.0)) if np.isfinite(a).all() else math.inf
     if not (defect <= HERMITIAN_TOL):
         raise NotHermitianError(
             f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITIAN_TOL:.1e}"
@@ -81,7 +81,7 @@ def gram_defect(ops) -> float:
     if not np.isfinite(a).all():
         return math.inf
     gram = (adjoint(a) @ a).sum(axis=-3) - np.eye(a.shape[-1])
-    return float(np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(-2, -1)).max()))
+    return float(np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(-2, -1)).max(initial=0.0)))
 
 
 def hermitian_eig(m):

@@ -381,11 +381,22 @@ def dirichlet_stack(rngs, ks) -> np.ndarray:
     drawn from rngs[j], then zeros.
 
     Bitwise Generator.dirichlet(np.ones(k)): for alpha = 1 it draws k
-    standard exponentials, sums them left to right and scales each by
-    1 / sum.
+    standard exponentials, written straight into the row, sums them left to
+    right and scales each by 1 / sum.
     """
-    draws = pad_parts(ks, np.concatenate([rng.standard_exponential(k) for rng, k in zip(rngs, ks)]))
+    draws = np.zeros((len(ks), max(ks)))
+    for rng, row, k in zip(rngs, draws, ks):
+        rng.standard_exponential(out=row[:k])
     return draws * (1.0 / draws.cumsum(axis=1)[:, -1])[:, None]
+
+
+def normal_stack(rngs, shape, counts=None) -> np.ndarray:
+    """Normals drawn straight into one stacked array: rngs[j] fills counts[j] (or one) consecutive entries of shape."""
+    stops = np.cumsum(np.ones(len(rngs), dtype=int) if counts is None else counts).tolist()
+    out = np.empty((stops[-1], *shape))
+    for rng, start, stop in zip(rngs, [0, *stops], stops):
+        rng.standard_normal(out=out[start:stop])
+    return out
 
 
 def pad_parts(counts, parts: np.ndarray) -> np.ndarray:
@@ -421,32 +432,38 @@ def kraus_stack(kind: str, d: int, ks, rngs) -> np.ndarray:
     """(n, max(ks), d, d) Kraus operators of n random channels: set j holds
     ks[j] operators (ks an int array) drawn from rngs[j], then zeros.
 
-    Channel j draws on rngs[j], in order: Dirichlet weights, then normals
-    (unital_mixture); ks[j] row permutations, then normals
+    Channel j draws on rngs[j], straight into the block's stacked arrays, in order: Dirichlet
+    weights, then normals (unital_mixture); ks[j] row permutations, then normals
     (diagonal_incoherent); or one (2, ks[j] * d, d) normal (general_tp).
     """
     require_choice("channel family", kind, OPERATION_CLASSES)
     if kind == "unital_mixture":
         probs = dirichlet_stack(rngs, ks)
-        normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])
+        normals = normal_stack(rngs, (2, d, d), ks)
         return np.sqrt(probs)[..., None, None] * pad_parts(ks, isometry_stack(normals))
     if kind == "diagonal_incoherent":
         # A permutation per operator keeps at most one nonzero per column
         # and per row; per-column normalization then gives exact trace
         # preservation (independent row draws would leave cross terms).
-        rows = pad_parts(ks, np.array([rng.permutation(d) for rng, k in zip(rngs, ks) for _ in range(k)]))
-        normals = np.concatenate([rng.standard_normal((2, k, d)) for rng, k in zip(rngs, ks)], axis=1)
-        amp = pad_parts(ks, _ginibre(normals))
+        # Generator.permutation(d) shuffles arange(d), and permuted shuffles
+        # each row of its slice in turn, with the same draws; the (2, k, d)
+        # normals fill their real, then their imaginary rows.
+        rows = np.broadcast_to(np.arange(d), (len(ks), max(ks), d)).copy()
+        normals = np.zeros((len(ks), 2, max(ks), d))
+        for rng, perms, parts, k in zip(rngs, rows, normals, ks):
+            rng.permuted(perms[:k], axis=-1, out=perms[:k])
+            rng.standard_normal(out=parts[0, :k])
+            rng.standard_normal(out=parts[1, :k])
+        amp = _ginibre(normals)
         amp = amp / np.linalg.norm(amp, axis=1)[:, None]
         ops = np.zeros(amp.shape + (d,), dtype=complex)
         np.put_along_axis(ops, rows[..., None, :], amp[..., None, :], axis=-2)
         return ops
-    normals = [rng.standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]
     # general_tp: the isometry from d to k*d has shape (k*d, d), so sets group by k.
     ops = np.zeros((len(ks), max(ks), d, d), dtype=complex)
     for k in set(ks.tolist()):
         sel = np.flatnonzero(ks == k)
-        ops[sel, :k] = isometry_stack(np.stack([normals[j] for j in sel])).reshape(len(sel), k, d, d)
+        ops[sel, :k] = isometry_stack(normal_stack([rngs[j] for j in sel], (2, k * d, d))).reshape(-1, k, d, d)
     return ops
 
 

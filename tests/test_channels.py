@@ -514,6 +514,7 @@ BLOCK_ROWS = [
     ("l1", "C2_selective", "diagonal_incoherent", False),
     ("ibiqc", "C2_average", "general_tp", False),
     ("ibiqc", "C2_selective", "unital_mixture", True),
+    ("re", "C2_selective", "general_tp", False),
 ]
 
 
@@ -537,6 +538,38 @@ def test_audit_bytes_do_not_depend_on_block_size(monkeypatch, row):
         report = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=seed,
                                   probe_eigenbasis=probe)
         assert report.to_json() == default, size
+
+
+@pytest.mark.parametrize("row", BLOCK_ROWS, ids=lambda row: "-".join(map(str, row)))
+def test_min_violation_covers_every_sample_of_every_block(monkeypatch, row):
+    measure, condition, op_class, probe = row
+    d, samples, seed = 3, 20, 5
+    op_class = channels.validate_audit_arguments(measure, condition, op_class, d, samples, seed, 0.0, probe)
+    violations = channels._audit_block(measure, condition, op_class, probe, d, seed, range(samples))[0]
+    assert len(violations) == samples
+    # blocks of 1, 4 and 7 samples, then blocks whose second one opens at the minimiser (size 2 if it is sample 0)
+    for size in (1, 4, 7, int(np.argmin(violations)) or 2):
+        monkeypatch.setattr(channels, "_BLOCK_BYTES", size * 16 * channels._MAX_PARTS * d * d)
+        report = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=seed,
+                                  probe_eigenbasis=probe)
+        assert report.diagnostics["min_violation"] == float(violations.min()), size
+
+
+def test_selective_class_channel_measures_only_its_kept_outcomes(monkeypatch):
+    # every matrix the kernel sees is a state: rho, a kept outcome or the reset's |0><0|, never the
+    # zero matrix of a zero-padded operator or of an outcome below SELECTIVE_P_FLOOR
+    seen = []
+    kernel = channels._MEASURE_KERNELS["re"]
+
+    def spy(m):
+        seen.append(np.trace(m, axis1=-2, axis2=-1).reshape(-1))
+        return kernel(m)
+
+    monkeypatch.setitem(channels._MEASURE_KERNELS, "re", spy)
+    report = audit_conditions("re", "C2_selective", "general_tp", d=3, samples=50, seed=2)
+    traces = np.concatenate(seen)
+    assert len(traces) > 2 * 50 and report.diagnostics["class_channel_wins"] > 0
+    np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-12)
 
 
 def test_audit_uses_neither_seed_sequence_nor_dirichlet(monkeypatch):

@@ -737,6 +737,22 @@ def test_input_file_that_is_not_utf8_exit_3(tmp_path, capsys, command):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["measure", "interference", "replay"])
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"dim": %s}' % ("1" * 5000)],
+                         ids=["nested-1e5-deep", "int-5000-digits"])
+def test_json_that_python_cannot_decode_exit_3(tmp_path, capsys, command, text):
+    # json raises RecursionError on deep nesting and int's ValueError past 4300 digits
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    argv = {"measure": ["measure", str(path)], "replay": ["replay", str(path)],
+            "interference": ["demo", "interference", "--config", str(path), "--out", str(tmp_path / "out.csv")]}
+    assert main(argv[command]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is not valid JSON: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_state_file_with_a_huge_dim_fails_on_its_first_row_without_allocating(tmp_path, capsys):
     # 10**6 empty rows take 3 MB of file; a (10**6, 10**6) complex matrix would take 14.6 TiB
     path = tmp_path / "huge.json"

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohkit import measures, states
 from cohkit.errors import (
     DimensionMismatchError,
     NoConvergenceError,
     NotHermitianError,
 )
 from cohkit.linalg import (
+    gram_defect,
     hermitian_eig,
     hermitian_eig_stack,
     hermitian_eigvals,
@@ -217,3 +219,16 @@ def test_property_trace_distance_metric_axioms(seed, d):
     assert trace_distance(a, b) >= 0.0
     assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), abs=1e-12)
     assert trace_distance(a, a) == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_stacked_kernels_map_an_empty_stack_to_an_empty_result(d):
+    empty = np.zeros((0, d, d), dtype=complex)
+    for kernel in (measures.c_l1, measures.c_re, measures.c_ibiqc):
+        assert kernel(empty).shape == (0,), kernel.__name__
+    assert measures.entropy_bits(np.zeros((0, d))).shape == (0,)
+    assert hermitian_eigvals(empty).shape == (0, d)
+    assert hermitian_eig_stack(empty).eigenvectors.shape == (0, d, d)
+    assert require_hermitian(empty).shape == (0, d, d)
+    assert gram_defect(empty[:, None]) == 0.0
+    states.require_unitary(empty)

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 import mutants
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -12,3 +14,17 @@ def test_every_mutant_text_occurs_once_in_src():
         assert m.old != m.new and m.tests, m.why
         assert [name for name, text in sources.items() for _ in range(text.count(m.old))] == [m.file], m.why
         assert all((ROOT / t).is_file() for t in m.tests), m.why
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2), (["extra"], 2)],
+                         ids=["help", "unknown-option", "extra-argument"])
+def test_main_parses_its_arguments_before_copying_anything(monkeypatch, capsys, argv, code):
+    def forbidden(*args):
+        raise AssertionError("the tree was copied")
+
+    monkeypatch.setattr(mutants, "copy_worktree", forbidden)
+    with pytest.raises(SystemExit) as exc:
+        mutants.main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err).startswith("usage:")

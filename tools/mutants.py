@@ -15,11 +15,14 @@ a failure counts only when it is the mutant's. It prints one line per
 mutant, then the survivors, and exits 1 when a mutant survives or its run
 ends in an error (a pytest exit code other than 0 or 1). The checkout is
 never edited. A run takes a few minutes; tests/test_mutants.py checks in
-every test run that each `old` text still occurs exactly once.
+every test run that each `old` text still occurs exactly once. The tool
+takes no arguments: --help prints its usage and exits 0, and any other
+argument exits 2, in both cases before anything is copied.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -103,6 +106,9 @@ MUTANTS = (
     Mutant(CLI, 'except CohkitError as exc:\n            raise type(exc)(f"{path}: {exc}")',
            'except ParseError as exc:\n            raise ParseError(f"{path}: {exc}")', (T_CLI,),
            "replay names the report's file only on a ParseError, not on an invalid witness state"),
+    # counters over every sample of every block
+    Mutant(CHANNELS, 'float(violation.min())', 'float(violation[1:].min(initial=violation[-1]))', (T_CHANNELS,),
+           "min_violation skips the first sample of every block"),
     # exact ties: a violation equal to tol is within it; a C1 tie takes the incoherent side
     Mutant(CHANNELS, '"samples_above_tol": violation > tol', '"samples_above_tol": violation >= tol', (T_CHANNELS,),
            "samples_above_tol counts a violation exactly equal to tol"),
@@ -176,6 +182,10 @@ MUTANTS = (
            "glauber_truncated accepts a non-finite amplitude"),
     Mutant(LINALG, "a = require_hermitian(m)", "a = as_complex_stack(m)", (T_LINALG,),
            "the eigensolvers skip their Hermiticity gate"),
+    Mutant(LINALG, "np.abs(a - adjoint(a)).max(initial=0.0)", "np.abs(a - adjoint(a)).max()", (T_LINALG,),
+           "the Hermiticity gate raises numpy's ValueError on an empty stack"),
+    Mutant(LINALG, ".sum(axis=(-2, -1)).max(initial=0.0)", ".sum(axis=(-2, -1)).max()", (T_LINALG,),
+           "gram_defect and require_unitary raise numpy's ValueError on an empty stack"),
     Mutant(LINALG, "if np.isfinite(a).all() else math.inf", "if np.isfinite(a).all() else 0.0", (T_LINALG,),
            "the Hermiticity defect of a matrix with a non-finite entry reads 0, so the gate passes it"),
     Mutant(CHANNELS, "unital=linalg.gram_defect(linalg.adjoint(ops)) <= KRAUS_TP_TOL",
@@ -196,8 +206,13 @@ MUTANTS = (
     Mutant(ERRORS, "abs(v) <= sys.float_info.max", "True", (T_CLI, T_CHANNELS),
            "the real-number gate accepts nan, inf and integer literals beyond the double range"),
     # state files
-    Mutant(CLI, "except (json.JSONDecodeError, UnicodeDecodeError) as exc:", "except json.JSONDecodeError as exc:",
+    Mutant(CLI, "except (ValueError, RecursionError) as exc:", "except (json.JSONDecodeError, RecursionError) as exc:",
            (T_CLI,), "an input file that is not UTF-8 lets UnicodeDecodeError escape main, a traceback and exit 1"),
+    Mutant(CLI, "except (ValueError, RecursionError) as exc:", "except ValueError as exc:", (T_CLI,),
+           "an input file nested 100 000 arrays deep lets RecursionError escape main, a traceback and exit 1"),
+    Mutant(CLI, "except (ValueError, RecursionError) as exc:",
+           "except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:", (T_CLI,),
+           "an integer literal over 4300 digits lets int's ValueError escape main, a traceback and exit 1"),
     Mutant(CLI, "    cells = []\n", "    cells = []\n    np.zeros((dim, dim), dtype=complex)\n", (T_CLI,),
            "the state reader allocates the d x d matrix before it checks a row, so 10**6 empty rows ask for 14.6 TiB"),
     Mutant(CLI, "return states.make_density(m), label", "return states.make_density(m), None", (T_CLI,),
@@ -245,14 +260,17 @@ MUTANTS = (
            "a stack pads one zero part beyond its largest set"),
     Mutant(STATES, "draws.cumsum(axis=1)[:, -1]", "draws.sum(axis=1)", (T_STATES,),
            "Dirichlet weights scaled by numpy's pairwise sum, not the left-to-right one"),
-    Mutant(STATES, "probs = dirichlet_stack(rngs, ks)\n"
-                   "        normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])",
-           "normals = np.concatenate([rng.standard_normal((k, 2, d, d)) for rng, k in zip(rngs, ks)])\n"
-           "        probs = dirichlet_stack(rngs, ks)", (T_STATES,),
+    Mutant(STATES, "probs = dirichlet_stack(rngs, ks)\n        normals = normal_stack(rngs, (2, d, d), ks)",
+           "normals = normal_stack(rngs, (2, d, d), ks)\n        probs = dirichlet_stack(rngs, ks)", (T_STATES,),
            "unital-mixture normals drawn before the Dirichlet weights"),
-    Mutant(STATES, "normals = [rng.standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]",
-           "normals = [rngs[0].standard_normal((2, k * d, d)) for rng, k in zip(rngs, ks)]", (T_STATES,),
+    Mutant(STATES, "normal_stack([rngs[j] for j in sel], (2, k * d, d))",
+           "normal_stack([rngs[sel[0]] for j in sel], (2, k * d, d))", (T_STATES,),
            "general_tp draws every channel of a block on the first sample's generator"),
+    # draws written straight into the block's arrays
+    Mutant(STATES, "rng.standard_exponential(out=row[:k])", "rng.standard_exponential(out=row[-k:])", (T_STATES,),
+           "Dirichlet draws fill the end of each padded row, so the weights sit under the wrong members"),
+    Mutant(STATES, "rng.standard_normal(out=parts[1, :k])", "rng.standard_normal(out=parts[1, -k:])", (T_STATES,),
+           "diagonal_incoherent imaginary parts fill the end of each padded set"),
     # distance search
     Mutant(MEASURES, "if not np.array_equal(runs[0][0], x0):", "if True:", (T_MEASURES,),
            "the search restarts even when the restart would replay its first run"),
@@ -293,6 +311,9 @@ MUTANTS = (
     # rules written once
     Mutant(MEASURES, "return 0.0 - (p * np.log2", "return -(p * np.log2", (T_CLI,),
            "a zero entropy comes out as -0.0"),
+    Mutant(CHANNELS, "values = np.zeros(p.shape)\n            values[kept] = kernel(normalized[kept])",
+           "values = kernel(normalized)", (T_CHANNELS,),
+           "the selective class channel measures every outcome again, the dropped and zero-padded ones too"),
     Mutant(CHANNELS, 'readout("class_channel", p, values, parts)', 'readout("class_channel", p, values, _MAX_PARTS)',
            (T_CHANNELS,),
            "C2_selective counts the zero-padded Kraus operators as dropped outcomes"),
@@ -313,7 +334,10 @@ def _pytest(copy: Path, tests) -> int:
     return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True).returncode
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="mutation check: every mutant in MUTANTS must make a test fail; "
+                                                 "the run copies the checkout and takes a few minutes")
+    parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="cohkit-mutants-") as tmp:
         base = Path(tmp) / "base"
         copy_worktree(ROOT, base)
