@@ -121,14 +121,12 @@ def _average_output(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _selective_readout(ops: np.ndarray, rho: np.ndarray):
-    """Outcome probabilities p, the mask p >= SELECTIVE_P_FLOOR, and the
-    normalized outcome states (zero where an outcome is dropped), all stacked."""
+    """Outcome probabilities p and the mask kept = p >= SELECTIVE_P_FLOOR, both stacked,
+    and the normalized states of the kept outcomes alone, in order: (kept.sum(), d, d)."""
     outs = _kraus_outputs(ops, rho)
     p = np.trace(outs, axis1=-2, axis2=-1).real
     kept = p >= SELECTIVE_P_FLOOR
-    normalized = np.divide(linalg.hermitian_part(outs), p[..., None, None],
-                           out=np.zeros_like(outs), where=kept[..., None, None])
-    return p, kept, normalized
+    return p, kept, linalg.hermitian_part(outs[kept]) / p[kept][:, None, None]
 
 
 def apply_channel(kraus: KrausSet, rho: states.DensityMatrix) -> states.DensityMatrix:
@@ -149,7 +147,7 @@ def selective_outcomes(kraus: KrausSet, rho: states.DensityMatrix) -> list[tuple
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
     _require_trace_preserving(kraus.operators)
     p, kept, normalized = _selective_readout(kraus.operators, rho.matrix)
-    return [(float(p[n]), states.DensityMatrix(normalized[n])) for n in np.flatnonzero(kept)]
+    return [(float(q), states.DensityMatrix(m)) for q, m in zip(p[kept], normalized)]
 
 
 def classify_kraus(kraus: KrausSet) -> KrausFlags:
@@ -194,11 +192,27 @@ class AuditReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        """Report format 3: one line per top-level key, "format" among them,
-        in sorted order, each value written by json.dumps(value, sort_keys=True)."""
+        """Report format 3: one line per top-level key, "format" among them, in sorted
+        order, each value as json.dumps(value, sort_keys=True) writes it, byte for byte.
+        The base64 text of a matrix entry is copied as is, not scanned for escapes."""
         fields = sorted({**vars(self), "format": REPORT_FORMAT}.items())
-        lines = (f"  {json.dumps(key)}: {json.dumps(value, sort_keys=True)}" for key, value in fields)
-        return "{\n" + ",\n".join(lines) + "\n}\n"
+        return "{\n" + ",\n".join(f"  {_ENCODE(key)}: {_render(value)}" for key, value in fields) + "\n}\n"
+
+
+# One encoder for every report value: json.dumps(value, sort_keys=True) builds a new one per call.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+_MATRIX_KEYS = {"base64", "dtype", "shape"}
+
+
+def _render(value) -> str:
+    """json.dumps(value, sort_keys=True), byte for byte. A matrix entry (_matrix_json) is
+    written directly: base64 text holds only A-Z a-z 0-9 + / =, none of which JSON
+    escapes, so its text is copied as is and never scanned."""
+    if not isinstance(value, dict):
+        return _ENCODE(value)
+    if value.keys() == _MATRIX_KEYS and value["dtype"] == "<c16":
+        return f'{{"base64": "{value["base64"]}", "dtype": "<c16", "shape": {_ENCODE(value["shape"])}}}'
+    return "{" + ", ".join(f"{_ENCODE(key)}: {_render(item)}" for key, item in sorted(value.items())) + "}"
 
 
 def _matrix_json(m) -> dict:
@@ -300,11 +314,12 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
             # is never kept and is no outcome
             p, kept, normalized = _selective_readout(kraus, rho)
             values = np.zeros(p.shape)
-            values[kept] = kernel(normalized[kept])
+            values[kept] = kernel(normalized)
         readout("class_channel", p, values, parts)
     if op_class in RESET_CLASSES:
-        # in closed form: the output, and each selective outcome n (with p_n = rho_nn), is |0><0|
-        reset = kernel(np.diag(np.eye(d, dtype=complex)[0]))
+        # in closed form: the output, and each selective outcome n (with p_n = rho_nn), is the
+        # pure state |0><0|, the first column of the identity (the ibiqc kernel reads d off its shape)
+        reset = _PURE_KERNELS[measure](np.eye(d, dtype=complex))[0]
         readout("reset", np.diagonal(rho, axis1=-2, axis2=-1).real, reset, d)
     if probe_eigenbasis:
         if average:

@@ -140,14 +140,19 @@ def _parse_state_document(doc, context: str) -> tuple[states.DensityMatrix, str 
 def _load_json(path, what: str):
     """Read one JSON document; open, UTF-8, JSON decode and nesting failures raise ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+        # ValueError: a path open() refuses, such as one holding a NUL byte
+        fh = open(path, "r", encoding="utf-8")
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer literal over
-        # Python's 4300-digit limit; RecursionError, arrays or objects nested too deep
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    with fh:
+        try:
+            return json.load(fh)
+        except OSError as exc:
+            raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer literal over
+            # Python's 4300-digit limit; RecursionError, arrays or objects nested too deep
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_state(path) -> tuple[states.DensityMatrix, str | None]:

@@ -392,7 +392,12 @@ def dirichlet_stack(rngs, ks) -> np.ndarray:
 
 def normal_stack(rngs, shape, counts=None) -> np.ndarray:
     """Normals drawn straight into one stacked array: rngs[j] fills counts[j] (or one) consecutive entries of shape."""
-    stops = np.cumsum(np.ones(len(rngs), dtype=int) if counts is None else counts).tolist()
+    if counts is None:
+        out = np.empty((len(rngs), *shape))
+        for rng, row in zip(rngs, out):
+            rng.standard_normal(out=row)
+        return out
+    stops = np.cumsum(counts).tolist()
     out = np.empty((stops[-1], *shape))
     for rng, start, stop in zip(rngs, [0, *stops], stops):
         rng.standard_normal(out=out[start:stop])

@@ -600,6 +600,13 @@ def test_audit_uses_neither_seed_sequence_nor_dirichlet(monkeypatch):
         assert len(made) == 100, row
 
 
+def _reference_json(report) -> str:
+    """Report format 3 as json.dumps writes it, one value at a time."""
+    fields = sorted({**vars(report), "format": 3}.items())
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in fields) + "\n}\n"
+
+
+# d = 32 runs every row, so every row of the audit-d32 benchmark among them
 @pytest.mark.parametrize("d, samples", [(2, 20), (3, 20), (32, 1)])
 def test_report_json_is_one_sorted_key_per_line_on_every_expected_row(monkeypatch, d, samples):
     # json's indent encoder is its pure-Python one; format 3 never needs it
@@ -612,12 +619,34 @@ def test_report_json_is_one_sorted_key_per_line_on_every_expected_row(monkeypatc
         report = audit_conditions(measure, condition, op_class, d=d, samples=samples, seed=3,
                                   probe_eigenbasis=probe)
         text = report.to_json()
+        assert text == _reference_json(report), row
         doc = json.loads(text)
         assert doc == {**report.to_dict(), "format": 3}, row
         lines = text.split("\n")
         assert lines[0] == "{" and lines[-2:] == ["}", ""], row
         keys = [list(json.loads("{" + line.removesuffix(",") + "}")) for line in lines[1:-2]]
         assert keys == [[k] for k in sorted(doc)], row
+
+
+# strings that json must escape: quotes, backslashes, control characters, non-ASCII
+_JSON_TEXT = st.text(st.sampled_from('"\\/\x00\n\x1f\x7f aZ+=\xe9\u2028\U0001f600') | st.characters(), max_size=6)
+_MATRIX_ENTRIES = st.builds(
+    channels._matrix_json,
+    st.sampled_from([(0, 3, 3), (1, 1, 1), (2, 2, 2), (3, 3), (5, 5), (0, 0)]).flatmap(
+        lambda shape: hnp.arrays(np.complex128, shape)))
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT
+
+
+@settings(max_examples=100, deadline=None)
+@given(witness=st.dictionaries(_JSON_TEXT, _MATRIX_ENTRIES | _SCALARS | st.lists(_SCALARS, max_size=3), max_size=6),
+       diagnostics=st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                                | st.dictionaries(_JSON_TEXT, inner, max_size=3), max_leaves=8))
+@example(witness={"state": channels._matrix_json(np.zeros((0, 2, 2))), 'a"\\': "\x00\xe9"}, diagnostics={})
+@example(witness={}, diagnostics={"b": [{"z": 1, "a": [2.5]}], "a": None})
+def test_property_report_json_is_json_dumps_byte_for_byte(witness, diagnostics):
+    base = audit_conditions("l1", "C0", d=2, samples=1, seed=0)
+    report = dataclasses.replace(base, witness={"sample_index": 0, **witness}, diagnostics=diagnostics)
+    assert report.to_json() == _reference_json(report)
 
 
 def test_probe_witness_reuses_the_probe_decomposition(monkeypatch):

@@ -753,6 +753,20 @@ def test_json_that_python_cannot_decode_exit_3(tmp_path, capsys, command, text):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command, what", [("measure", "state file"), ("interference", "config"),
+                                           ("replay", "report")])
+def test_a_path_that_open_refuses_is_unreadable_not_bad_json(tmp_path, capsys, command, what):
+    # open() raises ValueError, not OSError, on a path holding a NUL byte
+    path = str(tmp_path / "a\x00b.json")
+    argv = {"measure": ["measure", path], "replay": ["replay", path],
+            "interference": ["demo", "interference", "--config", path, "--out", str(tmp_path / "out.csv")]}
+    assert main(argv[command]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {what} {path}: embedded null byte")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_state_file_with_a_huge_dim_fails_on_its_first_row_without_allocating(tmp_path, capsys):
     # 10**6 empty rows take 3 MB of file; a (10**6, 10**6) complex matrix would take 14.6 TiB
     path = tmp_path / "huge.json"

@@ -28,3 +28,16 @@ def test_main_parses_its_arguments_before_copying_anything(monkeypatch, capsys, 
     assert exc.value.code == code
     captured = capsys.readouterr()
     assert (captured.out if code == 0 else captured.err).startswith("usage:")
+
+
+def test_main_outside_a_git_checkout_exits_2_before_copying_anything(monkeypatch, capsys, tmp_path):
+    def forbidden(*args):
+        raise AssertionError("the tree was copied")
+
+    # git looks for a repository no higher than tmp_path's parent
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    monkeypatch.setattr(mutants, "copy_worktree", forbidden)
+    assert mutants.main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {tmp_path} is not the top of a git checkout")

@@ -17,7 +17,9 @@ ends in an error (a pytest exit code other than 0 or 1). The checkout is
 never edited. A run takes a few minutes; tests/test_mutants.py checks in
 every test run that each `old` text still occurs exactly once. The tool
 takes no arguments: --help prints its usage and exits 0, and any other
-argument exits 2, in both cases before anything is copied.
+argument exits 2, in both cases before anything is copied. Outside a git
+checkout, where there is no list of tracked files to copy, it prints an
+error and exits 2, also before anything is copied.
 """
 
 from __future__ import annotations
@@ -73,9 +75,12 @@ MUTANTS = (
            "takes the samples where it ties with the reset"),
     Mutant(CHANNELS, 'RESET_CLASSES = ("diagonal_incoherent", "general_tp")', "RESET_CLASSES = OPERATION_CLASSES",
            (T_CHANNELS,), "the reset, which is not unital, joins the unital_mixture pool"),
-    Mutant(CHANNELS, "reset = kernel(np.diag(np.eye(d, dtype=complex)[0]))",
+    Mutant(CHANNELS, "reset = _PURE_KERNELS[measure](np.eye(d, dtype=complex))[0]",
            "reset = kernel(np.eye(d, dtype=complex) / d)", (T_CHANNELS,),
            "the reset leaves the maximally mixed state, not |0><0|"),
+    Mutant(CHANNELS, "reset = _PURE_KERNELS[measure](np.eye(d, dtype=complex))[0]",
+           "reset = _PURE_KERNELS[measure](np.eye(d, dtype=complex)[:, :1])[0]", (T_CHANNELS,),
+           "the reset's value is taken from |0> alone, so the ibiqc pure kernel reads d = 1 and gives 0, not log2 d"),
     Mutant(CHANNELS, 'readout("reset", np.diagonal(rho, axis1=-2, axis2=-1).real',
            'readout("reset", np.abs(rho[:, 0, :])', (T_CHANNELS,),
            "the reset's selective outcome probabilities read rho's first row, not its diagonal"),
@@ -106,6 +111,15 @@ MUTANTS = (
     Mutant(CLI, 'except CohkitError as exc:\n            raise type(exc)(f"{path}: {exc}")',
            'except ParseError as exc:\n            raise ParseError(f"{path}: {exc}")', (T_CLI,),
            "replay names the report's file only on a ParseError, not on an invalid witness state"),
+    # report format 3: to_json writes json.dumps(value, sort_keys=True) of each value, byte for byte
+    Mutant(CHANNELS, '{value["base64"]}"', '{value["base64"].rstrip("=")}"', (T_CHANNELS,),
+           "to_json drops the padding of a matrix entry's base64 text in place of copying it as is"),
+    Mutant(CHANNELS, "for key, item in sorted(value.items())", "for key, item in value.items()", (T_CHANNELS,),
+           "to_json writes a witness's keys in the order the audit built them, not sorted"),
+    Mutant(CHANNELS, """"shape": {_ENCODE(value["shape"])}""", """"shape": {str(tuple(value["shape"]))}""",
+           (T_CHANNELS,), "to_json writes a matrix entry's shape as a Python tuple, which is no JSON"),
+    Mutant(CHANNELS, "_ENCODE = json.JSONEncoder(sort_keys=True).encode", "_ENCODE = json.JSONEncoder().encode",
+           (T_CHANNELS,), "the shared encoder leaves unsorted the keys of a dict held in a list"),
     # counters over every sample of every block
     Mutant(CHANNELS, 'float(violation.min())', 'float(violation[1:].min(initial=violation[-1]))', (T_CHANNELS,),
            "min_violation skips the first sample of every block"),
@@ -206,6 +220,8 @@ MUTANTS = (
     Mutant(ERRORS, "abs(v) <= sys.float_info.max", "True", (T_CLI, T_CHANNELS),
            "the real-number gate accepts nan, inf and integer literals beyond the double range"),
     # state files
+    Mutant(CLI, "except (OSError, ValueError) as exc:", "except OSError as exc:", (T_CLI,),
+           "a path that open() refuses with ValueError, one holding a NUL byte, escapes main as a traceback"),
     Mutant(CLI, "except (ValueError, RecursionError) as exc:", "except (json.JSONDecodeError, RecursionError) as exc:",
            (T_CLI,), "an input file that is not UTF-8 lets UnicodeDecodeError escape main, a traceback and exit 1"),
     Mutant(CLI, "except (ValueError, RecursionError) as exc:", "except ValueError as exc:", (T_CLI,),
@@ -267,6 +283,8 @@ MUTANTS = (
            "normal_stack([rngs[sel[0]] for j in sel], (2, k * d, d))", (T_STATES,),
            "general_tp draws every channel of a block on the first sample's generator"),
     # draws written straight into the block's arrays
+    Mutant(STATES, "for rng, row in zip(rngs, out):", "for rng, row in zip(rngs, out[::-1]):", (T_STATES,),
+           "each sample's normals land in the row of the block's last sample, the first in the last"),
     Mutant(STATES, "rng.standard_exponential(out=row[:k])", "rng.standard_exponential(out=row[-k:])", (T_STATES,),
            "Dirichlet draws fill the end of each padded row, so the weights sit under the wrong members"),
     Mutant(STATES, "rng.standard_normal(out=parts[1, :k])", "rng.standard_normal(out=parts[1, -k:])", (T_STATES,),
@@ -311,8 +329,9 @@ MUTANTS = (
     # rules written once
     Mutant(MEASURES, "return 0.0 - (p * np.log2", "return -(p * np.log2", (T_CLI,),
            "a zero entropy comes out as -0.0"),
-    Mutant(CHANNELS, "values = np.zeros(p.shape)\n            values[kept] = kernel(normalized[kept])",
-           "values = kernel(normalized)", (T_CHANNELS,),
+    Mutant(CHANNELS, "values[kept] = kernel(normalized)",
+           "values[kept] = kernel(np.concatenate([normalized, np.zeros((kept.size - len(normalized), d, d))]))"
+           "[:len(normalized)]", (T_CHANNELS,),
            "the selective class channel measures every outcome again, the dropped and zero-padded ones too"),
     Mutant(CHANNELS, 'readout("class_channel", p, values, parts)', 'readout("class_channel", p, values, _MAX_PARTS)',
            (T_CHANNELS,),
@@ -334,10 +353,25 @@ def _pytest(copy: Path, tests) -> int:
     return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True).returncode
 
 
+def _checkout_error() -> str | None:
+    """Why ROOT is not the top of a git checkout, which copy_worktree needs; None when it is."""
+    try:
+        top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=ROOT, capture_output=True, text=True)
+    except OSError as exc:
+        return f"cannot run git: {exc}"
+    if top.returncode != 0 or Path(top.stdout.strip()).resolve() != ROOT:
+        return f"{ROOT} is not the top of a git checkout, so there is no list of tracked files to copy"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="mutation check: every mutant in MUTANTS must make a test fail; "
                                                  "the run copies the checkout and takes a few minutes")
     parser.parse_args(argv)
+    error = _checkout_error()
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="cohkit-mutants-") as tmp:
         base = Path(tmp) / "base"
         copy_worktree(ROOT, base)
