@@ -201,16 +201,20 @@ class AuditReport:
 
 # One encoder for every report value: json.dumps(value, sort_keys=True) builds a new one per call.
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
-_MATRIX_KEYS = {"base64", "dtype", "shape"}
+
+
+class _MatrixEntry(dict):
+    """A dict that _matrix_json built, so its base64 text is known to need no JSON escapes."""
 
 
 def _render(value) -> str:
-    """json.dumps(value, sort_keys=True), byte for byte. A matrix entry (_matrix_json) is
-    written directly: base64 text holds only A-Z a-z 0-9 + / =, none of which JSON
-    escapes, so its text is copied as is and never scanned."""
+    """json.dumps(value, sort_keys=True), byte for byte. A matrix entry that _matrix_json
+    built is written directly: base64 text holds only A-Z a-z 0-9 + / =, none of which
+    JSON escapes, so its text is copied as is and never scanned. Any other dict, even one
+    with the same keys, goes through the encoder."""
     if not isinstance(value, dict):
         return _ENCODE(value)
-    if value.keys() == _MATRIX_KEYS and value["dtype"] == "<c16":
+    if type(value) is _MatrixEntry:
         return f'{{"base64": "{value["base64"]}", "dtype": "<c16", "shape": {_ENCODE(value["shape"])}}}'
     return "{" + ", ".join(f"{_ENCODE(key)}: {_render(item)}" for key, item in sorted(value.items())) + "}"
 
@@ -218,7 +222,7 @@ def _render(value) -> str:
 def _matrix_json(m) -> dict:
     """A complex matrix, or a stack of them, exactly: its little-endian complex128 bytes in base64."""
     a = np.ascontiguousarray(m, dtype="<c16")
-    return {"base64": binascii.b2a_base64(a, newline=False).decode("ascii"), "dtype": "<c16", "shape": list(a.shape)}
+    return _MatrixEntry(base64=binascii.b2a_base64(a, newline=False).decode("ascii"), dtype="<c16", shape=list(a.shape))
 
 
 def _projectors(vecs: np.ndarray) -> np.ndarray:

@@ -410,14 +410,21 @@ def _cmd_replay(args) -> int:
             replayed = channels.replay_violation(report)
             recorded = require_real("max_violation", report.get("max_violation"), error=ParseError)
             tol = require_real("tol", report.get("tol"), lo=0, error=ParseError)
-            matrices = channels.witness_arrays(report["witness"]) if args.show else {}
+            matrices = channels.witness_arrays(report["witness"])
+            # replay_violation also reads to_dict() output, which has no "format"; a report file must have it
+            fmt, dim = report.get("format"), report.get("dim")
+            if type(fmt) is not int or fmt != channels.REPORT_FORMAT:
+                raise ParseError(f"format must be the integer {channels.REPORT_FORMAT}, got {fmt!r}")
+            for key, m in matrices.items():
+                if type(dim) is not int or dim != m.shape[-1]:
+                    raise ParseError(f"dim must be {m.shape[-1]}, the dimension of the witness {key}, got {dim!r}")
         except CohkitError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
         agrees = abs(replayed - recorded) <= tol
         disagreements += not agrees
         print(f"{path}: max_violation {recorded!r}, replayed {float(replayed)!r}: "
               f"{'agrees' if agrees else 'DISAGREES'} within tol {tol!r}")
-        for key, m in matrices.items():
+        for key, m in matrices.items() if args.show else ():
             print(f"  {key} {list(m.shape)}: {json.dumps(np.stack([m.real, m.imag], axis=-1).tolist())}")
     return EXIT_VERDICT_MISMATCH if disagreements else EXIT_OK
 

@@ -643,6 +643,8 @@ _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT
                                 | st.dictionaries(_JSON_TEXT, inner, max_size=3), max_leaves=8))
 @example(witness={"state": channels._matrix_json(np.zeros((0, 2, 2))), 'a"\\': "\x00\xe9"}, diagnostics={})
 @example(witness={}, diagnostics={"b": [{"z": 1, "a": [2.5]}], "a": None})
+# a hand-built dict with a matrix entry's keys is no engine entry: its text is escaped like any other
+@example(witness={"m": {"base64": 'a"b', "dtype": "<c16", "shape": [1]}}, diagnostics={})
 def test_property_report_json_is_json_dumps_byte_for_byte(witness, diagnostics):
     base = audit_conditions("l1", "C0", d=2, samples=1, seed=0)
     report = dataclasses.replace(base, witness={"sample_index": 0, **witness}, diagnostics=diagnostics)

@@ -879,6 +879,25 @@ def test_replay_exit_codes_and_show(tmp_path, capsys):
     capsys.readouterr()
 
 
+# None removes the key
+@pytest.mark.parametrize("field, value", [("format", 2), ("format", True), ("format", 3.0), ("format", "3"),
+                                          ("format", None), ("dim", 7), ("dim", 3.0), ("dim", None)])
+def test_replay_of_a_file_that_is_not_a_format_3_report_exit_3(tmp_path, capsys, field, value):
+    good = tmp_path / "good.json"
+    assert main(["audit", "--measure", "re", "--condition", "C3", "--d", "3", "--samples", "5", "--seed", "2",
+                 "--out", str(good)]) == 0
+    report = json.loads(good.read_text(encoding="utf-8"))
+    assert report["format"] == 3 and report["dim"] == 3
+    report.pop(field)
+    bad = tmp_path / "bad.json"
+    write_json(bad, report if value is None else {**report, field: value})
+    capsys.readouterr()
+    assert main(["replay", str(good), str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{good}: ") and len(captured.out.splitlines()) == 1
+    assert captured.err.startswith(f"error: {bad}: {field} must be ")
+
+
 def test_replay_of_a_witness_above_max_audit_dim_exit_3(tmp_path, capsys):
     report = audit_conditions("ibiqc", "C2_selective", d=2, samples=5, seed=1, probe_eigenbasis=True).to_dict()
     bad = tmp_path / "bad.json"

@@ -4,29 +4,25 @@ Usage, from the root of a checkout:
 
     python3 tools/mutants.py
 
-Each mutant replaces one text of a file under src/, which must occur
-exactly once there, by another. The tool copies the checkout's working
-tree into a temporary directory (bench_pairs.copy_worktree: tracked files
-with their edits, and untracked files that git does not ignore). For each
-mutant it copies that base, applies the mutant there and runs pytest -x on
-the test files the mutant names. A mutant whose tests all pass survives.
-The tool first runs every named test file on the unmutated copy, so that
-a failure counts only when it is the mutant's. It prints one line per
-mutant, then the survivors, and exits 1 when a mutant survives or its run
-ends in an error (a pytest exit code other than 0 or 1). The checkout is
-never edited. A run takes a few minutes; tests/test_mutants.py checks in
-every test run that each `old` text still occurs exactly once. The tool
-takes no arguments: --help prints its usage and exits 0, and any other
-argument exits 2, in both cases before anything is copied. Outside a git
-checkout, where there is no list of tracked files to copy, it prints an
-error and exits 2, also before anything is copied.
+Each mutant replaces one text of a file under src/, which must occur exactly
+once there, by another. The tool copies the checkout's working tree once into
+a temporary directory (bench_pairs.copy_worktree: the files git tracks or does
+not ignore, with their edits) and runs every named test file there unmutated,
+so that a failure counts only when it is the mutant's. Then it applies each
+mutant to that copy in turn, runs pytest -x on the test files the mutant names
+and writes the original text back; a mutant whose tests all pass survives.
+Every run uses Hypothesis's "ci" profile (derandomized, no example database),
+keeps Hypothesis's other files out of the copy and writes no bytecode, so
+verdicts repeat. It prints one line per mutant, then the survivors, and exits
+1 when a mutant survives or its run ends in an error (a pytest exit code other
+than 0 or 1). A run takes a few minutes; tests/test_mutants.py checks each
+`old` text in every test run. The tool takes no arguments: --help prints its
+usage and exits 0; any other argument exits 2, and so does a run outside a git
+checkout, with an error; all before anything is copied.
 """
-
-from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -111,6 +107,8 @@ MUTANTS = (
     Mutant(CLI, 'except CohkitError as exc:\n            raise type(exc)(f"{path}: {exc}")',
            'except ParseError as exc:\n            raise ParseError(f"{path}: {exc}")', (T_CLI,),
            "replay names the report's file only on a ParseError, not on an invalid witness state"),
+    Mutant(CLI, " or fmt != channels.REPORT_FORMAT", "", (T_CLI,), "replay takes a report of any integer format"),
+    Mutant(CLI, " or dim != m.shape[-1]", "", (T_CLI,), "replay takes a report whose dim is not its witness's"),
     # report format 3: to_json writes json.dumps(value, sort_keys=True) of each value, byte for byte
     Mutant(CHANNELS, '{value["base64"]}"', '{value["base64"].rstrip("=")}"', (T_CHANNELS,),
            "to_json drops the padding of a matrix entry's base64 text in place of copying it as is"),
@@ -120,6 +118,8 @@ MUTANTS = (
            (T_CHANNELS,), "to_json writes a matrix entry's shape as a Python tuple, which is no JSON"),
     Mutant(CHANNELS, "_ENCODE = json.JSONEncoder(sort_keys=True).encode", "_ENCODE = json.JSONEncoder().encode",
            (T_CHANNELS,), "the shared encoder leaves unsorted the keys of a dict held in a list"),
+    Mutant(CHANNELS, "if type(value) is _MatrixEntry:", 'if value.keys() == {"base64", "dtype", "shape"}:',
+           (T_CHANNELS,), "to_json copies unscanned the base64 text of any dict with a matrix entry's keys"),
     # counters over every sample of every block
     Mutant(CHANNELS, 'float(violation.min())', 'float(violation[1:].min(initial=violation[-1]))', (T_CHANNELS,),
            "min_violation skips the first sample of every block"),
@@ -348,9 +348,26 @@ MUTANTS = (
 
 
 def _pytest(copy: Path, tests) -> int:
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    # CPython checks a .pyc only against its source's size and whole-second mtime, so two
+    # equal-length mutants written within one second could otherwise run stale bytecode;
+    # Hypothesis caches its Unicode tables in its storage directory, kept beside the copy
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=ci", *tests]
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "HYPOTHESIS_STORAGE_DIRECTORY": str(copy.parent / "hypothesis")}
     return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True).returncode
+
+
+def _run(copy: Path, mutant: Mutant) -> int | None:
+    """pytest's exit code for mutant applied in copy, its file's text restored after; None if old is not there once."""
+    path = copy / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return None
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        return _pytest(copy, mutant.tests)
+    finally:
+        path.write_text(text, encoding="utf-8")
 
 
 def _checkout_error() -> str | None:
@@ -365,40 +382,26 @@ def _checkout_error() -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="mutation check: every mutant in MUTANTS must make a test fail; "
-                                                 "the run copies the checkout and takes a few minutes")
-    parser.parse_args(argv)
-    error = _checkout_error()
-    if error:
+    argparse.ArgumentParser(description="mutation check: every mutant in MUTANTS must make a test fail; "
+                                        "the run copies the checkout and takes a few minutes").parse_args(argv)
+    if error := _checkout_error():
         print(f"error: {error}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="cohkit-mutants-") as tmp:
-        base = Path(tmp) / "base"
-        copy_worktree(ROOT, base)
-        named = sorted({t for m in MUTANTS for t in m.tests})
-        code = _pytest(base, named)
+        copy = Path(tmp) / "checkout"
+        copy_worktree(ROOT, copy)
+        code = _pytest(copy, sorted({t for m in MUTANTS for t in m.tests}))
         if code != 0:
             print(f"the unmutated tests fail (pytest exit {code}); no mutant was run")
             return 1
-        survivors, errors = [], []
+        codes = []
         for n, mutant in enumerate(MUTANTS):
-            copy = Path(tmp) / f"m{n}"
-            shutil.copytree(base, copy)
-            path = copy / mutant.file
-            text = path.read_text(encoding="utf-8")
-            if text.count(mutant.old) != 1:
-                errors.append(mutant)
-                print(f"[{n}] {mutant.file}: old text found {text.count(mutant.old)} times")
-                continue
-            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-            code = _pytest(copy, mutant.tests)
-            status = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            codes.append(code := _run(copy, mutant))
+            status = {None: "error (old text not found exactly once)", 0: "SURVIVED", 1: "killed"}.get(
+                code, f"error (pytest exit {code})")
             print(f"[{n}] {status}: {mutant.why}")
-            if code == 0:
-                survivors.append(mutant)
-            elif code != 1:
-                errors.append(mutant)
-            shutil.rmtree(copy)
+    survivors = [m for m, code in zip(MUTANTS, codes) if code == 0]
+    errors = [m for m, code in zip(MUTANTS, codes) if code not in (0, 1)]
     print(f"{len(MUTANTS)} mutants, {len(survivors)} survived, {len(errors)} errors")
     for mutant in survivors:
         print(f"survivor: {mutant.file}: {mutant.why}")
