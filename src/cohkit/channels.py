@@ -103,27 +103,33 @@ class KrausFlags:
     diagonal_incoherent: bool
 
 
-def _kraus_outputs(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """K_n rho K_n^dagger for every operator: ops (..., k, d, d), rho (..., d, d)."""
-    return ops @ rho[..., None, :, :] @ linalg.adjoint(ops)
+def _kraus_outputs(ops: np.ndarray, rho: np.ndarray, parts) -> np.ndarray:
+    """K rho_j K^dagger for each operator K of each set j, set after set in Kraus order: ops
+    (sum(parts), d, d) holds the parts[j] operators of set j, one set after another, and
+    rho (n, d, d) the states, each repeated once per operator of its set."""
+    return ops @ np.repeat(rho, parts, axis=0) @ linalg.adjoint(ops)
 
 
-def _require_trace_preserving(ops: np.ndarray) -> None:
-    """Raise InvalidKrausError unless every set in a (..., k, d, d) stack is complete within KRAUS_TP_TOL."""
-    defect = linalg.gram_defect(ops)
+def _require_trace_preserving(ops: np.ndarray, parts) -> None:
+    """Raise InvalidKrausError unless every set of ops, laid out as _kraus_outputs takes them, is
+    complete within KRAUS_TP_TOL: each K^dagger K is scattered into a zero (n, max(parts), d, d)
+    array, which sums each set in Kraus order."""
+    defect = (linalg.identity_defect(states.pad_parts(parts, linalg.adjoint(ops) @ ops).sum(axis=-3))
+              if np.isfinite(ops).all() else math.inf)
     if not (defect <= KRAUS_TP_TOL):
         raise InvalidKrausError(f"sum K^dagger K differs from identity by {defect:.3e}")
 
 
-def _average_output(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Deterministic channel output of each state in a stack."""
-    return linalg.hermitian_part(_kraus_outputs(ops, rho).sum(axis=-3))
+def _average_output(ops: np.ndarray, rho: np.ndarray, parts) -> np.ndarray:
+    """Deterministic channel output of each state: the products of _kraus_outputs, scattered into
+    a zero (n, max(parts), d, d) array and summed in Kraus order."""
+    return linalg.hermitian_part(states.pad_parts(parts, _kraus_outputs(ops, rho, parts)).sum(axis=-3))
 
 
-def _selective_readout(ops: np.ndarray, rho: np.ndarray):
-    """Outcome probabilities p and the mask kept = p >= SELECTIVE_P_FLOOR, both stacked,
-    and the normalized states of the kept outcomes alone, in order: (kept.sum(), d, d)."""
-    outs = _kraus_outputs(ops, rho)
+def _selective_readout(ops: np.ndarray, rho: np.ndarray, parts):
+    """Outcome probabilities p and the mask kept = p >= SELECTIVE_P_FLOOR, one entry per product
+    of _kraus_outputs, and the normalized states of the kept outcomes alone, in order: (kept.sum(), d, d)."""
+    outs = _kraus_outputs(ops, rho, parts)
     p = np.trace(outs, axis1=-2, axis2=-1).real
     kept = p >= SELECTIVE_P_FLOOR
     return p, kept, linalg.hermitian_part(outs[kept]) / p[kept][:, None, None]
@@ -133,8 +139,9 @@ def apply_channel(kraus: KrausSet, rho: states.DensityMatrix) -> states.DensityM
     """Deterministic channel action: sum of K rho K^dagger."""
     if require_instance("kraus", kraus, KrausSet).dim != require_instance("rho", rho, states.DensityMatrix).dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
-    _require_trace_preserving(kraus.operators)
-    return states.DensityMatrix(_average_output(kraus.operators, rho.matrix))
+    parts = [len(kraus.operators)]
+    _require_trace_preserving(kraus.operators, parts)
+    return states.DensityMatrix(_average_output(kraus.operators, rho.matrix[None], parts)[0])
 
 
 def selective_outcomes(kraus: KrausSet, rho: states.DensityMatrix) -> list[tuple[float, states.DensityMatrix]]:
@@ -145,8 +152,9 @@ def selective_outcomes(kraus: KrausSet, rho: states.DensityMatrix) -> list[tuple
     """
     if require_instance("kraus", kraus, KrausSet).dim != require_instance("rho", rho, states.DensityMatrix).dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
-    _require_trace_preserving(kraus.operators)
-    p, kept, normalized = _selective_readout(kraus.operators, rho.matrix)
+    parts = [len(kraus.operators)]
+    _require_trace_preserving(kraus.operators, parts)
+    p, kept, normalized = _selective_readout(kraus.operators, rho.matrix[None], parts)
     return [(float(q), states.DensityMatrix(m)) for q, m in zip(p[kept], normalized)]
 
 
@@ -250,7 +258,10 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     incoherent state (C1, not for ibiqc, whose incoherent set is I/d alone), the Kraus
     count and class channel (C2), or the mixture size, weights and members (C3). Each draw is
     made for the whole block in turn, written straight into the block's stacked array; Kraus
-    sets and mixtures are zero-padded, with weight zero, to the block's largest set.
+    sets and mixtures are zero-padded, with weight zero, to the block's largest set. A padded
+    slot is never multiplied, gated or decomposed: the products, the trace-preservation gate and
+    the member values run on the drawn operators and members alone, and only the weighted
+    mixture and the averaged sum read the padded layout.
     """
     kernel = _MEASURE_KERNELS[measure]
     rngs = states.sample_generators(seed, indices)
@@ -259,17 +270,19 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
         u = states.isometry_stack(states.normal_stack(rngs, (2, d, d)))
         states.require_unitary(u)
         # a unitary is a one-operator channel
-        rotated = _average_output(u[:, None], rho)
+        rotated = _average_output(u, rho, np.ones(len(u), dtype=int))
         return (np.abs(kernel(rotated) - kernel(rho)), {},
                 lambda j: {"state": _matrix_json(rho[j]), "unitary": _matrix_json(u[j])})
     if condition == "C1":
+        random_value = kernel(rho)
         if measure == "ibiqc":
             incoherent = np.broadcast_to(states.maximally_mixed(d).matrix, rho.shape)
+            # every sample's incoherent state is I/d, so the block measures it once
+            zero_side = np.broadcast_to(kernel(incoherent[:1]), random_value.shape)
         else:
             probs = states.require_probabilities(states.dirichlet_stack(rngs, np.full(len(rngs), d)))
             incoherent = np.eye(d, dtype=complex) * probs[:, None, :]
-        random_value = kernel(rho)
-        zero_side = kernel(incoherent)
+            zero_side = kernel(incoherent)
         positive_side = C1_POSITIVITY_FLOOR - random_value
         on_incoherent = zero_side >= positive_side
 
@@ -281,9 +294,11 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     if condition == "C3":
         parts = np.array([rng.integers(2, _MAX_PARTS + 1) for rng in rngs])
         weights = states.dirichlet_stack(rngs, parts)
-        members = states.pad_parts(parts, states.density_stack(states.normal_stack(rngs, (2, d, d), parts)))
+        drawn = states.density_stack(states.normal_stack(rngs, (2, d, d), parts))
+        members = states.pad_parts(parts, drawn)
         mixture = kernel(np.einsum("nm,nmij->nij", weights, members))
-        average = (weights * kernel(members)).sum(axis=1)
+        # only drawn members are measured; a padded slot, of weight zero, gets the value zero
+        average = (weights * states.pad_parts(parts, kernel(drawn))).sum(axis=1)
 
         def witness(j):
             k = parts[j]
@@ -310,15 +325,18 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     if op_class is not None:
         parts = np.array([rng.integers(1, _MAX_PARTS + 1) for rng in rngs])
         kraus = states.kraus_stack(op_class, d, parts, rngs)
-        _require_trace_preserving(kraus)
+        # the drawn operators, set after set: the zero padding enters no product
+        ops = kraus[np.arange(kraus.shape[1]) < parts[:, None]]
+        _require_trace_preserving(ops, parts)
         if average:
-            p, values = None, kernel(_average_output(kraus, rho))
+            p, values = None, kernel(_average_output(ops, rho, parts))
         else:
-            # only kept outcomes are measured; a zero-padded operator has p = 0 exactly, so it
-            # is never kept and is no outcome
-            p, kept, normalized = _selective_readout(kraus, rho)
+            # only kept outcomes are measured; a padded slot gets p = 0, so it is never kept
+            # and is no outcome
+            p, kept, normalized = _selective_readout(ops, rho, parts)
             values = np.zeros(p.shape)
             values[kept] = kernel(normalized)
+            p, values = states.pad_parts(parts, p), states.pad_parts(parts, values)
         readout("class_channel", p, values, parts)
     if op_class in RESET_CLASSES:
         # in closed form: the output, and each selective outcome n (with p_n = rho_nn), is the
@@ -406,7 +424,9 @@ def audit_conditions(
     Samples are drawn and evaluated in blocks: the states, unitaries, Kraus
     sets and mixtures of a block are built as stacked arrays (Kraus sets
     and mixtures zero-padded, with weight zero, to the block's largest set
-    of at most four), and each measure is one stacked eigenvalue solve. The
+    of at most four), and each measure is one stacked eigenvalue solve. A
+    padded slot is never multiplied, gated or decomposed; only the weighted
+    mixture (C3) and the averaged sum (C2_average) keep the padded layout. The
     block size follows from d so that one block's arrays take a few MB
     whatever the number of samples; the report does not depend on it.
 

@@ -80,8 +80,13 @@ def gram_defect(ops) -> float:
     a = np.asarray(ops, dtype=complex)
     if not np.isfinite(a).all():
         return math.inf
-    gram = (adjoint(a) @ a).sum(axis=-3) - np.eye(a.shape[-1])
-    return float(np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(-2, -1)).max(initial=0.0)))
+    return identity_defect((adjoint(a) @ a).sum(axis=-3))
+
+
+def identity_defect(m) -> float:
+    """The largest Frobenius distance from the identity over a (..., d, d) stack; 0 when it is empty."""
+    m = m - np.eye(m.shape[-1])
+    return float(np.sqrt((m.real**2 + m.imag**2).sum(axis=(-2, -1)).max(initial=0.0)))
 
 
 def hermitian_eig(m):

@@ -304,6 +304,10 @@ def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
 
 # PCG64 takes 4 uint64 words, 8 uint32 words drawn cyclically from the pool
 _STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+# the entropy mixing of a seed of up to three 32-bit words, which with the sample index fill the pool
+_POOL_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+# the pool words that word src is mixed into, for src = 0 ... _POOL_SIZE - 1
+_MIX_TARGETS = [np.delete(np.arange(_POOL_SIZE), src) for src in range(_POOL_SIZE)]
 
 
 def _hashmix(value: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -355,13 +359,13 @@ def sample_generators(seed: int, indices: range) -> list:
     entropy[:-1] = np.array(seed_words, dtype=np.uint32)[:, None]
     entropy[-1] = indices
     extra = entropy[_POOL_SIZE:]
-    h = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * len(extra))
+    calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * len(extra)
+    h = _hash_constants(_INIT_A, _MULT_A, calls) if len(extra) else _POOL_CONSTANTS
     pool = np.zeros((_POOL_SIZE, len(indices)), dtype=np.uint32)
     pool[:len(entropy)] = entropy[:_POOL_SIZE]
     pool = _hashmix(pool, h[:_POOL_SIZE + 1])
     step = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [j for j in range(_POOL_SIZE) if j != src]
+    for src, dst in enumerate(_MIX_TARGETS):
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[step:step + _POOL_SIZE]))
         step += _POOL_SIZE - 1
     for word in extra:
@@ -451,15 +455,16 @@ def kraus_stack(kind: str, d: int, ks, rngs) -> np.ndarray:
         # and per row; per-column normalization then gives exact trace
         # preservation (independent row draws would leave cross terms).
         # Generator.permutation(d) shuffles arange(d), and permuted shuffles
-        # each row of its slice in turn, with the same draws; the (2, k, d)
-        # normals fill their real, then their imaginary rows.
-        rows = np.broadcast_to(np.arange(d), (len(ks), max(ks), d)).copy()
-        normals = np.zeros((len(ks), 2, max(ks), d))
-        for rng, perms, parts, k in zip(rngs, rows, normals, ks):
+        # each row of its slice in turn, with the same draws; then each set's
+        # (2, k, d) normals are one draw, its k real rows, then its k imaginary
+        # rows, which fill the rows s with s % width < k of its 2 * width.
+        width = max(ks)
+        rows = np.broadcast_to(np.arange(d), (len(ks), width, d)).copy()
+        for rng, perms, k in zip(rngs, rows, ks):
             rng.permuted(perms[:k], axis=-1, out=perms[:k])
-            rng.standard_normal(out=parts[0, :k])
-            rng.standard_normal(out=parts[1, :k])
-        amp = _ginibre(normals)
+        normals = np.zeros((len(ks), 2 * width, d))
+        normals[np.arange(2 * width) % width < ks[:, None]] = normal_stack(rngs, (d,), 2 * ks)
+        amp = _ginibre(normals.reshape(len(ks), 2, width, d))
         amp = amp / np.linalg.norm(amp, axis=1)[:, None]
         ops = np.zeros(amp.shape + (d,), dtype=complex)
         np.put_along_axis(ops, rows[..., None, :], amp[..., None, :], axis=-2)

@@ -276,7 +276,8 @@ def test_classify_draws_no_random_numbers(monkeypatch):
 
 
 def test_classify_agrees_with_the_gate_at_a_defect_equal_to_the_tolerance(monkeypatch):
-    monkeypatch.setattr(linalg, "gram_defect", lambda ops: channels.KRAUS_TP_TOL)
+    # the gate and classify_kraus both read the defect of sum K^dagger K through identity_defect
+    monkeypatch.setattr(linalg, "identity_defect", lambda m: channels.KRAUS_TP_TOL)
     kraus = dephasing()
     apply_channel(kraus, maximally_mixed(2))
     flags = classify_kraus(kraus)
@@ -570,6 +571,80 @@ def test_selective_class_channel_measures_only_its_kept_outcomes(monkeypatch):
     traces = np.concatenate(seen)
     assert len(traces) > 2 * 50 and report.diagnostics["class_channel_wins"] > 0
     np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-12)
+
+
+def _drawn_counts(seed, samples, d, low):
+    """Each sample's Kraus count (low = 1) or mixture size (low = 2), replayed from
+    default_rng([seed, i]): the state's normals come first, then this draw."""
+    counts = []
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        rng.standard_normal((2, d, d))
+        counts.append(int(rng.integers(low, channels._MAX_PARTS + 1)))
+    return counts
+
+
+def _trace_spy(monkeypatch, measure):
+    """Record the trace of every matrix the measure's audit kernel is given."""
+    seen, kernel = [], channels._MEASURE_KERNELS[measure]
+
+    def spy(m):
+        seen.append(np.trace(m, axis1=-2, axis2=-1).reshape(-1))
+        return kernel(m)
+
+    monkeypatch.setitem(channels._MEASURE_KERNELS, measure, spy)
+    return seen
+
+
+def test_averaged_class_channel_multiplies_and_gates_only_its_drawn_operators(monkeypatch):
+    # a block of 50 samples with Kraus sets of mixed sizes: the products and the trace-preservation
+    # gate each see exactly the operators the samples drew, none of them a zero-padded one
+    d, samples, seed = 3, 50, 2
+    ks = _drawn_counts(seed, samples, d, 1)
+    assert len(set(ks)) > 1
+    seen = _trace_spy(monkeypatch, "re")
+    operators = {}
+    for name in ("_kraus_outputs", "_require_trace_preserving"):
+        def spy(ops, *args, name=name, helper=getattr(channels, name)):
+            flat = np.reshape(ops, (-1,) + np.shape(ops)[-2:])
+            operators[name] = operators.get(name, 0) + len(flat)
+            assert np.abs(flat).max(axis=(-2, -1)).min() > 0, name
+            return helper(ops, *args)
+
+        monkeypatch.setattr(channels, name, spy)
+    audit_conditions("re", "C2_average", "general_tp", d=d, samples=samples, seed=seed)
+    assert operators == {"_kraus_outputs": sum(ks), "_require_trace_preserving": sum(ks)}
+    np.testing.assert_allclose(np.concatenate(seen), 1.0, rtol=0, atol=1e-12)
+
+
+def test_mixture_audit_measures_only_its_drawn_members(monkeypatch):
+    # every matrix the kernel sees is a state: a mixture or one of its drawn members, never the
+    # zero matrix of a padded slot
+    d, samples, seed = 3, 50, 4
+    parts = _drawn_counts(seed, samples, d, 2)
+    assert len(set(parts)) > 1
+    seen = _trace_spy(monkeypatch, "re")
+    audit_conditions("re", "C3", d=d, samples=samples, seed=seed)
+    traces = np.concatenate(seen)
+    np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-12)
+    assert len(traces) == samples + sum(parts)
+
+
+def test_ibiqc_c1_measures_the_maximally_mixed_state_once_per_block(monkeypatch):
+    d, samples = 3, 20
+    kernel, seen = channels._MEASURE_KERNELS["ibiqc"], []
+
+    def spy(m):
+        seen.append(np.array(m))
+        return kernel(m)
+
+    monkeypatch.setitem(channels._MEASURE_KERNELS, "ibiqc", spy)
+    # blocks of 7, 7 and 6 samples
+    monkeypatch.setattr(channels, "_BLOCK_BYTES", 7 * 16 * channels._MAX_PARTS * d * d)
+    audit_conditions("ibiqc", "C1", d=d, samples=samples, seed=3)
+    matrices = np.concatenate([m.reshape(-1, d, d) for m in seen])
+    mixed = np.all(matrices == np.eye(d) / d, axis=(-2, -1))
+    assert len(matrices) == samples + 3 and mixed.sum() == 3
 
 
 def test_audit_uses_neither_seed_sequence_nor_dirichlet(monkeypatch):

@@ -899,7 +899,8 @@ def test_replay_of_a_file_that_is_not_a_format_3_report_exit_3(tmp_path, capsys,
 
 
 def test_replay_of_a_witness_above_max_audit_dim_exit_3(tmp_path, capsys):
-    report = audit_conditions("ibiqc", "C2_selective", d=2, samples=5, seed=1, probe_eigenbasis=True).to_dict()
+    report = json.loads(audit_conditions("ibiqc", "C2_selective", d=2, samples=5, seed=1,
+                                         probe_eigenbasis=True).to_json())
     bad = tmp_path / "bad.json"
     big = channels._matrix_json(np.zeros((257, 257), dtype=complex))
     for key in ("state", "eigenvectors"):

@@ -1,4 +1,6 @@
+import io
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,7 +67,8 @@ def _fake_pytest(monkeypatch, raise_on=None):
     return calls
 
 
-def test_main_runs_the_baseline_and_every_mutant_in_one_copy_on_fixed_examples(monkeypatch, capsys):
+def _fake_checkout(monkeypatch):
+    """Make main run the two fake mutants, in a copy that holds only the fake file."""
     def copy(root, dest):
         (dest / "src").mkdir(parents=True)
         (dest / "src/fake.py").write_text(_ORIGINAL, encoding="utf-8")
@@ -73,6 +76,10 @@ def test_main_runs_the_baseline_and_every_mutant_in_one_copy_on_fixed_examples(m
     monkeypatch.setattr(mutants, "MUTANTS", (_FIRST, _SECOND))
     monkeypatch.setattr(mutants, "_checkout_error", lambda: None)
     monkeypatch.setattr(mutants, "copy_worktree", copy)
+
+
+def test_main_runs_the_baseline_and_every_mutant_in_one_copy_on_fixed_examples(monkeypatch, capsys):
+    _fake_checkout(monkeypatch)
     calls = _fake_pytest(monkeypatch)
     assert mutants.main([]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "2 mutants, 0 survived, 0 errors"
@@ -81,6 +88,29 @@ def test_main_runs_the_baseline_and_every_mutant_in_one_copy_on_fixed_examples(m
         assert "--hypothesis-profile=ci" in argv and env["PYTHONDONTWRITEBYTECODE"] == "1"
         assert not Path(env["HYPOTHESIS_STORAGE_DIRECTORY"]).is_relative_to(cwd)
     assert [text for *_, text in calls] == [_ORIGINAL, "a = 10\nb = 2\n", "a = 1\nb = 20\n"]
+
+
+def test_each_mutant_line_is_flushed_before_the_next_mutant_runs(monkeypatch):
+    class Buffered(io.StringIO):
+        """Standard output whose reader sees the text only up to its last flush."""
+        shown = ""
+
+        def flush(self):
+            self.shown = self.getvalue()
+
+    out, shown = Buffered(), []
+    monkeypatch.setattr(sys, "stdout", out)
+    _fake_checkout(monkeypatch)
+    _fake_pytest(monkeypatch)
+    fake_run = mutants.subprocess.run
+
+    def run(*args, **kwargs):
+        shown.append(out.shown)
+        return fake_run(*args, **kwargs)
+
+    monkeypatch.setattr(mutants.subprocess, "run", run)
+    assert mutants.main([]) == 0
+    assert shown == ["", "", "[0] killed: first\n"]
 
 
 @pytest.mark.parametrize("first_raises", [False, True])

@@ -13,12 +13,13 @@ mutant to that copy in turn, runs pytest -x on the test files the mutant names
 and writes the original text back; a mutant whose tests all pass survives.
 Every run uses Hypothesis's "ci" profile (derandomized, no example database),
 keeps Hypothesis's other files out of the copy and writes no bytecode, so
-verdicts repeat. It prints one line per mutant, then the survivors, and exits
-1 when a mutant survives or its run ends in an error (a pytest exit code other
-than 0 or 1). A run takes a few minutes; tests/test_mutants.py checks each
-`old` text in every test run. The tool takes no arguments: --help prints its
-usage and exits 0; any other argument exits 2, and so does a run outside a git
-checkout, with an error; all before anything is copied.
+verdicts repeat. It prints one line per mutant, flushed as soon as the mutant's
+run ends, then the survivors, and exits 1 when a mutant survives or its run
+ends in an error (a pytest exit code other than 0 or 1). A run takes a few
+minutes; tests/test_mutants.py checks each `old` text in every test run. The
+tool takes no arguments: --help prints its usage and exits 0; any other
+argument exits 2, and so does a run outside a git checkout, with an error; all
+before anything is copied.
 """
 
 import argparse
@@ -168,7 +169,7 @@ MUTANTS = (
            "PureState takes the norm of any amplitudes: PureState([1e300, 1e300]) overflows"),
     Mutant(STATES, 'p = require_array("probs", self.probs, float)', "p = np.asarray(self.probs, dtype=float)",
            (T_GATES, T_STATES), "DiagonalState raises numpy's ValueError on a string"),
-    Mutant(CHANNELS, "    _require_trace_preserving(kraus.operators)\n    p, kept, normalized",
+    Mutant(CHANNELS, "    _require_trace_preserving(kraus.operators, parts)\n    p, kept, normalized",
            "    p, kept, normalized", (T_CHANNELS, T_GATES),
            "selective_outcomes reads out a Kraus set that is not trace preserving, so replay takes a "
            "tampered C2_selective witness"),
@@ -287,7 +288,8 @@ MUTANTS = (
            "each sample's normals land in the row of the block's last sample, the first in the last"),
     Mutant(STATES, "rng.standard_exponential(out=row[:k])", "rng.standard_exponential(out=row[-k:])", (T_STATES,),
            "Dirichlet draws fill the end of each padded row, so the weights sit under the wrong members"),
-    Mutant(STATES, "rng.standard_normal(out=parts[1, :k])", "rng.standard_normal(out=parts[1, -k:])", (T_STATES,),
+    Mutant(STATES, "normals[np.arange(2 * width) % width < ks[:, None]]",
+           "normals[np.r_[np.arange(width), np.arange(width)[::-1]] < ks[:, None]]", (T_STATES,),
            "diagonal_incoherent imaginary parts fill the end of each padded set"),
     # distance search
     Mutant(MEASURES, "if not np.array_equal(runs[0][0], x0):", "if True:", (T_MEASURES,),
@@ -330,9 +332,16 @@ MUTANTS = (
     Mutant(MEASURES, "return 0.0 - (p * np.log2", "return -(p * np.log2", (T_CLI,),
            "a zero entropy comes out as -0.0"),
     Mutant(CHANNELS, "values[kept] = kernel(normalized)",
-           "values[kept] = kernel(np.concatenate([normalized, np.zeros((kept.size - len(normalized), d, d))]))"
-           "[:len(normalized)]", (T_CHANNELS,),
+           "values[kept] = kernel(np.concatenate([normalized, np.zeros((kraus.shape[0] * kraus.shape[1] - "
+           "len(normalized), d, d))]))[:len(normalized)]", (T_CHANNELS,),
            "the selective class channel measures every outcome again, the dropped and zero-padded ones too"),
+    # a block evaluates only the Kraus operators and mixture members it drew, never its zero padding
+    Mutant(CHANNELS, "ops = kraus[np.arange(kraus.shape[1]) < parts[:, None]]",
+           "ops = kraus[np.arange(kraus.shape[1]) < parts[:, None] - 1]", (T_CHANNELS,),
+           "the drawn mask is off by one, so each set's last operator is skipped"),
+    Mutant(CHANNELS, "(weights * states.pad_parts(parts, kernel(drawn)))",
+           "(weights * states.pad_parts(parts, kernel(drawn))[:, ::-1])", (T_CHANNELS,),
+           "C3 member values are scattered under the wrong weights, the last slot's first"),
     Mutant(CHANNELS, 'readout("class_channel", p, values, parts)', 'readout("class_channel", p, values, _MAX_PARTS)',
            (T_CHANNELS,),
            "C2_selective counts the zero-padded Kraus operators as dropped outcomes"),
@@ -399,7 +408,7 @@ def main(argv=None) -> int:
             codes.append(code := _run(copy, mutant))
             status = {None: "error (old text not found exactly once)", 0: "SURVIVED", 1: "killed"}.get(
                 code, f"error (pytest exit {code})")
-            print(f"[{n}] {status}: {mutant.why}")
+            print(f"[{n}] {status}: {mutant.why}", flush=True)
     survivors = [m for m, code in zip(MUTANTS, codes) if code == 0]
     errors = [m for m, code in zip(MUTANTS, codes) if code not in (0, 1)]
     print(f"{len(MUTANTS)} mutants, {len(survivors)} survived, {len(errors)} errors")
