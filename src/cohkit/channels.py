@@ -110,12 +110,10 @@ def _kraus_outputs(ops: np.ndarray, rho: np.ndarray, parts) -> np.ndarray:
     return ops @ np.repeat(rho, parts, axis=0) @ linalg.adjoint(ops)
 
 
-def _require_trace_preserving(ops: np.ndarray, parts) -> None:
-    """Raise InvalidKrausError unless every set of ops, laid out as _kraus_outputs takes them, is
-    complete within KRAUS_TP_TOL: each K^dagger K is scattered into a zero (n, max(parts), d, d)
-    array, which sums each set in Kraus order."""
-    defect = (linalg.identity_defect(states.pad_parts(parts, linalg.adjoint(ops) @ ops).sum(axis=-3))
-              if np.isfinite(ops).all() else math.inf)
+def _require_trace_preserving(kraus: np.ndarray) -> None:
+    """Raise InvalidKrausError unless every Kraus set of a (..., k, d, d) stack is complete within
+    KRAUS_TP_TOL (linalg.gram_defect); a zero-padded slot reads as a zero operator."""
+    defect = linalg.gram_defect(kraus)
     if not (defect <= KRAUS_TP_TOL):
         raise InvalidKrausError(f"sum K^dagger K differs from identity by {defect:.3e}")
 
@@ -139,9 +137,8 @@ def apply_channel(kraus: KrausSet, rho: states.DensityMatrix) -> states.DensityM
     """Deterministic channel action: sum of K rho K^dagger."""
     if require_instance("kraus", kraus, KrausSet).dim != require_instance("rho", rho, states.DensityMatrix).dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
-    parts = [len(kraus.operators)]
-    _require_trace_preserving(kraus.operators, parts)
-    return states.DensityMatrix(_average_output(kraus.operators, rho.matrix[None], parts)[0])
+    _require_trace_preserving(kraus.operators)
+    return states.DensityMatrix(_average_output(kraus.operators, rho.matrix[None], [len(kraus.operators)])[0])
 
 
 def selective_outcomes(kraus: KrausSet, rho: states.DensityMatrix) -> list[tuple[float, states.DensityMatrix]]:
@@ -152,9 +149,8 @@ def selective_outcomes(kraus: KrausSet, rho: states.DensityMatrix) -> list[tuple
     """
     if require_instance("kraus", kraus, KrausSet).dim != require_instance("rho", rho, states.DensityMatrix).dim:
         raise DimensionMismatchError(f"channel dimension {kraus.dim} vs state dimension {rho.dim}")
-    parts = [len(kraus.operators)]
-    _require_trace_preserving(kraus.operators, parts)
-    p, kept, normalized = _selective_readout(kraus.operators, rho.matrix[None], parts)
+    _require_trace_preserving(kraus.operators)
+    p, kept, normalized = _selective_readout(kraus.operators, rho.matrix[None], [len(kraus.operators)])
     return [(float(q), states.DensityMatrix(m)) for q, m in zip(p[kept], normalized)]
 
 
@@ -259,9 +255,9 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     count and class channel (C2), or the mixture size, weights and members (C3). Each draw is
     made for the whole block in turn, written straight into the block's stacked array; Kraus
     sets and mixtures are zero-padded, with weight zero, to the block's largest set. A padded
-    slot is never multiplied, gated or decomposed: the products, the trace-preservation gate and
-    the member values run on the drawn operators and members alone, and only the weighted
-    mixture and the averaged sum read the padded layout.
+    slot is never multiplied into an output or decomposed: the products and member values run on
+    the drawn operators and members alone; the trace-preservation gate, the weighted mixture and
+    the averaged sum read the padded sets, where a padded slot is a zero operator.
     """
     kernel = _MEASURE_KERNELS[measure]
     rngs = states.sample_generators(seed, indices)
@@ -325,9 +321,9 @@ def _audit_block(measure: str, condition: str, op_class, probe_eigenbasis: bool,
     if op_class is not None:
         parts = np.array([rng.integers(1, _MAX_PARTS + 1) for rng in rngs])
         kraus = states.kraus_stack(op_class, d, parts, rngs)
+        _require_trace_preserving(kraus)
         # the drawn operators, set after set: the zero padding enters no product
         ops = kraus[np.arange(kraus.shape[1]) < parts[:, None]]
-        _require_trace_preserving(ops, parts)
         if average:
             p, values = None, kernel(_average_output(ops, rho, parts))
         else:
@@ -425,8 +421,9 @@ def audit_conditions(
     sets and mixtures of a block are built as stacked arrays (Kraus sets
     and mixtures zero-padded, with weight zero, to the block's largest set
     of at most four), and each measure is one stacked eigenvalue solve. A
-    padded slot is never multiplied, gated or decomposed; only the weighted
-    mixture (C3) and the averaged sum (C2_average) keep the padded layout. The
+    padded slot is never multiplied into an output or decomposed; the trace-
+    preservation gate, the weighted mixture (C3) and the averaged sum
+    (C2_average) read it as a zero operator. The
     block size follows from d so that one block's arrays take a few MB
     whatever the number of samples; the report does not depend on it.
 

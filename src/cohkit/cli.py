@@ -418,6 +418,15 @@ def _cmd_replay(args) -> int:
             for key, m in matrices.items():
                 if type(dim) is not int or dim != m.shape[-1]:
                     raise ParseError(f"dim must be {m.shape[-1]}, the dimension of the witness {key}, got {dim!r}")
+            verdict = channels.VERDICT_HOLDS if recorded <= tol else channels.VERDICT_VIOLATED
+            if report.get("verdict") != verdict:
+                raise ParseError(f"verdict must be {verdict!r}, as max_violation {recorded!r} against tol {tol!r} "
+                                 f"gives, got {report.get('verdict')!r}")
+            # as validate_audit_arguments: sample indices below 2**32 are one 32-bit seed word
+            samples = require_count("samples", report.get("samples"), 1, 2**32, error=ParseError)
+            diagnostics = report.get("diagnostics")
+            require_count("diagnostics.samples_above_tol", diagnostics.get("samples_above_tol")
+                          if isinstance(diagnostics, dict) else None, 0, samples, error=ParseError)
         except CohkitError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
         agrees = abs(replayed - recorded) <= tol

@@ -71,21 +71,20 @@ def require_hermitian(m) -> np.ndarray:
 def gram_defect(ops) -> float:
     """Frobenius distance of sum_k A_k^dagger A_k from the identity.
 
-    ops has shape (..., k, d, d), one set of k operators per leading index;
-    the result is the largest distance over the sets, and inf when an entry
-    is not finite, so a tolerance check on it fails closed without a numpy
-    warning. A unitary is a set of one operator; unitality is the defect of
-    the adjoints.
+    ops has shape (..., k, d, d), one set of k operators per leading index.
+    The sum is V^dagger V for the set stacked into one (k d, d) matrix V, so a
+    zero operator, such as a padded slot, adds nothing. The result is the
+    largest distance over the sets (0 for none), and inf when an entry is not
+    finite, so a tolerance check on it fails closed without a numpy warning.
+    A unitary is a set of one operator; unitality is the defect of the adjoints.
     """
     a = np.asarray(ops, dtype=complex)
     if not np.isfinite(a).all():
         return math.inf
-    return identity_defect((adjoint(a) @ a).sum(axis=-3))
-
-
-def identity_defect(m) -> float:
-    """The largest Frobenius distance from the identity over a (..., d, d) stack; 0 when it is empty."""
-    m = m - np.eye(m.shape[-1])
+    k, d = a.shape[-3], a.shape[-1]
+    # k * d, not -1: reshape cannot infer an axis of an empty stack
+    v = a.reshape(a.shape[:-3] + (k * d, d))
+    m = adjoint(v) @ v - np.eye(d)
     return float(np.sqrt((m.real**2 + m.imag**2).sum(axis=(-2, -1)).max(initial=0.0)))
 
 

@@ -388,7 +388,7 @@ def dirichlet_stack(rngs, ks) -> np.ndarray:
     standard exponentials, written straight into the row, sums them left to
     right and scales each by 1 / sum.
     """
-    draws = np.zeros((len(ks), max(ks)))
+    draws = np.zeros((len(ks), np.asarray(ks).max()))
     for rng, row, k in zip(rngs, draws, ks):
         rng.standard_exponential(out=row[:k])
     return draws * (1.0 / draws.cumsum(axis=1)[:, -1])[:, None]
@@ -411,7 +411,8 @@ def normal_stack(rngs, shape, counts=None) -> np.ndarray:
 def pad_parts(counts, parts: np.ndarray) -> np.ndarray:
     """Sets of counts[j] parts, given one after another, as one
     (n, max(counts), ...) array, zero beyond each set's parts."""
-    used = np.arange(max(counts)) < np.asarray(counts)[:, None]
+    counts = np.asarray(counts)
+    used = np.arange(counts.max()) < counts[:, None]
     out = np.zeros(used.shape + parts.shape[1:], dtype=parts.dtype)
     out[used] = parts
     return out
@@ -458,7 +459,7 @@ def kraus_stack(kind: str, d: int, ks, rngs) -> np.ndarray:
         # each row of its slice in turn, with the same draws; then each set's
         # (2, k, d) normals are one draw, its k real rows, then its k imaginary
         # rows, which fill the rows s with s % width < k of its 2 * width.
-        width = max(ks)
+        width = ks.max()
         rows = np.broadcast_to(np.arange(d), (len(ks), width, d)).copy()
         for rng, perms, k in zip(rngs, rows, ks):
             rng.permuted(perms[:k], axis=-1, out=perms[:k])
@@ -470,7 +471,7 @@ def kraus_stack(kind: str, d: int, ks, rngs) -> np.ndarray:
         np.put_along_axis(ops, rows[..., None, :], amp[..., None, :], axis=-2)
         return ops
     # general_tp: the isometry from d to k*d has shape (k*d, d), so sets group by k.
-    ops = np.zeros((len(ks), max(ks), d, d), dtype=complex)
+    ops = np.zeros((len(ks), ks.max(), d, d), dtype=complex)
     for k in set(ks.tolist()):
         sel = np.flatnonzero(ks == k)
         ops[sel, :k] = isometry_stack(normal_stack([rngs[j] for j in sel], (2, k * d, d))).reshape(-1, k, d, d)

@@ -276,8 +276,8 @@ def test_classify_draws_no_random_numbers(monkeypatch):
 
 
 def test_classify_agrees_with_the_gate_at_a_defect_equal_to_the_tolerance(monkeypatch):
-    # the gate and classify_kraus both read the defect of sum K^dagger K through identity_defect
-    monkeypatch.setattr(linalg, "identity_defect", lambda m: channels.KRAUS_TP_TOL)
+    # the gate and classify_kraus both read the defect of sum K^dagger K through gram_defect
+    monkeypatch.setattr(linalg, "gram_defect", lambda ops: channels.KRAUS_TP_TOL)
     kraus = dephasing()
     apply_channel(kraus, maximally_mixed(2))
     flags = classify_kraus(kraus)
@@ -597,24 +597,50 @@ def _trace_spy(monkeypatch, measure):
 
 
 def test_averaged_class_channel_multiplies_and_gates_only_its_drawn_operators(monkeypatch):
-    # a block of 50 samples with Kraus sets of mixed sizes: the products and the trace-preservation
-    # gate each see exactly the operators the samples drew, none of them a zero-padded one
+    # a block of 50 samples with Kraus sets of mixed sizes: the products see exactly the operators the
+    # samples drew, none of them a zero-padded one; the trace-preservation gate sees the block's padded
+    # sets once, whose only nonzero operators are the drawn ones
     d, samples, seed = 3, 50, 2
     ks = _drawn_counts(seed, samples, d, 1)
     assert len(set(ks)) > 1
     seen = _trace_spy(monkeypatch, "re")
-    operators = {}
-    for name in ("_kraus_outputs", "_require_trace_preserving"):
-        def spy(ops, *args, name=name, helper=getattr(channels, name)):
-            flat = np.reshape(ops, (-1,) + np.shape(ops)[-2:])
-            operators[name] = operators.get(name, 0) + len(flat)
-            assert np.abs(flat).max(axis=(-2, -1)).min() > 0, name
-            return helper(ops, *args)
+    operators, gated = {}, []
 
-        monkeypatch.setattr(channels, name, spy)
+    def products(ops, *args, helper=channels._kraus_outputs):
+        flat = np.reshape(ops, (-1,) + np.shape(ops)[-2:])
+        operators["_kraus_outputs"] = operators.get("_kraus_outputs", 0) + len(flat)
+        assert np.abs(flat).max(axis=(-2, -1)).min() > 0
+        return helper(ops, *args)
+
+    def gate(kraus, helper=channels._require_trace_preserving):
+        gated.append(kraus)
+        return helper(kraus)
+
+    monkeypatch.setattr(channels, "_kraus_outputs", products)
+    monkeypatch.setattr(channels, "_require_trace_preserving", gate)
     audit_conditions("re", "C2_average", "general_tp", d=d, samples=samples, seed=seed)
-    assert operators == {"_kraus_outputs": sum(ks), "_require_trace_preserving": sum(ks)}
+    assert operators == {"_kraus_outputs": sum(ks)}
+    (kraus,) = gated
+    assert kraus.shape == (samples, max(ks), d, d)
+    nonzero = kraus.any(axis=(-2, -1))
+    assert nonzero.sum() == sum(ks)
+    # every other slot is an exact zero: the padding of its set
+    assert np.array_equal(nonzero, np.arange(max(ks)) < np.array(ks)[:, None])
     np.testing.assert_allclose(np.concatenate(seen), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("op_class", OPERATION_CLASSES)
+def test_audit_gate_rejects_a_block_holding_one_incomplete_set(monkeypatch, op_class):
+    # the block's last set scaled by 1 + 1e-6: its sum K^dagger K is off by about 2e-6 sqrt(d),
+    # far above KRAUS_TP_TOL, while every other set of the block is complete
+    def stretched(*args, helper=states.kraus_stack):
+        kraus = helper(*args)
+        kraus[-1] *= 1 + 1e-6
+        return kraus
+
+    monkeypatch.setattr(states, "kraus_stack", stretched)
+    with pytest.raises(InvalidKrausError, match="differs from identity by 3"):
+        audit_conditions("re", "C2_selective", op_class, d=3, samples=20, seed=0)
 
 
 def test_mixture_audit_measures_only_its_drawn_members(monkeypatch):

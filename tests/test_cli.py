@@ -898,6 +898,56 @@ def test_replay_of_a_file_that_is_not_a_format_3_report_exit_3(tmp_path, capsys,
     assert captured.err.startswith(f"error: {bad}: {field} must be ")
 
 
+def _replay_rejects(tmp_path, capsys, report, field):
+    """cohkit replay exits 3 on report, after the line of a good file, with an error naming the file and field."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    write_json(bad, report)
+    capsys.readouterr()
+    assert main(["replay", str(good), str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{good}: ") and len(captured.out.splitlines()) == 1
+    assert captured.err.startswith(f"error: {bad}: {field} must be ")
+
+
+def _good_report(tmp_path, measure, condition, *flags):
+    good = tmp_path / "good.json"
+    assert main(["audit", "--measure", measure, "--condition", condition, *flags, "--d", "3", "--samples", "5",
+                 "--seed", "2", "--out", str(good)]) == 0
+    return json.loads(good.read_text(encoding="utf-8"))
+
+
+# a holding row and a violated one: each verdict must follow from max_violation and tol
+@pytest.mark.parametrize("condition, flags, verdict", [("C3", [], "holds_within_tol"),
+                                                       ("C2sel", ["--class", "unital"], "violated")])
+def test_replay_of_a_report_whose_verdict_contradicts_max_violation_exit_3(tmp_path, capsys, condition, flags,
+                                                                           verdict):
+    report = _good_report(tmp_path, "re", condition, *flags)
+    assert report["verdict"] == verdict
+    for wrong in ({"holds_within_tol": "violated", "violated": "holds_within_tol"}[verdict], "holds", None):
+        _replay_rejects(tmp_path, capsys, {**report, "verdict": wrong}, "verdict")
+    report.pop("verdict")
+    _replay_rejects(tmp_path, capsys, report, "verdict")
+
+
+@pytest.mark.parametrize("samples", [-4, 0, 2**32 + 1, 5.0, True, "5", None])
+def test_replay_of_a_report_whose_samples_is_no_count_exit_3(tmp_path, capsys, samples):
+    report = _good_report(tmp_path, "re", "C3")
+    _replay_rejects(tmp_path, capsys, {**report, "samples": samples}, "samples")
+
+
+def test_replay_of_a_report_with_more_samples_above_tol_than_samples_exit_3(tmp_path, capsys):
+    report = _good_report(tmp_path, "l1", "C0")
+    assert report["samples"] == report["diagnostics"]["samples_above_tol"] == 5
+    diagnostics = report["diagnostics"]
+    for above in (6, 99, -1, 5.0, None):
+        _replay_rejects(tmp_path, capsys, {**report, "diagnostics": {**diagnostics, "samples_above_tol": above}},
+                        "diagnostics.samples_above_tol")
+    # a report of more samples may count more of them
+    write_json(tmp_path / "more.json", {**report, "samples": 6, "diagnostics": {**diagnostics, "samples_above_tol": 6}})
+    assert main(["replay", str(tmp_path / "more.json")]) == 0
+    capsys.readouterr()
+
+
 def test_replay_of_a_witness_above_max_audit_dim_exit_3(tmp_path, capsys):
     report = json.loads(audit_conditions("ibiqc", "C2_selective", d=2, samples=5, seed=1,
                                          probe_eigenbasis=True).to_json())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,33 @@ def test_property_trace_distance_metric_axioms(seed, d):
     assert trace_distance(a, b) >= 0.0
     assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), abs=1e-12)
     assert trace_distance(a, a) == 0.0
+
+
+def _gram_defect_by_loop(ops):
+    """The largest ||sum_k A_k^dagger A_k - I||_F over the sets of a (n, k, d, d) stack, one set at a time."""
+    return max(np.linalg.norm(sum(a.conj().T @ a for a in s) - np.eye(s.shape[-1])) for s in ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 3), k=st.integers(1, 4), d=st.sampled_from([1, 2, 3, 4, 5, 32]),
+       pad=st.integers(0, 2), kind=st.sampled_from(["complete", "near", "any"]))
+def test_property_gram_defect_is_the_largest_defect_of_a_set(seed, n, k, d, pad, kind):
+    # each set is an isometry V (k d, d) cut into k blocks (complete), one moved by up to 1e-6 (near,
+    # defects around KRAUS_TP_TOL and above) or a Gaussian one (any), followed by pad zero operators
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, k * d, d)) + 1j * rng.standard_normal((n, k * d, d))
+    v = g / np.sqrt(k * d) if kind == "any" else np.linalg.qr(g)[0]
+    if kind == "near":
+        v = v + 10.0 ** rng.uniform(-12, -6) * rng.standard_normal(v.shape)
+    ops = np.concatenate([v.reshape(n, k, d, d), np.zeros((n, pad, d, d))], axis=1)
+    expected = _gram_defect_by_loop(ops)
+    # the padding adds nothing: padded or not, each stack gives the defect of its drawn operators
+    for stack in (ops, ops[:, :k]):
+        assert abs(gram_defect(stack) - expected) <= 1e-14 * max(1.0, expected)
+    bad = ops.copy()
+    bad[rng.integers(n), rng.integers(k + pad), rng.integers(d), rng.integers(d)] = rng.choice([np.nan, np.inf])
+    assert gram_defect(bad) == math.inf
+    assert gram_defect(np.zeros((0, k + pad, d, d))) == 0.0
 
 
 @pytest.mark.parametrize("d", [1, 3])

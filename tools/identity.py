@@ -50,8 +50,11 @@ call produced. The groups:
   library       each sized constructor of states at d = 256 and 257,
                 random_channel of each family at k = 256 and 257, and
                 KrausSet of a string, of a list holding a string and of
-                operators of mixed shapes: the bytes of the object built,
-                or the type and message of the error
+                operators of mixed shapes, and, for each channel family at
+                d = 3 and k = 1 to 4, the three classify_kraus flags as
+                booleans and apply_channel on the set scaled by 1 + 1e-6:
+                the bytes of the object built, or the type and message of
+                the error
 
 An exception that escapes cli.main does not end the battery: its type and
 message are the row's result in place of the exit code, and its stderr
@@ -129,7 +132,7 @@ def battery(tree: Path) -> list[dict]:
     import numpy as np
 
     import cohkit
-    from cohkit import cli, errors, measures, states
+    from cohkit import channels, cli, errors, measures, states
 
     if not Path(cohkit.__file__).resolve().is_relative_to(tree.resolve()):
         raise SystemExit(f"cohkit was imported from {cohkit.__file__}, not from {tree}")
@@ -271,6 +274,13 @@ def battery(tree: Path) -> list[dict]:
     library("kraus-string", lambda: states.KrausSet("x"))
     library("kraus-string-entry", lambda: states.KrausSet([1, "x"]))
     library("kraus-mixed-shapes", lambda: states.KrausSet([np.eye(2), np.eye(3)]))
+    for kind in CHANNEL_FAMILIES:
+        for k in range(1, 5):
+            kraus = states.random_channel(kind, 3, k=k, seed=k)
+            library(f"classify_kraus-{kind}-k{k}",
+                    lambda: [bool(flag) for flag in vars(channels.classify_kraus(kraus)).values()])
+            library(f"apply_channel-not-tp-{kind}-k{k}", lambda: channels.apply_channel(
+                states.KrausSet((1 + 1e-6) * kraus.operators), states.maximally_mixed(3)))
 
     gates = {
         "audit-d0": ["audit", "--measure", "l1", "--condition", "C0", "--d", "0"],

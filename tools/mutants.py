@@ -169,7 +169,7 @@ MUTANTS = (
            "PureState takes the norm of any amplitudes: PureState([1e300, 1e300]) overflows"),
     Mutant(STATES, 'p = require_array("probs", self.probs, float)', "p = np.asarray(self.probs, dtype=float)",
            (T_GATES, T_STATES), "DiagonalState raises numpy's ValueError on a string"),
-    Mutant(CHANNELS, "    _require_trace_preserving(kraus.operators, parts)\n    p, kept, normalized",
+    Mutant(CHANNELS, "    _require_trace_preserving(kraus.operators)\n    p, kept, normalized",
            "    p, kept, normalized", (T_CHANNELS, T_GATES),
            "selective_outcomes reads out a Kraus set that is not trace preserving, so replay takes a "
            "tampered C2_selective witness"),
@@ -201,6 +201,18 @@ MUTANTS = (
            "the Hermiticity gate raises numpy's ValueError on an empty stack"),
     Mutant(LINALG, ".sum(axis=(-2, -1)).max(initial=0.0)", ".sum(axis=(-2, -1)).max()", (T_LINALG,),
            "gram_defect and require_unitary raise numpy's ValueError on an empty stack"),
+    Mutant(LINALG, "v = a.reshape(a.shape[:-3] + (k * d, d))", "v = adjoint(a).reshape(a.shape[:-3] + (k * d, d))",
+           (T_LINALG, T_CHANNELS), "the Gram check stacks the adjoints, so it checks unitality and every gate "
+           "rejects a valid general_tp set"),
+    Mutant(CHANNELS, "        _require_trace_preserving(kraus)\n", "", (T_CHANNELS,),
+           "the audit measures a block's Kraus sets without the trace-preservation gate"),
+    Mutant(CLI, 'if report.get("verdict") != verdict:', "if False:", (T_CLI,),
+           "replay takes a report whose verdict contradicts its max_violation and tol"),
+    Mutant(CLI, 'samples = require_count("samples", report.get("samples"), 1, 2**32, error=ParseError)',
+           'samples = report.get("samples")', (T_CLI,),
+           "replay takes a report whose samples is no count from 1 to 2**32, such as -4"),
+    Mutant(CLI, "0, samples, error=ParseError)", "0, error=ParseError)", (T_CLI,),
+           "replay takes a report that counts more samples above tol than it has samples"),
     Mutant(LINALG, "if np.isfinite(a).all() else math.inf", "if np.isfinite(a).all() else 0.0", (T_LINALG,),
            "the Hermiticity defect of a matrix with a non-finite entry reads 0, so the gate passes it"),
     Mutant(CHANNELS, "unital=linalg.gram_defect(linalg.adjoint(ops)) <= KRAUS_TP_TOL",
@@ -273,7 +285,7 @@ MUTANTS = (
     # seeded sampling: bitwise default_rng([seed, i]) and Generator.dirichlet
     Mutant(STATES, "pool = _mix(pool, _hashmix(word, h[step:step + _POOL_SIZE + 1]))", "pass", (T_STATES,),
            "sample_generators skips the mixing rounds of seed words beyond the pool"),
-    Mutant(STATES, "used = np.arange(max(counts)) <", "used = np.arange(max(counts) + 1) <", (T_STATES,),
+    Mutant(STATES, "used = np.arange(counts.max()) <", "used = np.arange(counts.max() + 1) <", (T_STATES,),
            "a stack pads one zero part beyond its largest set"),
     Mutant(STATES, "draws.cumsum(axis=1)[:, -1]", "draws.sum(axis=1)", (T_STATES,),
            "Dirichlet weights scaled by numpy's pairwise sum, not the left-to-right one"),
